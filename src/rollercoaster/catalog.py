@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .codes import DTCode, dt_to_gauss, parse_dt
-from .embed import realize
-from .invariants import AmbiguousMatch, identify, load_jones_refs
+from .embed import NotRealizable, realize
+from .invariants import AmbiguousMatch, BracketCapExceeded, identify, load_jones_refs
 from .warp import min_warp
 
 
@@ -247,7 +247,9 @@ def verify_entry(entry: CatalogEntry, row: int = 0, refs=None) -> RowReport:
     Three checks: the minimum warping degree over all basepoints equals the
     top of the ascending range; the witness size matches the finite branch
     of the rc-crossing column; and the witness's polynomial identifies the
-    named knot (mirror images share a name).
+    named knot (mirror images share a name).  A witness that cannot be
+    embedded, or is too large for the bracket, fails the identification
+    check instead of aborting the run.
     """
     if refs is None:
         refs = load_jones_refs()
@@ -258,6 +260,10 @@ def verify_entry(entry: CatalogEntry, row: int = 0, refs=None) -> RowReport:
         identification = found if found is not None else "none"
     except AmbiguousMatch as exc:
         identification = "ambiguous: " + ", ".join(exc.names)
+    except NotRealizable as exc:
+        identification = f"not realizable: {exc}"
+    except BracketCapExceeded as exc:
+        identification = f"over cap: {exc}"
     checks = (
         ("min_warp", degree == entry.ascending.hi),
         ("witness_size", entry.rc_crossing.value is None or size == entry.rc_crossing.value),

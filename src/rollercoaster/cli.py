@@ -161,6 +161,8 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    if not 3 <= args.max <= args.cap:
+        raise CliError(f"--max {args.max} outside supported range 3..{args.cap}")
     rows = conjecture_report(args.max, cap=args.cap)
     if args.json:
         print(

@@ -134,20 +134,6 @@ def format_gauss(code: GaussCode) -> str:
     return " ".join(str(i) if r == OVER else str(-i) for i, r in code.passages)
 
 
-def read_dt_lines(lines) -> list[DTCode]:
-    """Read one bracketed DT code per line; ``#`` starts a comment."""
-    codes = []
-    for n, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        try:
-            codes.append(parse_dt(body))
-        except ValueError as exc:
-            raise ValueError(f"line {n}: {exc}") from None
-    return codes
-
-
 # ---------------------------------------------------------------------------
 # conversions
 
@@ -172,8 +158,9 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
     first listed passage.
 
     Raises FramingError when some crossing is met at two labels of equal
-    parity; such sequences exist only for non-planar pairings, and
-    canonical_dt searches the framings that do work.
+    parity; such sequences exist only for non-planar pairings.  Basepoint
+    shifts and reversal keep the parity of every label pair, so a
+    sequence that fails here fails from every basepoint.
     """
     labels: dict[int, list[tuple[int, str]]] = {}
     for pos, (ident, role) in enumerate(code.passages, start=1):
@@ -209,23 +196,42 @@ def dt_mirror(code: DTCode) -> DTCode:
     return DTCode(tuple(-e for e in code.entries))
 
 
+def dt_relabellings(entries: tuple[int, ...]):
+    """Entries of the DT codes of one diagram read from each of its 2c
+    basepoints in both directions.
+
+    Passage positions are labels minus one, 0..2c-1, and the code pairs
+    them up.  A
+    relabelling moves old position p to (s*p + t) mod 2c: for k in
+    0..2c-1 it yields the code of ``rotate(g, k)`` (s = 1, t = -k) and
+    then that of ``reverse(rotate(g, k))`` (s = -1, t = k - 1), where g is
+    the Gauss sequence of ``entries``.  The new entry at each even position
+    is the new partner position plus one, positive when the passage at
+    that position runs over.
+    """
+    n = 2 * len(entries)
+    partner = [0] * n
+    over = [False] * n
+    for i, e in enumerate(entries):
+        odd, even = 2 * i, abs(e) - 1
+        partner[odd], partner[even] = even, odd
+        over[odd], over[even] = e > 0, e < 0
+    for k in range(n):
+        for s, t in ((1, -k), (-1, k - 1)):
+            out = []
+            for q in range(0, n, 2):
+                p = s * (q - t) % n
+                label = (s * partner[p] + t) % n + 1
+                out.append(label if over[p] else -label)
+            yield tuple(out)
+
+
 def canonical_dt(code) -> DTCode:
     """Lexicographically least DT code over all 2c rotations and both
     traversal directions.  Used for deduplication."""
-    if isinstance(code, DTCode):
-        code = dt_to_gauss(code)
-    best = None
-    for g in (code, reverse(code)):
-        for k in range(len(code.passages)):
-            try:
-                cand = gauss_to_dt(rotate(g, k)).entries
-            except FramingError:
-                continue
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        raise FramingError("no rotation admits an odd/even labelling")
-    return DTCode(best)
+    if isinstance(code, GaussCode):
+        code = gauss_to_dt(code)
+    return DTCode(min(dt_relabellings(code.entries), default=()))
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,6 @@ class Laurent:
         """Multiply by the variable to the k-th quarter power."""
         return Laurent({e + k: c for e, c in self.coeffs.items()})
 
-    def scale(self, k: int) -> "Laurent":
-        return Laurent({e: k * c for e, c in self.coeffs.items()})
-
     def mirror(self) -> "Laurent":
         """Substitute t -> 1/t (negate every exponent)."""
         return Laurent({-e: c for e, c in self.coeffs.items()})
@@ -92,9 +89,6 @@ class Laurent:
         if not self.coeffs:
             return Fraction(0)
         return Fraction(max(self.coeffs) - min(self.coeffs), 4)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.coeffs.items()))
 
     def __str__(self) -> str:
         if not self.coeffs:

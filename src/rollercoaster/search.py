@@ -16,27 +16,9 @@ from dataclasses import dataclass
 
 from itertools import permutations
 
-from .codes import DTCode, FramingError, dt_to_gauss, gauss_to_dt, is_reduced, reverse, rotate
+from .codes import DTCode, dt_relabellings, dt_to_gauss, is_reduced
 from .embed import is_realizable
 from .warp import min_warp
-
-
-def _is_least_in_class(code: DTCode) -> bool:
-    """True when code's entries are the least abs-form over its symmetry class."""
-    own = code.entries
-    gauss = dt_to_gauss(code)
-    n = len(gauss.passages)
-    for k in range(n):
-        shifted = rotate(gauss, k)
-        for flip in (False, True):
-            variant = reverse(shifted) if flip else shifted
-            try:
-                entries = gauss_to_dt(variant).entries
-            except FramingError:
-                return False
-            if tuple(abs(e) for e in entries) < own:
-                return False
-    return True
 
 
 def enumerate_alternating(c: int, cap: int = 10):
@@ -45,14 +27,11 @@ def enumerate_alternating(c: int, cap: int = 10):
         raise ValueError(f"crossing number {c} outside supported range 3..{cap}")
     found = []
     for perm in permutations(range(2, 2 * c + 1, 2)):
+        if any(tuple(map(abs, entries)) < perm for entries in dt_relabellings(perm)):
+            continue
         code = DTCode(perm)
-        if not is_reduced(dt_to_gauss(code)):
-            continue
-        if not _is_least_in_class(code):
-            continue
-        if not is_realizable(code):
-            continue
-        found.append(code)
+        if is_reduced(dt_to_gauss(code)) and is_realizable(code):
+            found.append(code)
     found.sort(key=lambda cd: cd.entries)
     yield from found
 

@@ -3,7 +3,8 @@
 Nothing here shares computation strategy with the package: the bracket
 oracle resolves crossings recursively instead of summing states, the
 realizability oracle tries every chirality assignment with its own face
-walker, and the enumeration oracle partitions raw permutations into
+walker, the relabelling oracle re-reads the Gauss sequence from every
+basepoint, and the enumeration oracle partitions raw permutations into
 symmetry orbits by breadth-first closure.
 """
 
@@ -108,6 +109,21 @@ def _face_count(gauss, occurrences, mask) -> int:
     return faces
 
 
+def gauss_variants(gauss):
+    """DT entries from every basepoint: for k = 0..2c-1, those of
+    ``rotate(gauss, k)`` then of its reversal, None where the labelling
+    fails."""
+    variants = []
+    for k in range(len(gauss.passages)):
+        shifted = rotate(gauss, k)
+        for variant in (shifted, reverse(shifted)):
+            try:
+                variants.append(gauss_to_dt(variant).entries)
+            except FramingError:
+                variants.append(None)
+    return variants
+
+
 def symmetry_orbits(codes):
     """Partition all-positive DT codes into rotation/reversal/mirror orbits."""
     remaining = {code.entries: code for code in codes}
@@ -115,18 +131,11 @@ def symmetry_orbits(codes):
     while remaining:
         _, seed = remaining.popitem()
         orbit = {seed.entries}
-        gauss = dt_to_gauss(seed)
-        n = len(gauss.passages)
-        for k in range(n):
-            shifted = rotate(gauss, k)
-            for flip in (False, True):
-                variant = reverse(shifted) if flip else shifted
-                try:
-                    entries = gauss_to_dt(variant).entries
-                except FramingError:
-                    continue
-                key = tuple(abs(e) for e in entries)
-                orbit.add(key)
-                remaining.pop(key, None)
+        for entries in gauss_variants(dt_to_gauss(seed)):
+            if entries is None:
+                continue
+            key = tuple(abs(e) for e in entries)
+            orbit.add(key)
+            remaining.pop(key, None)
         orbits.append(frozenset(orbit))
     return orbits

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rollercoaster.cli import main
 
 
@@ -119,6 +121,23 @@ def test_verify_catalog_flags_edited_row(capsys, tmp_path):
     assert "row 2" in err
 
 
+def test_verify_catalog_unrealizable_witness_is_a_fail_row(capsys, tmp_path):
+    from importlib import resources
+
+    lines = resources.files("rollercoaster.data").joinpath("catalog.csv").read_text().splitlines()
+    lines[1] = lines[1].replace('"[4, 6, 2]"', '"[4, 6, 8, 10, 2]"')
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines[:4]))
+    code, out, _ = run(capsys, "verify-catalog", "--catalog", str(bad))
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    report = json.loads(fails[0][len("FAIL "):])
+    assert report["name"] == "3_1"
+    assert report["identification"].startswith("not realizable: ")
+    assert "verified 3 rows, 1 failures" in out
+
+
 def test_verify_catalog_missing_refs(capsys):
     code, _, err = run(capsys, "verify-catalog", "--refs", "/nonexistent/refs.dat")
     assert code == 2
@@ -131,6 +150,14 @@ def test_conjecture(capsys):
     lines = out.splitlines()
     assert lines[0] == "c=3 computed=1 predicted=1 match witness=[4, 6, 2]"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("value", ["11", "2"])
+def test_conjecture_rejects_max_outside_range(capsys, value):
+    code, out, err = run(capsys, "conjecture", "--max", value, "--cap", "10")
+    assert code == 2
+    assert out == ""
+    assert f"--max {value} outside supported range 3..10" in err
 
 
 def test_enumerate_with_csv(capsys, tmp_path):

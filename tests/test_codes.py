@@ -17,7 +17,9 @@ from rollercoaster import (
     reverse,
     rotate,
 )
-from rollercoaster.codes import format_dt, format_gauss, read_dt_lines
+from rollercoaster.codes import dt_relabellings, format_dt, format_gauss
+
+from oracles import gauss_variants
 
 TREFOIL = DTCode((4, 6, 2))
 FIG8 = DTCode((4, 6, 8, 2))
@@ -41,13 +43,6 @@ def test_parse_dt_rejects_bad_entries():
 def test_format_dt_round_trip():
     assert format_dt(TREFOIL) == "[4, 6, 2]"
     assert parse_dt(format_dt(FIG8)) == FIG8
-
-
-def test_read_dt_lines_reports_line_numbers():
-    codes = read_dt_lines(["# header", "[4, 6, 2]", "", "[4, 6, 8, 2]"])
-    assert codes == [TREFOIL, FIG8]
-    with pytest.raises(ValueError, match="line 2"):
-        read_dt_lines(["[4, 6, 2]", "[4, 5, 2]"])
 
 
 def test_dt_to_gauss_trefoil_passage_sequence():
@@ -167,3 +162,26 @@ def test_rotate_composes_modulo_length(gauss, k):
 @given(abstract_gauss())
 def test_reverse_is_involution(gauss):
     assert reverse(reverse(gauss)) == gauss
+
+
+@st.composite
+def signed_dt(draw):
+    c = draw(st.integers(min_value=1, max_value=8))
+    perm = draw(st.permutations(range(2, 2 * c + 1, 2)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=c, max_size=c))
+    return DTCode(tuple(s * e for s, e in zip(signs, perm)))
+
+
+@given(signed_dt())
+def test_dt_relabellings_match_gauss_rotations(code):
+    assert list(dt_relabellings(code.entries)) == gauss_variants(dt_to_gauss(code))
+
+
+@given(abstract_gauss())
+def test_canonical_dt_is_least_framable_variant(gauss):
+    framable = [v for v in gauss_variants(gauss) if v is not None]
+    if framable:
+        assert canonical_dt(gauss).entries == min(framable)
+    else:
+        with pytest.raises(FramingError):
+            canonical_dt(gauss)

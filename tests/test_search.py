@@ -17,6 +17,10 @@ def test_c4_includes_figure_eight():
     assert (4, 6, 8, 2) in codes
 
 
+def test_class_counts_pinned():
+    assert [len(list(enumerate_alternating(c))) for c in range(3, 8)] == [1, 1, 2, 4, 12]
+
+
 def test_every_emitted_code_is_reduced_and_realizable():
     for c in (3, 4, 5):
         for code in enumerate_alternating(c):
