@@ -109,18 +109,21 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 # ---------------------------------------------------------------------------
 # closure combinatorics
 
+def _sweep(word: BraidWord) -> tuple[list[tuple[int, int]], dict[int, int]]:
+    """For each letter, the two strands crossing there (upper first), and
+    the permutation, with strands named by their left-edge position."""
+    occupant = list(range(1, word.strands + 1))
+    pairs = []
+    for idx, _ in word.letters:
+        upper, lower = occupant[idx - 1], occupant[idx]
+        pairs.append((upper, lower))
+        occupant[idx - 1], occupant[idx] = lower, upper
+    return pairs, {start: pos for pos, start in enumerate(occupant, start=1)}
+
+
 def permutation(word: BraidWord) -> dict[int, int]:
     """Left-edge position -> right-edge position of the same strand."""
-    perm = {}
-    for start in range(1, word.strands + 1):
-        pos = start
-        for idx, _ in word.letters:
-            if pos == idx:
-                pos = idx + 1
-            elif pos == idx + 1:
-                pos = idx
-        perm[start] = pos
-    return perm
+    return _sweep(word)[1]
 
 
 def closure_components(word: BraidWord) -> int:
@@ -138,23 +141,26 @@ def closure_components(word: BraidWord) -> int:
     return cycles
 
 
+def _knot_order(perm: dict[int, int]) -> list[int]:
+    """Strands in the order the closure traversal from position 1 meets
+    them; raises when the traversal closes before meeting them all."""
+    order = [1]
+    while perm[order[-1]] != 1:
+        order.append(perm[order[-1]])
+    if len(order) != len(perm):
+        raise ValueError("closure is a link, not a knot")
+    return order
+
+
 def _closure_walk(word: BraidWord) -> list[tuple[int, bool]]:
     """Passages of the closure traversal from the top-left corner, as
     (1-based letter position, entered-at-upper-position) pairs."""
-    if closure_components(word) != 1:
-        raise ValueError("closure is a link, not a knot")
-    passages = []
-    pos = 1
-    for _ in range(word.strands):
-        for slot, (idx, _) in enumerate(word.letters, start=1):
-            if pos == idx:
-                passages.append((slot, True))
-                pos = idx + 1
-            elif pos == idx + 1:
-                passages.append((slot, False))
-                pos = idx
-    assert pos == 1
-    return passages
+    pairs, perm = _sweep(word)
+    visits: dict[int, list[tuple[int, bool]]] = {start: [] for start in perm}
+    for slot, (upper, lower) in enumerate(pairs, start=1):
+        visits[upper].append((slot, True))
+        visits[lower].append((slot, False))
+    return [passage for start in _knot_order(perm) for passage in visits[start]]
 
 
 def closure_gauss(word: BraidWord) -> tuple[GaussCode, Basepoint]:
@@ -186,57 +192,44 @@ def positive_unknotting(word: BraidWord) -> int:
     if closure_components(word) != 1:
         raise ValueError("closure is a link, not a knot")
     c, n = len(word.letters), word.strands
-    assert (c - n + 1) % 2 == 0
+    if (c - n + 1) % 2:
+        raise AssertionError("a knot closure has letters and strands of opposite parity")
     return (c - n + 1) // 2
 
 
 # ---------------------------------------------------------------------------
 # bigons
 
-def _slot_pairs(word: BraidWord) -> list[tuple[int, int]]:
-    """For each letter, the two strands crossing there, as left-edge
-    starting positions (upper first)."""
-    occupant = list(range(1, word.strands + 1))
-    pairs = []
-    for idx, _ in word.letters:
-        upper, lower = occupant[idx - 1], occupant[idx]
-        pairs.append((upper, lower))
-        occupant[idx - 1], occupant[idx] = lower, upper
-    return pairs
+def _innermost_bigons(pairs: list[tuple[int, int]]) -> list[Bigon]:
+    """Innermost bigons from the per-letter strand pairs, left to right.
 
-
-def _adjacent_bigons(word: BraidWord) -> list[Bigon]:
-    pairs = _slot_pairs(word)
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for slot, pair in enumerate(pairs):
-        by_pair.setdefault(tuple(sorted(pair)), []).append(slot)
+    Each bigon joins a letter to the previous letter with the same two
+    strands.  Scanning right ends in order, a bigon is innermost exactly
+    when its left end lies right of every left end seen so far."""
+    last: dict[tuple[int, int], int] = {}
+    deepest = -1
     found = []
-    for pair, slots in by_pair.items():
-        for i, j in zip(slots, slots[1:]):
-            found.append(Bigon(i, j, pair))
+    for j, pair in enumerate(pairs):
+        key = (min(pair), max(pair))
+        i = last.get(key, -1)
+        last[key] = j
+        if i > deepest:
+            deepest = i
+            found.append(Bigon(i, j, key))
     return found
 
 
 def find_innermost_bigon(word: BraidWord) -> Bigon | None:
     """Leftmost innermost bigon, or None when every pair of strands
     crosses at most once."""
-    candidates = _adjacent_bigons(word)
-    innermost = [
-        b
-        for b in candidates
-        if not any(b.i < o.i and o.j < b.j for o in candidates)
-    ]
-    return min(innermost, key=lambda b: b.i) if innermost else None
+    innermost = _innermost_bigons(_sweep(word)[0])
+    return innermost[0] if innermost else None
 
 
 def smooth_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
     """Delete the bigon's two letters.  The closure stays a knot and the
     (above, below) counts each drop by one."""
-    candidates = _adjacent_bigons(word)
-    innermost = {
-        b for b in candidates if not any(b.i < o.i and o.j < b.j for o in candidates)
-    }
-    if bigon not in innermost:
+    if bigon not in _innermost_bigons(_sweep(word)[0]):
         raise ValueError(f"{bigon} is not an innermost bigon of this word")
     letters = tuple(l for k, l in enumerate(word.letters) if k not in (bigon.i, bigon.j))
     return BraidWord(word.strands, letters)
@@ -257,23 +250,18 @@ def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCe
         raise ValueError("word is not positive")
     if word.strands < 2:
         raise ValueError("nothing to remove from a one-strand word")
-    if find_innermost_bigon(word) is not None:
+    pairs, perm = _sweep(word)
+    if _innermost_bigons(pairs):
         raise ValueError("word has a bigon; smooth it first")
-    if closure_components(word) != 1:
-        raise ValueError("closure is a link, not a knot")
+    order = _knot_order(perm)
 
-    perm = permutation(word)
-    order = [1]
-    while len(order) < word.strands:
-        order.append(perm[order[-1]])
-
-    first_up = next((t for t in range(1, word.strands) if perm[order[t]] < order[t]), None)
-    assert first_up is not None, "some traversal strand must ascend"
+    # the last strand returns to position 1, so some strand ascends
+    first_up = next(t for t in range(1, word.strands) if perm[order[t]] < order[t])
     prev_start, cur_start = order[first_up - 1], order[first_up]
 
-    pairs = _slot_pairs(word)
     matches = [k for k, p in enumerate(pairs) if set(p) == {prev_start, cur_start}]
-    assert len(matches) == 1, "bigon-free words cross each strand pair at most once"
+    if len(matches) != 1:
+        raise AssertionError(f"strands {prev_start} and {cur_start} cross {len(matches)} times")
     resolved = matches[0]
 
     # walk the strand that becomes closed once `resolved` is smoothed
@@ -292,8 +280,8 @@ def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCe
                 pos = idx + 1
             else:
                 pos = idx
-    assert pos == cur_start, "removed strand must close up at its own height"
-    assert len(involved) % 2 == 0 and overs == len(involved) // 2
+    if pos != cur_start or 2 * overs != len(involved):
+        raise AssertionError("removed strand must close at its height, over as often as under")
     m = len(involved) // 2
 
     dropped = set(involved) | {resolved}
@@ -325,14 +313,14 @@ def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
     steps = []
     current = word
     while len(current.letters) > current.strands - 1:
-        before = ab_counts(current)
+        before = steps[-1].counts_after if steps else ab_counts(current)
         bigon = find_innermost_bigon(current)
         if bigon is not None:
-            current = smooth_bigon(current, bigon)
-            steps.append(ReductionStep("smooth", bigon, before, ab_counts(current), current))
+            action, detail, current = "smooth", bigon, smooth_bigon(current, bigon)
         else:
-            current, cert = remove_first_ascending_strand(current)
-            steps.append(ReductionStep("remove", cert, before, ab_counts(current), current))
+            action = "remove"
+            current, detail = remove_first_ascending_strand(current)
+        steps.append(ReductionStep(action, detail, before, ab_counts(current), current))
     return current, steps
 
 

@@ -73,6 +73,11 @@ def _require_positive(word, op: str):
 
 
 def _require_knot(word):
+    # each letter changes the number of permutation cycles by one, so n
+    # strands and c letters close into at least n - c components; reject
+    # before any per-strand work
+    if word.strands > len(word.letters) + 1:
+        raise CliError(f"closure has at least {word.strands - len(word.letters)} components")
     components = braid_mod.closure_components(word)
     if components != 1:
         raise CliError(f"closure has {components} components")

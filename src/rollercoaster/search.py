@@ -22,18 +22,17 @@ from .warp import min_warp
 
 
 def enumerate_alternating(c: int, cap: int = 10):
-    """All reduced, realizable alternating diagrams with c crossings, one per class."""
+    """All reduced, realizable alternating diagrams with c crossings, one per
+    class, yielded as found; permutations come in lexicographic order, so
+    the classes do too."""
     if not 3 <= c <= cap:
         raise ValueError(f"crossing number {c} outside supported range 3..{cap}")
-    found = []
     for perm in permutations(range(2, 2 * c + 1, 2)):
         if any(tuple(map(abs, entries)) < perm for entries in dt_relabellings(perm)):
             continue
         code = DTCode(perm)
         if is_reduced(dt_to_gauss(code)) and is_realizable(code):
-            found.append(code)
-    found.sort(key=lambda cd: cd.entries)
-    yield from found
+            yield code
 
 
 def a_min_warp(c: int, cap: int = 10) -> tuple[int, DTCode]:

@@ -7,6 +7,14 @@ crossing makes the diagram descending from that basepoint, which unknots
 it, so the warping degree bounds the unknotting moves spent by the
 traversal and the minimum over basepoints bounds the ascending number of
 the underlying knot from above.
+
+Moving a forward basepoint from edge k to edge k+1 makes passage k the
+last one met instead of the first, so the degree rises by one when that
+passage runs over and falls by one when it runs under.  Read backward
+from edge k, the first passage of every crossing is its last one read
+forward, so the backward below-set is the forward above-set and the
+backward degree is c minus the forward one.  One pass along the sequence
+therefore gives the degree at every basepoint in both directions.
 """
 
 from __future__ import annotations
@@ -27,30 +35,30 @@ class WarpResult:
         return len(self.below)
 
 
-def traversal(code: GaussCode, base: Basepoint) -> list[int]:
-    """Passage indices in the order the based traversal meets them."""
+def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
     n = len(code.passages)
     if not 0 <= base.edge < n:
         raise ValueError(f"basepoint edge {base.edge} out of range for {n} passages")
-    if base.forward:
-        return [(base.edge + k) % n for k in range(n)]
-    return [(base.edge - 1 - k) % n for k in range(n)]
-
-
-def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
-    below, above, seen = set(), set(), set()
-    for pos in traversal(code, base):
-        ident, role = code.passages[pos]
-        if ident in seen:
-            continue
-        seen.add(ident)
-        (below if role == UNDER else above).add(ident)
-    return WarpResult(base, frozenset(below), frozenset(above))
+    step = 1 if base.forward else -1
+    start = base.edge if base.forward else base.edge - 1
+    first: dict[int, str] = {}
+    for k in range(n):
+        ident, role = code.passages[(start + step * k) % n]
+        first.setdefault(ident, role)
+    below = frozenset(i for i, role in first.items() if role == UNDER)
+    return WarpResult(base, below, frozenset(first.keys() - below))
 
 
 def warp_profile(code: GaussCode, forward: bool = True) -> list[int]:
     """Warping degree at every edge basepoint, one traversal direction."""
-    return [warp_from(code, Basepoint(e, forward)).degree for e in range(len(code.passages))]
+    if not code.passages:
+        return []
+    degree = warp_from(code, Basepoint(0)).degree
+    profile = []
+    for _, role in code.passages:
+        profile.append(degree)
+        degree += 1 if role == OVER else -1
+    return profile if forward else [code.crossings - d for d in profile]
 
 
 def min_warp(code: GaussCode) -> WarpResult:
@@ -58,15 +66,11 @@ def min_warp(code: GaussCode) -> WarpResult:
 
     Ties go to the smallest edge index, forward before backward.
     """
-    best = None
-    for edge in range(len(code.passages)):
-        for forward in (True, False):
-            result = warp_from(code, Basepoint(edge, forward))
-            if best is None or result.degree < best.degree:
-                best = result
-    if best is None:
+    if not code.passages:
         raise ValueError("empty Gauss sequence has no basepoint")
-    return best
+    c, profile = code.crossings, warp_profile(code)
+    _, edge, backward = min((min(d, c - d), e, c - d < d) for e, d in enumerate(profile))
+    return warp_from(code, Basepoint(edge, not backward))
 
 
 def apply_roller_coaster(code: GaussCode, base: Basepoint) -> GaussCode:

@@ -4,14 +4,20 @@ Nothing here shares computation strategy with the package: the bracket
 oracle resolves crossings recursively instead of summing states, the
 realizability oracle tries every chirality assignment with its own face
 walker, the relabelling oracle re-reads the Gauss sequence from every
-basepoint, and the enumeration oracle partitions raw permutations into
-symmetry orbits by breadth-first closure.
+basepoint, the enumeration oracle partitions raw permutations into
+symmetry orbits by breadth-first closure, the warp oracles read the
+below-set afresh at each of the 4c based traversals, the closure-walk
+oracle follows position 1 through the whole word once per strand, and
+the bigon oracle compares every pair of candidate bigons.
 """
 
 from rollercoaster import (
+    Basepoint,
+    Bigon,
     DTCode,
     FramingError,
     Laurent,
+    WarpResult,
     dt_to_gauss,
     gauss_to_dt,
     reverse,
@@ -139,3 +145,62 @@ def symmetry_orbits(codes):
             remaining.pop(key, None)
         orbits.append(frozenset(orbit))
     return orbits
+
+
+def based_warp(gauss, base):
+    """Below- and above-sets read off the passages in traversal order from ``base``."""
+    passages, k = gauss.passages, base.edge
+    if base.forward:
+        order = passages[k:] + passages[:k]
+    else:
+        order = passages[:k][::-1] + passages[k:][::-1]
+    below, above = set(), set()
+    for ident, role in order:
+        if ident not in below and ident not in above:
+            (below if role == "U" else above).add(ident)
+    return WarpResult(base, frozenset(below), frozenset(above))
+
+
+def warp_profile_by_basepoint(gauss, forward=True):
+    """Warping degree at every edge, one based traversal per edge."""
+    return [based_warp(gauss, Basepoint(e, forward)).degree for e in range(len(gauss.passages))]
+
+
+def min_warp_by_basepoint(gauss):
+    """First least-degree result over edges in order, forward before backward."""
+    best = None
+    for edge in range(len(gauss.passages)):
+        for forward in (True, False):
+            result = based_warp(gauss, Basepoint(edge, forward))
+            if best is None or result.degree < best.degree:
+                best = result
+    return best
+
+
+def closure_walk_by_rounds(word):
+    """Closure passages of a knot word as (letter position, entered upper)
+    pairs, following position 1 through the whole word once per strand."""
+    passages = []
+    pos = 1
+    for _ in range(word.strands):
+        for slot, (idx, _) in enumerate(word.letters, start=1):
+            if pos == idx:
+                passages.append((slot, True))
+                pos = idx + 1
+            elif pos == idx + 1:
+                passages.append((slot, False))
+                pos = idx
+    return passages
+
+
+def innermost_bigons_pairwise(word):
+    """Innermost bigons ordered by left end: consecutive letters of one
+    strand pair with no such letter pair strictly inside."""
+    occupant = list(range(1, word.strands + 1))
+    slots = {}
+    for k, (idx, _) in enumerate(word.letters):
+        slots.setdefault(tuple(sorted(occupant[idx - 1:idx + 1])), []).append(k)
+        occupant[idx - 1], occupant[idx] = occupant[idx], occupant[idx - 1]
+    candidates = [Bigon(i, j, pair) for pair, ks in slots.items() for i, j in zip(ks, ks[1:])]
+    innermost = [b for b in candidates if not any(b.i < o.i and o.j < b.j for o in candidates)]
+    return sorted(innermost, key=lambda b: b.i)

@@ -17,7 +17,9 @@ from rollercoaster import (
     remove_first_ascending_strand,
     smooth_bigon,
 )
-from rollercoaster.braid import permutation
+from rollercoaster.braid import _closure_walk, _innermost_bigons, _sweep, permutation
+
+from oracles import closure_walk_by_rounds, innermost_bigons_pairwise
 
 
 def test_parse_braid_plain_and_generator_syntax():
@@ -152,3 +154,34 @@ def test_positive_unknotting_matches_min_warp(word):
         return
     gauss, _ = closure_gauss(word)
     assert min_warp(gauss).degree == positive_unknotting(word)
+
+
+@given(positive_knot_words())
+@settings(max_examples=100, deadline=None)
+def test_reduction_counts_chain(word):
+    if word is None:
+        return
+    _, steps = reduce_to_base(word)
+    before = ab_counts(word)
+    for step in steps:
+        assert step.counts_before == before
+        assert step.counts_after == ab_counts(step.word)
+        before = step.counts_after
+
+
+@given(positive_knot_words())
+@settings(max_examples=200)
+def test_closure_walk_matches_oracle(word):
+    if word is None:
+        return
+    assert _closure_walk(word) == closure_walk_by_rounds(word)
+
+
+@given(positive_knot_words())
+@settings(max_examples=200)
+def test_innermost_bigons_match_oracle(word):
+    if word is None:
+        return
+    expected = innermost_bigons_pairwise(word)
+    assert _innermost_bigons(_sweep(word)[0]) == expected
+    assert find_innermost_bigon(word) == (expected[0] if expected else None)

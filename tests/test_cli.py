@@ -75,6 +75,19 @@ def test_braid_link_closure_rejected(capsys):
     assert "closure has 2 components" in err
 
 
+@pytest.mark.parametrize(
+    "argv, components",
+    [
+        (["--word", "s100000000"], 100000000),
+        (["--word", "1 1 1", "--strands", "300000000"], 299999997),
+    ],
+)
+def test_braid_huge_strand_count_rejected_at_once(capsys, argv, components):
+    code, _, err = run(capsys, "braid", *argv, "counts")
+    assert code == 2
+    assert f"closure has at least {components} components" in err
+
+
 def test_braid_closure_dt(capsys):
     code, out, _ = run(capsys, "braid", "--word", "1 1 1", "closure-dt")
     assert code == 0

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from rollercoaster import DTCode, dt_to_gauss, is_reduced, min_warp
+from rollercoaster import search
 from rollercoaster.search import ConjectureRow, a_min_warp, conjecture_report, enumerate_alternating
 
 from oracles import exhaustive_realizable, symmetry_orbits
@@ -79,3 +80,20 @@ def test_conjecture_report_rows():
     assert [r.predicted for r in rows] == [1, 1, 2, 2]
     single = conjecture_report(3)
     assert len(single) == 1 and single[0].crossings == 3
+
+
+def test_enumeration_yields_before_testing_every_candidate(monkeypatch):
+    calls = []
+    realizable = search.is_realizable
+
+    def counting(code):
+        calls.append(code)
+        return realizable(code)
+
+    monkeypatch.setattr(search, "is_realizable", counting)
+    stream = enumerate_alternating(6)
+    first = next(stream)
+    tested_at_first = len(calls)
+    rest = list(stream)
+    assert tested_at_first < len(calls)
+    assert [first.entries] + [c.entries for c in rest] == sorted(c.entries for c in [first] + rest)

@@ -12,6 +12,8 @@ from rollercoaster import (
     warp_profile,
 )
 
+from rollercoaster import warp
+from oracles import min_warp_by_basepoint, warp_profile_by_basepoint
 from test_codes import abstract_gauss
 
 TREFOIL = dt_to_gauss(DTCode((4, 6, 2)))
@@ -87,3 +89,31 @@ def test_min_warp_at_most_half(gauss):
     # complement forces min(d, d_mirror) <= c/2
     c = len(gauss.passages) // 2
     assert min_warp(gauss).degree <= c - min_warp(mirror(gauss)).degree
+
+
+@given(abstract_gauss())
+def test_warp_profile_matches_oracle(gauss):
+    for forward in (True, False):
+        assert warp_profile(gauss, forward) == warp_profile_by_basepoint(gauss, forward)
+
+
+@given(abstract_gauss())
+def test_min_warp_matches_oracle(gauss):
+    result, expected = min_warp(gauss), min_warp_by_basepoint(gauss)
+    assert result.degree == expected.degree
+    assert result.base == expected.base
+    assert result.below == expected.below
+    assert result.above == expected.above
+
+
+def test_min_warp_reads_two_based_traversals(monkeypatch):
+    calls = []
+
+    def counting(code, base):
+        calls.append(base)
+        return warp_from(code, base)
+
+    monkeypatch.setattr(warp, "warp_from", counting)
+    gauss = dt_to_gauss(parse_dt("[12,14,16,2,4,6,8,10]"))
+    assert min_warp(gauss).degree == 2
+    assert len(calls) <= 2
