@@ -15,6 +15,8 @@ table is only as trustworthy as the cross-checks below:
 - no two rows share a polynomial, even up to mirror image, so lookups
   by polynomial are unambiguous.
 
+The checks raise SystemExit, so they also run under ``python -O``.
+
 Run from the repository root:  python3 scripts/make_jones_refs.py
 """
 
@@ -57,29 +59,32 @@ def main() -> int:
     seen: dict[str, frozenset] = {}
     for entry in entries:
         poly = jones(realize(entry.dt))
-        assert poly.eval_at_unit(1) == 1, f"{entry.name}: V(1) != 1"
+        if poly.eval_at_unit(1) != 1:
+            raise SystemExit(f"{entry.name}: V(1) != 1")
         det = abs(poly.eval_at_unit(-1))
-        assert det % 2 == 1, f"{entry.name}: even determinant {det}"
+        if det % 2 != 1:
+            raise SystemExit(f"{entry.name}: even determinant {det}")
         span = poly.span()
-        if entry.alternating:
-            assert span == entry.minimal_crossings, f"{entry.name}: span {span}"
-        else:
-            assert span < entry.minimal_crossings, f"{entry.name}: span {span}"
+        if entry.alternating and span != entry.minimal_crossings:
+            raise SystemExit(f"{entry.name}: span {span} != crossing number {entry.minimal_crossings}")
+        if not entry.alternating and span >= entry.minimal_crossings:
+            raise SystemExit(f"{entry.name}: span {span} not below crossing number {entry.minimal_crossings}")
         key = frozenset(poly.coeffs.items())
         mkey = frozenset(poly.mirror().coeffs.items())
         for other_name, other_key in seen.items():
-            assert key != other_key and mkey != other_key, (
-                f"{entry.name} and {other_name} share a polynomial"
-            )
+            if key == other_key or mkey == other_key:
+                raise SystemExit(f"{entry.name}: shares a polynomial with {other_name}")
         seen[entry.name] = key
         rows.append((entry.name, poly, len(entry.dt.entries)))
 
     for name, (p, q) in TORUS.items():
         expected = torus_jones(p, q)
         got = next(poly for n, poly, _ in rows if n == name)
-        assert got == expected or got == expected.mirror(), f"{name}: torus form mismatch"
+        if got != expected and got != expected.mirror():
+            raise SystemExit(f"{name}: torus form mismatch")
     got = next(poly for n, poly, _ in rows if n == "4_1")
-    assert got == FIG8, "4_1: hand-expanded polynomial mismatch"
+    if got != FIG8:
+        raise SystemExit("4_1: hand-expanded polynomial mismatch")
 
     lines = [
         "# Jones polynomials of the catalog witnesses, one row per knot.",

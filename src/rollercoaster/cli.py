@@ -7,6 +7,7 @@ parse errors.  Every subcommand has a JSON mode with a stable schema.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -29,6 +30,17 @@ def _read_source(value: str) -> str:
     try:
         with open(value, encoding="utf-8") as fh:
             return fh.read()
+    except OSError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _open_output(path: str | None, newline: str | None = None):
+    """The output file opened for writing, so a bad path fails before the
+    work starts; a null context when no path is given."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise CliError(str(exc)) from exc
 
@@ -142,22 +154,22 @@ def cmd_verify_catalog(args) -> int:
         refs = load_jones_refs(args.refs)
     except OSError as exc:
         raise CliError(f"refs not found: {exc}") from exc
-    reports = verify_catalog(entries, refs=refs)
-    failures = [r for r in reports if not r.passed]
-    counts = summarize(main_rows(entries))
-    if args.json:
-        payload = {
-            "rows": [json.loads(r.to_json()) for r in reports],
-            "counts": {
-                "src": counts.src,
-                "rc": counts.rc,
-                "neither": counts.neither,
-                "unknown": counts.unknown,
-            },
-            "pass": not failures,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+    with _open_output(args.json) as out:
+        reports = verify_catalog(entries, refs=refs)
+        failures = [r for r in reports if not r.passed]
+        counts = summarize(main_rows(entries))
+        if out is not None:
+            payload = {
+                "rows": [json.loads(r.to_json()) for r in reports],
+                "counts": {
+                    "src": counts.src,
+                    "rc": counts.rc,
+                    "neither": counts.neither,
+                    "unknown": counts.unknown,
+                },
+                "pass": not failures,
+            }
+            json.dump(payload, out, indent=2)
     for report in failures:
         print(f"FAIL {report.to_json()}")
     print(f"verified {len(reports)} rows, {len(failures)} failures")
@@ -197,19 +209,27 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    codes = list(enumerate_alternating(args.crossings, cap=args.cap))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+    if not 3 <= args.crossings <= args.cap:
+        raise CliError(f"crossing number {args.crossings} outside supported range 3..{args.cap}")
+    count = 0
+    codes = []
+    with _open_output(args.csv, newline="") as fh:
+        writer = csv.writer(fh) if fh is not None else None
+        if writer is not None:
             writer.writerow(["crossings", "dt"])
-            for code in codes:
+        # text and CSV rows go out as each class is found; only JSON needs the list
+        for code in enumerate_alternating(args.crossings, cap=args.cap):
+            count += 1
+            if writer is not None:
                 writer.writerow([args.crossings, format_dt(code)])
+            if args.json:
+                codes.append(list(code.entries))
+            else:
+                print(format_dt(code), flush=True)
     if args.json:
-        print(json.dumps({"crossings": args.crossings, "codes": [list(c.entries) for c in codes]}))
+        print(json.dumps({"crossings": args.crossings, "codes": codes}))
     else:
-        for code in codes:
-            print(format_dt(code))
-        print(f"{len(codes)} diagrams at c={args.crossings}")
+        print(f"{count} diagrams at c={args.crossings}")
     return 0
 
 
@@ -260,6 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse (seen on Python 3.11) turns a lone "--" value, as in --dt=--, into []
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{name}: expected one argument")
     try:
         return args.func(args)
     except CliError as exc:

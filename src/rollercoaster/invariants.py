@@ -6,6 +6,14 @@ The bracket of the crossingless unknot is 1, a positive kink multiplies
 it by -A^3, and the Jones polynomial is the bracket rescaled by
 (-A^3)^(-writhe) with A = t^(-1/4); knots always land on integer powers
 of t.
+
+The bracket is contracted one crossing at a time over a planar frontier
+(the tangle scheme of Bar-Natan, "Fast Khovanov homology computations",
+restricted to the bracket): the placed crossings form a tangle whose
+state is a map from boundary matchings to Laurent coefficients, so the
+cost follows the number of matchings of the open edges rather than the
+2^c smoothings.  Crossings are placed greedily to keep that boundary
+short.
 """
 
 from __future__ import annotations
@@ -137,56 +145,83 @@ def _smoothing_arcs(crossing, use_a: bool):
     return ((p, (p + 1) % 4), ((p + 2) % 4, (p + 3) % 4))
 
 
+def _crossing_order(crossings) -> list[int]:
+    """Greedy placement order: next comes the crossing that shares the most
+    edge ids with those already placed, the lowest index on ties."""
+    placed: set[int] = set()
+    remaining = list(range(len(crossings)))
+    order = []
+    while remaining:
+        best = max(remaining, key=lambda ci: (len(placed.intersection(crossings[ci].edges)), -ci))
+        remaining.remove(best)
+        order.append(best)
+        placed.update(crossings[best].edges)
+    return order
+
+
+def _glue(partner: dict[int, int], u: int, v: int) -> int:
+    """Join edge ends u and v by an arc; return 1 if that closes a loop.
+
+    partner maps each open end to the other end of its strand.  An edge id
+    met for the first time becomes an open end; meeting it again extends
+    the strand through it.
+    """
+    a = partner.pop(u, u)
+    if a != u:
+        del partner[a]
+    b = partner.pop(v, v)
+    if b != v:
+        del partner[b]
+    if a == b:
+        return 1
+    partner[a] = b
+    partner[b] = a
+    return 0
+
+
 def kauffman_bracket(diagram: PlanarDiagram, cap: int = 16) -> Laurent:
-    """State-sum bracket: sum over all 2^c smoothings of
-    A^(a-b) * delta^(loops-1)."""
+    """Bracket by frontier contraction, one crossing at a time.
+
+    The state maps each boundary matching of the placed crossings (a
+    sorted tuple of pairs of open edge ids) to the summed weight
+    A^(a-b) * delta^(closed loops) of its partial smoothings.  Placing a
+    crossing glues its A-arcs (weight A) or its B-arcs (weight A^-1) into
+    every matching; the last crossing leaves only the empty matching and
+    counts one loop fewer, giving A^(a-b) * delta^(loops-1) per state.
+    """
     c = diagram.size
     if c > cap:
         raise BracketCapExceeded(f"{c} crossings exceeds the cap of {cap}")
     if c == 0:
         return ONE
 
-    darts = [(ci, s) for ci in range(c) for s in range(4)]
-    index = {d: i for i, d in enumerate(darts)}
-    ends: dict[int, list[int]] = {}
-    for ci, x in enumerate(diagram.crossings):
-        for s, e in enumerate(x.edges):
-            ends.setdefault(e, []).append(index[(ci, s)])
-    arcs = [
-        (_smoothing_arcs(x, True), _smoothing_arcs(x, False))
-        for x in diagram.crossings
-    ]
-
-    delta_pow = [ONE]
-    for _ in range(2 * c):
-        delta_pow.append(delta_pow[-1] * _DELTA)
-
-    total = Laurent({})
-    for state in range(1 << c):
-        parent = list(range(4 * c))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        def union(u, v):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-
-        for pair in ends.values():
-            union(pair[0], pair[1])
-        a_count = 0
-        for ci in range(c):
-            use_a = not (state >> ci) & 1
-            a_count += 1 if use_a else -1
-            for s1, s2 in arcs[ci][0 if use_a else 1]:
-                union(index[(ci, s1)], index[(ci, s2)])
-        loops = len({find(v) for v in range(4 * c)})
-        total = total + delta_pow[loops - 1].shift(a_count)
-    return total
+    # weight[sign][k]: A^sign * delta^k as {exponent: coeff}, k <= 2 loops per crossing
+    delta_pow = [ONE, _DELTA, _DELTA * _DELTA]
+    weight = {sign: [d.shift(sign).coeffs for d in delta_pow] for sign in (1, -1)}
+    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    order = _crossing_order(diagram.crossings)
+    for step, ci in enumerate(order):
+        x = diagram.crossings[ci]
+        last = step == c - 1
+        smoothings = [
+            (sign, [(x.edges[s1], x.edges[s2]) for s1, s2 in _smoothing_arcs(x, use_a)])
+            for use_a, sign in ((True, 1), (False, -1))
+        ]
+        contracted: dict[tuple, dict[int, int]] = {}
+        for matching, poly in states.items():
+            for sign, arcs in smoothings:
+                partner = {}
+                for a, b in matching:
+                    partner[a] = b
+                    partner[b] = a
+                loops = sum(_glue(partner, u, v) for u, v in arcs) - last
+                key = tuple(sorted((a, b) for a, b in partner.items() if a < b))
+                target = contracted.setdefault(key, {})
+                for e, k in weight[sign][loops].items():
+                    for e0, c0 in poly.items():
+                        target[e0 + e] = target.get(e0 + e, 0) + c0 * k
+        states = contracted
+    return Laurent(states[()])
 
 
 def jones(diagram: PlanarDiagram, cap: int = 16) -> Laurent:

@@ -1,7 +1,8 @@
 """Slow, independent re-derivations used to cross-check the engines.
 
 Nothing here shares computation strategy with the package: the bracket
-oracle resolves crossings recursively instead of summing states, the
+oracles resolve crossings recursively or sum all 2^c states (one
+union-find per state) instead of contracting a frontier, the
 realizability oracle tries every chirality assignment with its own face
 walker, the relabelling oracle re-reads the Gauss sequence from every
 basepoint, the enumeration oracle partitions raw permutations into
@@ -14,6 +15,7 @@ the bigon oracle compares every pair of candidate bigons.
 from rollercoaster import (
     Basepoint,
     Bigon,
+    BracketCapExceeded,
     DTCode,
     FramingError,
     Laurent,
@@ -23,8 +25,10 @@ from rollercoaster import (
     reverse,
     rotate,
 )
+from rollercoaster.invariants import _smoothing_arcs
 
 DELTA = Laurent({2: -1, -2: -1})
+ONE = Laurent({0: 1})
 
 
 def skein_bracket(diagram) -> Laurent:
@@ -64,6 +68,58 @@ def _count_loops(arcs) -> int:
                         unvisited.remove(j)
                         stack.append(j)
     return loops
+
+
+def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
+    """State-sum bracket: sum over all 2^c smoothings of
+    A^(a-b) * delta^(loops-1)."""
+    c = diagram.size
+    if c > cap:
+        raise BracketCapExceeded(f"{c} crossings exceeds the cap of {cap}")
+    if c == 0:
+        return ONE
+
+    darts = [(ci, s) for ci in range(c) for s in range(4)]
+    index = {d: i for i, d in enumerate(darts)}
+    ends: dict[int, list[int]] = {}
+    for ci, x in enumerate(diagram.crossings):
+        for s, e in enumerate(x.edges):
+            ends.setdefault(e, []).append(index[(ci, s)])
+    arcs = [
+        (_smoothing_arcs(x, True), _smoothing_arcs(x, False))
+        for x in diagram.crossings
+    ]
+
+    delta_pow = [ONE]
+    for _ in range(2 * c):
+        delta_pow.append(delta_pow[-1] * DELTA)
+
+    total = Laurent({})
+    for state in range(1 << c):
+        parent = list(range(4 * c))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        def union(u, v):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+
+        for pair in ends.values():
+            union(pair[0], pair[1])
+        a_count = 0
+        for ci in range(c):
+            use_a = not (state >> ci) & 1
+            a_count += 1 if use_a else -1
+            for s1, s2 in arcs[ci][0 if use_a else 1]:
+                union(index[(ci, s1)], index[(ci, s2)])
+        loops = len({find(v) for v in range(4 * c)})
+        total = total + delta_pow[loops - 1].shift(a_count)
+    return total
 
 
 def exhaustive_realizable(code: DTCode) -> bool:

@@ -1,7 +1,11 @@
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rollercoaster import DTCode, cli
 from rollercoaster.cli import main
 
 
@@ -157,6 +161,18 @@ def test_verify_catalog_missing_refs(capsys):
     assert "refs not found" in err
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+def test_verify_catalog_bad_json_path_fails_before_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_catalog", _no_work)
+    code, out, err = run(capsys, "verify-catalog", "--json", "/nonexistent/x.json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "/nonexistent/x.json" in err
+
+
 def test_conjecture(capsys):
     code, out, _ = run(capsys, "conjecture", "--max", "4")
     assert code == 0
@@ -179,6 +195,67 @@ def test_enumerate_with_csv(capsys, tmp_path):
     assert code == 0
     assert out.splitlines() == ["[4, 6, 2]", "1 diagrams at c=3"]
     assert out_csv.read_text().splitlines() == ["crossings,dt", '3,"[4, 6, 2]"']
+
+
+def test_enumerate_bad_csv_path_fails_before_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_alternating", _no_work)
+    code, out, err = run(capsys, "enumerate", "--crossings", "3", "--csv", "/nonexistent/x.csv")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "/nonexistent/x.csv" in err
+
+
+def test_enumerate_streams_rows_as_found(capsys, monkeypatch, tmp_path):
+    def first_then_fail(c, cap):
+        yield DTCode((4, 6, 2))
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(cli, "enumerate_alternating", first_then_fail)
+    out_csv = tmp_path / "codes.csv"
+    with pytest.raises(RuntimeError):
+        main(["enumerate", "--crossings", "3", "--csv", str(out_csv)])
+    assert capsys.readouterr().out == "[4, 6, 2]\n"
+    assert out_csv.read_text().splitlines() == ["crossings,dt", '3,"[4, 6, 2]"']
+
+
+# arbitrary text, and text over the characters codes are written in so
+# that the fuzz also reaches the validators behind the tokenizer
+CODE_TEXT = st.one_of(st.text(), st.text(alphabet="[]0123456789-, \n#", max_size=40))
+
+
+def fuzz_exit_code(argv, stdin=""):
+    """Exit code of the CLI run in-process; argparse usage errors leave
+    through SystemExit, as they do from the console script."""
+    with mock.patch("sys.stdin", io.StringIO(stdin)), mock.patch("sys.stdout", io.StringIO()), \
+            mock.patch("sys.stderr", io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@given(CODE_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_warp_dt_fuzz_exits_cleanly(text):
+    assert fuzz_exit_code(["warp", f"--dt={text}"]) in (0, 1, 2)
+
+
+@given(CODE_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_warp_gauss_stdin_fuzz_exits_cleanly(text):
+    assert fuzz_exit_code(["warp", "--gauss", "-"], stdin=text) in (0, 1, 2)
+
+
+# "^" is left out: power notation expands s1^999999999 to 10^9 letters
+@given(st.one_of(st.text(), st.text(alphabet="s0123456789- ,", max_size=30)).filter(lambda t: "^" not in t),
+       st.sampled_from(["counts", "unknotting", "closure-dt", "reduce"]))
+@settings(max_examples=300, deadline=None)
+def test_braid_word_fuzz_exits_cleanly(text, operation):
+    assert fuzz_exit_code(["braid", f"--word={text}", operation]) in (0, 1, 2)
+
+
+def test_lone_double_dash_value_is_a_usage_error():
+    assert fuzz_exit_code(["warp", "--dt=--"]) == 2
 
 
 def test_stdin_dt(capsys, monkeypatch):

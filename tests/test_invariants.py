@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rollercoaster import (
     AmbiguousMatch,
+    BraidWord,
     DTCode,
     Laurent,
+    closure_components,
     identify,
     jones,
     kauffman_bracket,
@@ -20,7 +23,7 @@ from rollercoaster import (
 from rollercoaster.catalog import load_catalog
 from rollercoaster.invariants import BracketCapExceeded
 
-from oracles import skein_bracket
+from oracles import skein_bracket, state_sum_bracket
 
 RIGHT_TREFOIL = Laurent({4: 1, 12: 1, 16: -1})  # t + t^3 - t^4
 
@@ -91,6 +94,31 @@ def test_state_sum_matches_skein_on_catalog_rows_up_to_eight():
             continue
         diagram = realize(entry.dt)
         assert kauffman_bracket(diagram) == skein_bracket(diagram), entry.name
+
+
+@st.composite
+def signed_knot_words(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    extra = draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=11 - n))
+    letters = draw(st.permutations(list(range(1, n)) + extra))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(letters), max_size=len(letters)))
+    return BraidWord(n, tuple(zip(letters, signs)))
+
+
+@given(signed_knot_words())
+@settings(max_examples=150, deadline=None)
+def test_contraction_matches_both_oracles_on_braid_closures(word):
+    assume(closure_components(word) == 1)
+    diagram = pd_from_braid(word)
+    bracket = kauffman_bracket(diagram)
+    assert bracket == state_sum_bracket(diagram)
+    assert bracket == skein_bracket(diagram)
+
+
+def test_contraction_matches_state_sum_on_every_catalog_witness():
+    for entry in load_catalog():
+        diagram = realize(entry.dt)
+        assert kauffman_bracket(diagram) == state_sum_bracket(diagram), entry.name
 
 
 def test_parse_jones_refs_format():
