@@ -75,6 +75,8 @@ class RemovalCertificate:
     m: int
 
 
+MAX_BRAID_LETTERS = 100_000
+
 _TOKEN = re.compile(r"^(?:(-?\d+)|s(\d+)(?:\^(-?\d+))?)$")
 
 
@@ -82,8 +84,10 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Parse ``1 2 -1`` or ``s1 s2 s1^-1`` style words.
 
     Strand count defaults to one more than the largest generator index.
+    Words that expand to more than MAX_BRAID_LETTERS letters are rejected
+    before any power is expanded.
     """
-    letters: list[tuple[int, int]] = []
+    powers: list[tuple[int, int]] = []  # (generator index, signed exponent)
     for tok in re.split(r"[,\s]+", text.strip()):
         if not tok:
             continue
@@ -92,16 +96,17 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
             raise ValueError(f"malformed braid token {tok!r}")
         if match.group(1) is not None:
             v = int(match.group(1))
-            if v == 0:
-                raise ValueError("generator index 0 is not allowed")
-            letters.append((abs(v), 1 if v > 0 else -1))
+            idx, power = abs(v), 1 if v > 0 else -1
         else:
             idx = int(match.group(2))
-            if idx == 0:
-                raise ValueError("generator index 0 is not allowed")
             power = int(match.group(3)) if match.group(3) else 1
-            sign = 1 if power > 0 else -1
-            letters.extend((idx, sign) for _ in range(abs(power)))
+        if idx == 0:
+            raise ValueError("generator index 0 is not allowed")
+        powers.append((idx, power))
+    length = sum(abs(power) for _, power in powers)
+    if length > MAX_BRAID_LETTERS:
+        raise ValueError(f"braid word expands to {length} letters, over the limit of {MAX_BRAID_LETTERS}")
+    letters = [(idx, 1 if power > 0 else -1) for idx, power in powers for _ in range(abs(power))]
     n = strands if strands is not None else max((i for i, _ in letters), default=0) + 1
     return BraidWord(n, tuple(letters))
 

@@ -63,7 +63,8 @@ class GaussCode:
     passages: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "passages", tuple((int(i), r) for i, r in self.passages))
+        # a list, not a generator: tuple(<genexpr>) leaves more peak memory behind
+        object.__setattr__(self, "passages", tuple([(int(i), r) for i, r in self.passages]))
         roles: dict[int, list[str]] = {}
         for ident, role in self.passages:
             if role not in (OVER, UNDER):

@@ -9,10 +9,13 @@ sign.  Every edge id appears exactly twice in the whole diagram.
 Construction labels edges by traversal: edge k runs from passage k to
 passage k+1 (mod 2c), so passage k enters on edge k-1 and leaves on
 edge k.  Realization picks, at every crossing, which way the second
-strand crosses the first; a choice embeds in the sphere exactly when
-face tracing yields c+2 faces.  The first crossing's choice is fixed
-(reflection is free) and the final embedding is reflected if needed so
-that crossing 1 is positive.
+strand crosses the first.  These choices are a 2-colouring of the
+interlacement graph of the code (crossings joined when their passages
+alternate along the traversal), read off in one polynomial pass that
+also decides planarity; one face count then confirms the c+2 faces of a
+sphere embedding.  Each component's lowest crossing takes the first
+choice (reflection is free) and the final embedding is reflected if
+needed so that crossing 1 is positive.
 
 Sign convention: a crossing is positive when the under-strand's inbound
 slot immediately follows the over-strand's inbound slot counterclockwise.
@@ -22,7 +25,6 @@ Braid letters (i, +1) then produce positive crossings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .braid import BraidWord, _closure_walk
 from .codes import DTCode, GaussCode, OVER, UNDER, dt_to_gauss, gauss_to_dt
@@ -107,6 +109,56 @@ def _reflect(rotations, overs, signs):
     return rotations, overs, signs
 
 
+def _orientation_bits(code: DTCode, times) -> list[int]:
+    """Per crossing, whether the second passage runs the other way round
+    the first one (the bit the rotations of realize swap on).
+
+    Crossings u and v interlace when exactly one of v's passage times lies
+    strictly between u's; masks[u] holds the crossings interlaced with u.
+    By the Gauss-code criterion of Rosenstiehl (proved by de Fraysseix and
+    Ossona de Mendez), the code is planar exactly when every
+    non-interlaced pair shares an even number of interlaced crossings and
+    the bits below solve consistently: across an interlaced pair they
+    differ when the shared count is even and agree when it is odd.  Each
+    component of the interlacement graph is coloured from its lowest
+    crossing with bit 0, which gives the lexicographically first planar
+    choice.
+    """
+    c = len(times)
+    owner = [0] * (2 * c)
+    for i, (t1, t2) in enumerate(times):
+        owner[t1] = owner[t2] = i
+    # prefix[t]: crossings met an odd number of times before time t
+    prefix = [0]
+    for i in owner:
+        prefix.append(prefix[-1] ^ (1 << i))
+    masks = [prefix[max(t1, t2)] ^ prefix[min(t1, t2) + 1] for t1, t2 in times]
+
+    bits: list[int | None] = [None] * c
+    for root in range(c):
+        if bits[root] is not None:
+            continue
+        bits[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            # v == u checks Gauss's even-interlacement condition, which
+            # the odd/even labels of a DT code already guarantee
+            for v in range(c):
+                odd = (masks[u] & masks[v]).bit_count() & 1
+                if not masks[u] >> v & 1:
+                    if odd:
+                        raise NotRealizable(f"{code} admits no planar embedding")
+                    continue
+                want = bits[u] ^ 1 ^ odd
+                if bits[v] is None:
+                    bits[v] = want
+                    stack.append(v)
+                elif bits[v] != want:
+                    raise NotRealizable(f"{code} admits no planar embedding")
+    return bits
+
+
 def realize(code: DTCode) -> PlanarDiagram:
     """Embed a DT code in the sphere, or raise NotRealizable.
 
@@ -116,31 +168,25 @@ def realize(code: DTCode) -> PlanarDiagram:
     if c == 0:
         return PlanarDiagram(())
     n = 2 * c
-    times = []  # per crossing: (odd passage time, even passage time), 0-based
-    for i, entry in enumerate(code.entries, start=1):
-        times.append((2 * i - 2, abs(entry) - 1))
+    # per crossing: (odd passage time, even passage time), 0-based
+    times = [(2 * i, abs(entry) - 1) for i, entry in enumerate(code.entries)]
 
     def half_edges(t):
         return ((t - 1) % n, t % n)
 
-    found = None
-    for bits in product((0, 1), repeat=c - 1):
-        rotations = []
-        for (t1, t2), bit in zip(times, (0,) + bits):
-            in1, out1 = half_edges(t1)
-            in2, out2 = half_edges(t2)
-            if bit:
-                in2, out2 = out2, in2
-            rotations.append((in1, in2, out1, out2))
-        if count_faces(rotations) == c + 2:
-            found = rotations
-            break
-    if found is None:
-        raise NotRealizable(f"{code} admits no planar embedding")
+    rotations = []
+    for (t1, t2), bit in zip(times, _orientation_bits(code, times)):
+        in1, out1 = half_edges(t1)
+        in2, out2 = half_edges(t2)
+        if bit:
+            in2, out2 = out2, in2
+        rotations.append((in1, in2, out1, out2))
+    if count_faces(rotations) != c + 2:
+        raise AssertionError(f"interlacement colouring of {code} is not planar")
 
     overs = []
     signs = []
-    for (t1, t2), rot, entry in zip(times, found, code.entries):
+    for (t1, t2), rot, entry in zip(times, rotations, code.entries):
         over_t, under_t = (t1, t2) if entry > 0 else (t2, t1)
         over_in = _passage_slot(rot, over_t, n)
         under_in = _passage_slot(rot, under_t, n)
@@ -148,9 +194,10 @@ def realize(code: DTCode) -> PlanarDiagram:
         signs.append(1 if under_in == (over_in + 1) % 4 else -1)
 
     if signs[0] < 0:
-        found, overs, signs = _reflect(found, overs, signs)
+        rotations, overs, signs = _reflect(rotations, overs, signs)
+    # a list, not a generator: tuple(<genexpr>) leaves more peak memory behind
     return PlanarDiagram(
-        tuple(Crossing(rot, ov, s) for rot, ov, s in zip(found, overs, signs))
+        tuple([Crossing(rot, ov, s) for rot, ov, s in zip(rotations, overs, signs)])
     )
 
 

@@ -4,13 +4,17 @@ Nothing here shares computation strategy with the package: the bracket
 oracles resolve crossings recursively or sum all 2^c states (one
 union-find per state) instead of contracting a frontier, the
 realizability oracle tries every chirality assignment with its own face
-walker, the relabelling oracle re-reads the Gauss sequence from every
+walker, the embedding oracle tries the orientation choices in order
+until one traces c+2 faces instead of colouring the interlacement graph,
+the relabelling oracle re-reads the Gauss sequence from every
 basepoint, the enumeration oracle partitions raw permutations into
 symmetry orbits by breadth-first closure, the warp oracles read the
 below-set afresh at each of the 4c based traversals, the closure-walk
 oracle follows position 1 through the whole word once per strand, and
 the bigon oracle compares every pair of candidate bigons.
 """
+
+from itertools import product
 
 from rollercoaster import (
     Basepoint,
@@ -24,6 +28,14 @@ from rollercoaster import (
     gauss_to_dt,
     reverse,
     rotate,
+)
+from rollercoaster.embed import (
+    Crossing,
+    NotRealizable,
+    PlanarDiagram,
+    _passage_slot,
+    _reflect,
+    count_faces,
 )
 from rollercoaster.invariants import _smoothing_arcs
 
@@ -120,6 +132,51 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
         loops = len({find(v) for v in range(4 * c)})
         total = total + delta_pow[loops - 1].shift(a_count)
     return total
+
+
+def search_realize(code: DTCode) -> PlanarDiagram:
+    """Embedding by trying the 2^(c-1) orientation choices in order and
+    keeping the first whose face tracing yields c+2 faces."""
+    c = code.crossings
+    if c == 0:
+        return PlanarDiagram(())
+    n = 2 * c
+    times = []  # per crossing: (odd passage time, even passage time), 0-based
+    for i, entry in enumerate(code.entries, start=1):
+        times.append((2 * i - 2, abs(entry) - 1))
+
+    def half_edges(t):
+        return ((t - 1) % n, t % n)
+
+    found = None
+    for bits in product((0, 1), repeat=c - 1):
+        rotations = []
+        for (t1, t2), bit in zip(times, (0,) + bits):
+            in1, out1 = half_edges(t1)
+            in2, out2 = half_edges(t2)
+            if bit:
+                in2, out2 = out2, in2
+            rotations.append((in1, in2, out1, out2))
+        if count_faces(rotations) == c + 2:
+            found = rotations
+            break
+    if found is None:
+        raise NotRealizable(f"{code} admits no planar embedding")
+
+    overs = []
+    signs = []
+    for (t1, t2), rot, entry in zip(times, found, code.entries):
+        over_t, under_t = (t1, t2) if entry > 0 else (t2, t1)
+        over_in = _passage_slot(rot, over_t, n)
+        under_in = _passage_slot(rot, under_t, n)
+        overs.append(tuple(sorted((over_in, (over_in + 2) % 4))))
+        signs.append(1 if under_in == (over_in + 1) % 4 else -1)
+
+    if signs[0] < 0:
+        found, overs, signs = _reflect(found, overs, signs)
+    return PlanarDiagram(
+        tuple(Crossing(rot, ov, s) for rot, ov, s in zip(found, overs, signs))
+    )
 
 
 def exhaustive_realizable(code: DTCode) -> bool:

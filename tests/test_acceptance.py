@@ -194,7 +194,7 @@ def test_criterion_8_invariant_oracles(catalog):
     ok = not mismatches and not collisions and not wrong
     record(
         8,
-        "state sum vs skein recursion and catalog identification",
+        "frontier contraction vs skein recursion and catalog identification",
         ok,
         f"collisions {collisions}" if collisions else "no Jones collisions",
     )

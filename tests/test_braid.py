@@ -17,7 +17,7 @@ from rollercoaster import (
     remove_first_ascending_strand,
     smooth_bigon,
 )
-from rollercoaster.braid import _closure_walk, _innermost_bigons, _sweep, permutation
+from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _innermost_bigons, _sweep, permutation
 
 from oracles import closure_walk_by_rounds, innermost_bigons_pairwise
 
@@ -27,6 +27,14 @@ def test_parse_braid_plain_and_generator_syntax():
     assert parse_braid("s1 s2^3").letters == ((1, 1), (2, 1), (2, 1), (2, 1))
     assert parse_braid("-1 2").letters == ((1, -1), (2, 1))
     assert parse_braid("s1^-2", strands=2).letters == ((1, -1), (1, -1))
+
+
+def test_parse_braid_caps_expanded_length():
+    assert len(parse_braid(f"s1^{MAX_BRAID_LETTERS}").letters) == MAX_BRAID_LETTERS
+    for text in (f"s1^{MAX_BRAID_LETTERS + 1}", f"s1^-{MAX_BRAID_LETTERS} 1", "s1^999999999",
+                 f"s1^{MAX_BRAID_LETTERS // 2} s2^{MAX_BRAID_LETTERS // 2} s1"):
+        with pytest.raises(ValueError, match="over the limit"):
+            parse_braid(text)
 
 
 def test_parse_braid_strand_inference_and_validation():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rollercoaster import DTCode, cli
+from rollercoaster.braid import MAX_BRAID_LETTERS
 from rollercoaster.cli import main
 
 
@@ -90,6 +91,12 @@ def test_braid_huge_strand_count_rejected_at_once(capsys, argv, components):
     code, _, err = run(capsys, "braid", *argv, "counts")
     assert code == 2
     assert f"closure has at least {components} components" in err
+
+
+def test_braid_huge_power_rejected_before_expansion(capsys):
+    code, _, err = run(capsys, "braid", "--word", "s1^999999999", "counts")
+    assert code == 2
+    assert "over the limit" in err
 
 
 def test_braid_closure_dt(capsys):
@@ -246,9 +253,17 @@ def test_warp_gauss_stdin_fuzz_exits_cleanly(text):
     assert fuzz_exit_code(["warp", "--gauss", "-"], stdin=text) in (0, 1, 2)
 
 
-# "^" is left out: power notation expands s1^999999999 to 10^9 letters
-@given(st.one_of(st.text(), st.text(alphabet="s0123456789- ,", max_size=30)).filter(lambda t: "^" not in t),
-       st.sampled_from(["counts", "unknotting", "closure-dt", "reduce"]))
+# "^" only comes from tokens whose power is either small or over the letter
+# cap: a word just under the cap parses, but reducing it would take hours
+POWER_TOKEN = st.builds("s{}^{}".format, st.integers(0, 9),
+                        st.one_of(st.integers(-9, 9), st.integers(min_value=MAX_BRAID_LETTERS + 1)))
+BRAID_TEXT = st.one_of(
+    st.one_of(st.text(), st.text(alphabet="s0123456789- ,", max_size=30)).filter(lambda t: "^" not in t),
+    st.lists(st.one_of(POWER_TOKEN, st.text(alphabet="s0123456789-^,", max_size=4)), max_size=8).map(" ".join),
+)
+
+
+@given(BRAID_TEXT, st.sampled_from(["counts", "unknotting", "closure-dt", "reduce"]))
 @settings(max_examples=300, deadline=None)
 def test_braid_word_fuzz_exits_cleanly(text, operation):
     assert fuzz_exit_code(["braid", f"--word={text}", operation]) in (0, 1, 2)

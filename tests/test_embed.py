@@ -22,7 +22,10 @@ from rollercoaster import (
     writhe,
 )
 
-from oracles import exhaustive_realizable
+from rollercoaster import embed
+from rollercoaster.catalog import load_catalog
+
+from oracles import exhaustive_realizable, search_realize
 
 TREFOIL = DTCode((4, 6, 2))
 
@@ -72,10 +75,14 @@ def test_realize_figure_eight_writhe_zero():
 
 
 def test_realize_rejects_nonplanar_code():
-    bad = DTCode((4, 6, 8, 10, 2))
-    assert not is_realizable(bad)
-    with pytest.raises(NotRealizable):
-        realize(bad)
+    # in the second code every non-interlaced pair shares an even number
+    # of crossings; only the orientation colouring runs into a contradiction
+    for entries in ((4, 6, 8, 10, 2), (10, 2, 12, 8, 14, 16, 4, 6)):
+        bad = DTCode(entries)
+        assert not is_realizable(bad)
+        assert not exhaustive_realizable(bad)
+        with pytest.raises(NotRealizable):
+            realize(bad)
 
 
 def test_realize_empty_code():
@@ -104,6 +111,52 @@ def test_realizability_matches_exhaustive_oracle_small():
             assert is_realizable(code) == exhaustive_realizable(code)
             agree += 1
     assert agree == 72
+
+
+@st.composite
+def signed_dt(draw):
+    c = draw(st.integers(min_value=1, max_value=9))
+    perm = draw(st.permutations(range(2, 2 * c + 1, 2)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=c, max_size=c))
+    return DTCode(tuple(s * e for s, e in zip(signs, perm)))
+
+
+def realize_or_none(realizer, code):
+    try:
+        return realizer(code)
+    except NotRealizable:
+        return None
+
+
+@given(signed_dt())
+@settings(max_examples=200, deadline=None)
+def test_realize_matches_search_oracle(code):
+    assert realize_or_none(realize, code) == realize_or_none(search_realize, code)
+
+
+@given(signed_dt())
+@settings(deadline=None)
+def test_realizability_matches_exhaustive_oracle(code):
+    assert is_realizable(code) == exhaustive_realizable(code)
+
+
+def test_realize_matches_search_oracle_on_every_catalog_witness():
+    for entry in load_catalog():
+        assert realize(entry.dt) == search_realize(entry.dt), entry.name
+
+
+def test_realize_counts_faces_once(monkeypatch):
+    count_faces = embed.count_faces
+    calls = []
+    monkeypatch.setattr(embed, "count_faces", lambda rotations: calls.append(rotations) or count_faces(rotations))
+    realize(parse_dt("[14, -16, 20, 18, -2, 4, 6, 10, 8, 12]"))
+    assert len(calls) == 1
+
+
+def test_realize_rejects_twenty_crossing_chain():
+    # [4, 6, ..., 40, 2]: the orientation search would try 2^19 choices
+    with pytest.raises(NotRealizable):
+        realize(DTCode(tuple(range(4, 41, 2)) + (2,)))
 
 
 def test_pd_from_braid_trefoil():
