@@ -14,7 +14,7 @@ import sys
 
 from . import braid as braid_mod
 from .catalog import CatalogError, load_catalog, main_rows, summarize, verify_catalog
-from .codes import dt_to_gauss, format_dt, mirror, parse_dt, parse_gauss
+from .codes import _strip_comment, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt, parse_gauss
 from .invariants import load_jones_refs
 from .search import conjecture_report, enumerate_alternating
 from .warp import min_warp, warp_profile
@@ -45,17 +45,14 @@ def _open_output(path: str | None, newline: str | None = None):
         raise CliError(str(exc)) from exc
 
 
-def _strip_comments(text: str) -> str:
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-
-
 def cmd_warp(args) -> int:
     try:
         if args.dt is not None:
             source = _read_source(args.dt) if args.dt == "-" else args.dt
             gauss = dt_to_gauss(parse_dt(source))
         else:
-            gauss = parse_gauss(_strip_comments(_read_source(args.gauss)))
+            lines = _read_source(args.gauss).splitlines()
+            gauss = parse_gauss("\n".join(map(_strip_comment, lines)))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.mirror:
@@ -112,8 +109,6 @@ def cmd_braid(args) -> int:
         print(json.dumps({"positive_unknotting": value}) if args.json else str(value))
         return 0
     if op == "closure-dt":
-        from .codes import gauss_to_dt
-
         gauss, _ = braid_mod.closure_gauss(word)
         code = gauss_to_dt(gauss)
         print(json.dumps({"dt": list(code.entries)}) if args.json else format_dt(code))

@@ -16,6 +16,15 @@ Conventions used throughout the package:
   after passage k-1 and ending at passage k, indices mod 2c, so forward
   traversal from edge k meets passage k first and backward traversal
   meets passage k-1 first.
+
+Internally both formats decode once into chords over the passage
+positions 0..2c-1 (labels minus one): ``partner[p]`` is the other
+position of p's crossing and ``over[p]`` says whether the passage at p
+runs over.  ``_dt_chords`` and ``_gauss_chords`` build them;
+``_interlacement`` turns ``partner`` into one bitmask per position of
+the chords interlaced with p's chord.  The conversions, the symmetry
+relabellings, the nugatory test and ``embed.realize`` all read these
+arrays; ``DTCode`` and ``GaussCode`` stay the validated public form.
 """
 
 from __future__ import annotations
@@ -94,6 +103,11 @@ class Basepoint:
 # ---------------------------------------------------------------------------
 # parsing and formatting
 
+def _strip_comment(line: str) -> str:
+    """The part of a line before its first ``#``."""
+    return line.split("#", 1)[0]
+
+
 def parse_dt(text: str) -> DTCode:
     """Parse a DT code from ``[4, 6, 2]`` or bare ``4 6 2`` form."""
     body = text.strip()
@@ -136,6 +150,47 @@ def format_gauss(code: GaussCode) -> str:
 
 
 # ---------------------------------------------------------------------------
+# chords: the integer form every conversion and test reads
+
+def _dt_chords(entries) -> tuple[list[int], list[bool]]:
+    """Passage pairing and over bits of a DT code: crossing i sits at
+    positions 2i and ``abs(entries[i]) - 1``, and its odd-labelled passage
+    runs over when the entry is positive."""
+    n = 2 * len(entries)
+    partner = [0] * n
+    over = [False] * n
+    for i, e in enumerate(entries):
+        odd, even = 2 * i, abs(e) - 1
+        partner[odd], partner[even] = even, odd
+        over[odd], over[even] = e > 0, e < 0
+    return partner, over
+
+
+def _gauss_chords(passages) -> tuple[list[int], list[bool]]:
+    """Passage pairing and over bits of a Gauss sequence."""
+    partner = [0] * len(passages)
+    first: dict[int, int] = {}
+    for p, (ident, _) in enumerate(passages):
+        q = first.setdefault(ident, p)
+        partner[p], partner[q] = q, p
+    return partner, [role == OVER for _, role in passages]
+
+
+def _interlacement(partner) -> list[int]:
+    """Per position p, the chords interlaced with p's chord: bit
+    ``min(q, partner[q])`` is set when exactly one of chord q's positions
+    lies strictly between p and ``partner[p]``."""
+    # prefix[t]: chords met an odd number of times before position t
+    prefix = [0]
+    for p, q in enumerate(partner):
+        prefix.append(prefix[-1] ^ (1 << (p if p < q else q)))
+    return [
+        prefix[q] ^ prefix[p + 1] if p < q else prefix[p] ^ prefix[q + 1]
+        for p, q in enumerate(partner)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # conversions
 
 def dt_to_gauss(code: DTCode) -> GaussCode:
@@ -143,15 +198,11 @@ def dt_to_gauss(code: DTCode) -> GaussCode:
 
     Crossing i sits at odd label 2i-1 and even label ``abs(entries[i-1])``.
     """
-    c = code.crossings
-    slots: list[tuple[int, str] | None] = [None] * (2 * c)
-    for i, entry in enumerate(code.entries, start=1):
-        odd = 2 * i - 1
-        even = abs(entry)
-        odd_role, even_role = (OVER, UNDER) if entry > 0 else (UNDER, OVER)
-        slots[odd - 1] = (i, odd_role)
-        slots[even - 1] = (i, even_role)
-    return GaussCode(tuple(slots))  # type: ignore[arg-type]
+    partner, over = _dt_chords(code.entries)
+    return GaussCode(tuple([
+        ((p if p % 2 == 0 else partner[p]) // 2 + 1, OVER if over[p] else UNDER)
+        for p in range(len(partner))
+    ]))
 
 
 def gauss_to_dt(code: GaussCode) -> DTCode:
@@ -163,17 +214,14 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
     shifts and reversal keep the parity of every label pair, so a
     sequence that fails here fails from every basepoint.
     """
-    labels: dict[int, list[tuple[int, str]]] = {}
-    for pos, (ident, role) in enumerate(code.passages, start=1):
-        labels.setdefault(ident, []).append((pos, role))
-    entries: dict[int, int] = {}
-    for ident, pair in labels.items():
-        (p1, r1), (p2, r2) = pair
-        if p1 % 2 == p2 % 2:
-            raise FramingError(f"crossing {ident} met at labels {p1} and {p2} of equal parity")
-        odd, odd_role, even = (p1, r1, p2) if p1 % 2 == 1 else (p2, r2, p1)
-        entries[odd] = even if odd_role == OVER else -even
-    return DTCode(tuple(entries[2 * i - 1] for i in range(1, len(labels) + 1)))
+    partner, over = _gauss_chords(code.passages)
+    for p, q in enumerate(partner):
+        if p < q and (q - p) % 2 == 0:
+            ident = code.passages[p][0]
+            raise FramingError(f"crossing {ident} met at labels {p + 1} and {q + 1} of equal parity")
+    return DTCode(tuple([
+        partner[p] + 1 if over[p] else -partner[p] - 1 for p in range(0, len(partner), 2)
+    ]))
 
 
 def rotate(code: GaussCode, shift: int) -> GaussCode:
@@ -202,21 +250,15 @@ def dt_relabellings(entries: tuple[int, ...]):
     basepoints in both directions.
 
     Passage positions are labels minus one, 0..2c-1, and the code pairs
-    them up.  A
-    relabelling moves old position p to (s*p + t) mod 2c: for k in
-    0..2c-1 it yields the code of ``rotate(g, k)`` (s = 1, t = -k) and
-    then that of ``reverse(rotate(g, k))`` (s = -1, t = k - 1), where g is
-    the Gauss sequence of ``entries``.  The new entry at each even position
-    is the new partner position plus one, positive when the passage at
-    that position runs over.
+    them up.  A relabelling moves old position p to (s*p + t) mod 2c: for
+    k in 0..2c-1 it yields the code of ``rotate(g, k)`` (s = 1, t = -k)
+    and then that of ``reverse(rotate(g, k))`` (s = -1, t = k - 1), where
+    g is the Gauss sequence of ``entries``.  The new entry at each even
+    position is the new partner position plus one, positive when the
+    passage at that position runs over.
     """
-    n = 2 * len(entries)
-    partner = [0] * n
-    over = [False] * n
-    for i, e in enumerate(entries):
-        odd, even = 2 * i, abs(e) - 1
-        partner[odd], partner[even] = even, odd
-        over[odd], over[even] = e > 0, e < 0
+    partner, over = _dt_chords(entries)
+    n = len(partner)
     for k in range(n):
         for s, t in ((1, -k), (-1, k - 1)):
             out = []
@@ -241,17 +283,8 @@ def canonical_dt(code) -> DTCode:
 def is_reduced(code: GaussCode) -> bool:
     """True when no crossing is nugatory.
 
-    A crossing is nugatory exactly when the ids strictly between its two
-    passages are closed under pairing: removing the crossing would
-    disconnect the diagram there.
+    A crossing is nugatory exactly when no other crossing interlaces it:
+    the passages strictly between its own two are closed under pairing,
+    so removing it would disconnect the diagram there.
     """
-    where: dict[int, list[int]] = {}
-    for pos, (ident, _) in enumerate(code.passages):
-        where.setdefault(ident, []).append(pos)
-    for ident, (p, q) in where.items():
-        counts: dict[int, int] = {}
-        for other, _ in code.passages[p + 1 : q]:
-            counts[other] = counts.get(other, 0) + 1
-        if all(v == 2 for v in counts.values()):
-            return False
-    return True
+    return all(_interlacement(_gauss_chords(code.passages)[0]))

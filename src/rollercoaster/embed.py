@@ -11,8 +11,9 @@ passage k+1 (mod 2c), so passage k enters on edge k-1 and leaves on
 edge k.  Realization picks, at every crossing, which way the second
 strand crosses the first.  These choices are a 2-colouring of the
 interlacement graph of the code (crossings joined when their passages
-alternate along the traversal), read off in one polynomial pass that
-also decides planarity; one face count then confirms the c+2 faces of a
+alternate along the traversal, with the pairing and the interlacement
+masks taken from ``codes``), read off in one polynomial pass that also
+decides planarity; one face count then confirms the c+2 faces of a
 sphere embedding.  Each component's lowest crossing takes the first
 choice (reflection is free) and the final embedding is reflected if
 needed so that crossing 1 is positive.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, _closure_walk
-from .codes import DTCode, GaussCode, OVER, UNDER, dt_to_gauss, gauss_to_dt
+from .codes import DTCode, GaussCode, OVER, UNDER, _dt_chords, _interlacement, gauss_to_dt
 
 
 class NotRealizable(ValueError):
@@ -65,17 +66,22 @@ class PlanarDiagram:
         return len(self.crossings)
 
 
-def count_faces(rotations: list[tuple[int, int, int, int]]) -> int:
-    """Faces of the combinatorial map given by the rotation system."""
+def _twins(rotations) -> dict[tuple[int, int], tuple[int, int]]:
+    """The other end of each dart (crossing, slot) along its edge."""
     ends: dict[int, list[tuple[int, int]]] = {}
     for ci, rot in enumerate(rotations):
         for slot, e in enumerate(rot):
             ends.setdefault(e, []).append((ci, slot))
     twin = {}
-    for darts in ends.values():
-        a, b = darts
+    for a, b in ends.values():
         twin[a] = b
         twin[b] = a
+    return twin
+
+
+def count_faces(rotations: list[tuple[int, int, int, int]]) -> int:
+    """Faces of the combinatorial map given by the rotation system."""
+    twin = _twins(rotations)
     unseen = set(twin)
     faces = 0
     while unseen:
@@ -92,14 +98,10 @@ def writhe(diagram: PlanarDiagram) -> int:
     return sum(x.sign for x in diagram.crossings)
 
 
-def _passage_slot(rot, t, n):
-    """Inbound rotation slot of the passage at time t: the slot carrying
-    its in-edge with its out-edge opposite."""
-    in_e, out_e = (t - 1) % n, t % n
-    for s in range(4):
-        if rot[s] == in_e and rot[(s + 2) % 4] == out_e:
-            return s
-    raise AssertionError("passage edges missing from rotation")
+def _rotation(t1, t2, bit, n):
+    """Edges in1, in2, out1, out2 round the crossing passed at times t1
+    and t2; bit swaps in2 and out2."""
+    return ((t1 - 1) % n, (t2 - 1 + bit) % n, t1 % n, (t2 - bit) % n)
 
 
 def _reflect(rotations, overs, signs):
@@ -109,13 +111,14 @@ def _reflect(rotations, overs, signs):
     return rotations, overs, signs
 
 
-def _orientation_bits(code: DTCode, times) -> list[int]:
+def _orientation_bits(code: DTCode, partner) -> list[int]:
     """Per crossing, whether the second passage runs the other way round
     the first one (the bit the rotations of realize swap on).
 
     Crossings u and v interlace when exactly one of v's passage times lies
-    strictly between u's; masks[u] holds the crossings interlaced with u.
-    By the Gauss-code criterion of Rosenstiehl (proved by de Fraysseix and
+    strictly between u's; masks[u] holds the crossings interlaced with u,
+    crossing v as bit ``key[v]``, its first passage time.  By the
+    Gauss-code criterion of Rosenstiehl (proved by de Fraysseix and
     Ossona de Mendez), the code is planar exactly when every
     non-interlaced pair shares an even number of interlaced crossings and
     the bits below solve consistently: across an interlaced pair they
@@ -124,15 +127,9 @@ def _orientation_bits(code: DTCode, times) -> list[int]:
     crossing with bit 0, which gives the lexicographically first planar
     choice.
     """
-    c = len(times)
-    owner = [0] * (2 * c)
-    for i, (t1, t2) in enumerate(times):
-        owner[t1] = owner[t2] = i
-    # prefix[t]: crossings met an odd number of times before time t
-    prefix = [0]
-    for i in owner:
-        prefix.append(prefix[-1] ^ (1 << i))
-    masks = [prefix[max(t1, t2)] ^ prefix[min(t1, t2) + 1] for t1, t2 in times]
+    c = len(partner) // 2
+    masks = _interlacement(partner)[::2]
+    key = [min(t, partner[t]) for t in range(0, 2 * c, 2)]
 
     bits: list[int | None] = [None] * c
     for root in range(c):
@@ -146,7 +143,7 @@ def _orientation_bits(code: DTCode, times) -> list[int]:
             # the odd/even labels of a DT code already guarantee
             for v in range(c):
                 odd = (masks[u] & masks[v]).bit_count() & 1
-                if not masks[u] >> v & 1:
+                if not masks[u] >> key[v] & 1:
                     if odd:
                         raise NotRealizable(f"{code} admits no planar embedding")
                     continue
@@ -167,32 +164,15 @@ def realize(code: DTCode) -> PlanarDiagram:
     c = code.crossings
     if c == 0:
         return PlanarDiagram(())
-    n = 2 * c
-    # per crossing: (odd passage time, even passage time), 0-based
-    times = [(2 * i, abs(entry) - 1) for i, entry in enumerate(code.entries)]
-
-    def half_edges(t):
-        return ((t - 1) % n, t % n)
-
-    rotations = []
-    for (t1, t2), bit in zip(times, _orientation_bits(code, times)):
-        in1, out1 = half_edges(t1)
-        in2, out2 = half_edges(t2)
-        if bit:
-            in2, out2 = out2, in2
-        rotations.append((in1, in2, out1, out2))
+    partner, over = _dt_chords(code.entries)
+    bits = _orientation_bits(code, partner)
+    rotations = [_rotation(2 * i, partner[2 * i], bit, 2 * c) for i, bit in enumerate(bits)]
     if count_faces(rotations) != c + 2:
         raise AssertionError(f"interlacement colouring of {code} is not planar")
-
-    overs = []
-    signs = []
-    for (t1, t2), rot, entry in zip(times, rotations, code.entries):
-        over_t, under_t = (t1, t2) if entry > 0 else (t2, t1)
-        over_in = _passage_slot(rot, over_t, n)
-        under_in = _passage_slot(rot, under_t, n)
-        overs.append(tuple(sorted((over_in, (over_in + 2) % 4))))
-        signs.append(1 if under_in == (over_in + 1) % 4 else -1)
-
+    # crossing i's odd-labelled passage comes in at slot 0 and the other
+    # one at slot 1, or at slot 3 when its bit is set
+    overs = [(0, 2) if over[2 * i] else (1, 3) for i in range(c)]
+    signs = [1 if over[2 * i] != bit else -1 for i, bit in enumerate(bits)]
     if signs[0] < 0:
         rotations, overs, signs = _reflect(rotations, overs, signs)
     # a list, not a generator: tuple(<genexpr>) leaves more peak memory behind
@@ -219,24 +199,17 @@ def extract_gauss(diagram: PlanarDiagram) -> GaussCode:
     if c == 0:
         return GaussCode(())
     last = 2 * c - 1
-    ends: dict[int, list[tuple[int, int]]] = {}
-    start = None
-    for ci, x in enumerate(diagram.crossings):
-        for slot, e in enumerate(x.edges):
-            ends.setdefault(e, []).append((ci, slot))
-            if e == last and x.edges[(slot + 2) % 4] == 0 and start is None:
-                start = (ci, slot)
+    start = next(((ci, slot) for ci, x in enumerate(diagram.crossings) for slot in range(4)
+                  if x.edges[slot] == last and x.edges[(slot + 2) % 4] == 0), None)
     if start is None:
         raise ValueError("no traversal start: diagram edges are not labelled 0..2c-1")
+    twin = _twins([x.edges for x in diagram.crossings])
     passages = []
-    dart = start
+    ci, slot = start
     for _ in range(2 * c):
-        ci, slot = dart
         x = diagram.crossings[ci]
         passages.append((ci + 1, OVER if slot in x.over else UNDER))
-        out = (ci, (slot + 2) % 4)
-        a, b = ends[x.edges[out[1]]]
-        dart = b if a == out else a
+        ci, slot = twin[ci, (slot + 2) % 4]
     return GaussCode(tuple(passages))
 
 
@@ -248,18 +221,15 @@ def pd_from_braid(word: BraidWord) -> PlanarDiagram:
     """Planar diagram of the braid closure, edges labelled along the
     top-left traversal.  writhe equals the signed letter sum."""
     walk = _closure_walk(word)
-    n = len(walk)
-    slot_times: dict[int, dict[bool, int]] = {}
-    for t, (slot, upper) in enumerate(walk):
-        slot_times.setdefault(slot, {})[upper] = t
-    crossings = []
-    rotations = []
-    for k, (idx, sign) in enumerate(word.letters, start=1):
-        t_u, t_l = slot_times[k][True], slot_times[k][False]
-        rot = ((t_u - 1) % n, (t_l - 1) % n, t_u % n, t_l % n)
-        over = (0, 2) if sign > 0 else (1, 3)
-        rotations.append(rot)
-        crossings.append(Crossing(rot, over, sign))
-    if crossings and count_faces(rotations) != len(crossings) + 2:
+    # time of each (letter position, entered-at-upper-position) passage
+    times = {passage: t for t, passage in enumerate(walk)}
+    rotations = [
+        _rotation(times[k, True], times[k, False], 0, len(walk))
+        for k in range(1, len(word.letters) + 1)
+    ]
+    if rotations and count_faces(rotations) != len(rotations) + 2:
         raise AssertionError("braid closure rotation system is not planar")
-    return PlanarDiagram(tuple(crossings))
+    return PlanarDiagram(tuple([
+        Crossing(rot, (0, 2) if sign > 0 else (1, 3), sign)
+        for rot, (_, sign) in zip(rotations, word.letters)
+    ]))

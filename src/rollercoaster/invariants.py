@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 
+from .codes import _strip_comment
 from .embed import PlanarDiagram, writhe
 
 
@@ -243,7 +244,7 @@ def jones(diagram: PlanarDiagram, cap: int = 16) -> Laurent:
 def parse_jones_refs(lines) -> dict[str, Laurent]:
     refs: dict[str, Laurent] = {}
     for n, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
+        body = _strip_comment(line).strip()
         if not body:
             continue
         fields = [f.strip() for f in body.split(";")]

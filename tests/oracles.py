@@ -10,8 +10,10 @@ the relabelling oracle re-reads the Gauss sequence from every
 basepoint, the enumeration oracle partitions raw permutations into
 symmetry orbits by breadth-first closure, the warp oracles read the
 below-set afresh at each of the 4c based traversals, the closure-walk
-oracle follows position 1 through the whole word once per strand, and
-the bigon oracle compares every pair of candidate bigons.
+oracle follows position 1 through the whole word once per strand, the
+bigon oracle compares every pair of candidate bigons, and the nugatory
+oracle counts the ids between each crossing's passages instead of
+reading interlacement masks.
 """
 
 from itertools import product
@@ -33,7 +35,6 @@ from rollercoaster.embed import (
     Crossing,
     NotRealizable,
     PlanarDiagram,
-    _passage_slot,
     _reflect,
     count_faces,
 )
@@ -132,6 +133,16 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
         loops = len({find(v) for v in range(4 * c)})
         total = total + delta_pow[loops - 1].shift(a_count)
     return total
+
+
+def _passage_slot(rot, t, n):
+    """Inbound rotation slot of the passage at time t: the slot carrying
+    its in-edge with its out-edge opposite."""
+    in_e, out_e = (t - 1) % n, t % n
+    for s in range(4):
+        if rot[s] == in_e and rot[(s + 2) % 4] == out_e:
+            return s
+    raise AssertionError("passage edges missing from rotation")
 
 
 def search_realize(code: DTCode) -> PlanarDiagram:
@@ -317,3 +328,18 @@ def innermost_bigons_pairwise(word):
     candidates = [Bigon(i, j, pair) for pair, ks in slots.items() for i, j in zip(ks, ks[1:])]
     innermost = [b for b in candidates if not any(b.i < o.i and o.j < b.j for o in candidates)]
     return sorted(innermost, key=lambda b: b.i)
+
+
+def reduced_by_counting(code):
+    """True when no crossing is nugatory: no crossing sees the ids strictly
+    between its two passages closed under pairing."""
+    where: dict[int, list[int]] = {}
+    for pos, (ident, _) in enumerate(code.passages):
+        where.setdefault(ident, []).append(pos)
+    for ident, (p, q) in where.items():
+        counts: dict[int, int] = {}
+        for other, _ in code.passages[p + 1 : q]:
+            counts[other] = counts.get(other, 0) + 1
+        if all(v == 2 for v in counts.values()):
+            return False
+    return True

@@ -19,7 +19,7 @@ from rollercoaster import (
 )
 from rollercoaster.codes import dt_relabellings, format_dt, format_gauss
 
-from oracles import gauss_variants
+from oracles import gauss_variants, reduced_by_counting
 
 TREFOIL = DTCode((4, 6, 2))
 FIG8 = DTCode((4, 6, 8, 2))
@@ -70,7 +70,7 @@ def test_gauss_to_dt_rejects_same_parity_pairing():
     # a non-planar pairing where both passages of a crossing land on the
     # same parity has no DT form
     bad = GaussCode(((1, "O"), (2, "O"), (1, "U"), (2, "U")))
-    with pytest.raises(FramingError):
+    with pytest.raises(FramingError, match="^crossing 1 met at labels 1 and 3 of equal parity$"):
         gauss_to_dt(bad)
 
 
@@ -185,3 +185,26 @@ def test_canonical_dt_is_least_framable_variant(gauss):
     else:
         with pytest.raises(FramingError):
             canonical_dt(gauss)
+
+
+@st.composite
+def kinked_dt(draw):
+    """A signed DT code with one extra crossing met twice in a row."""
+    passages = list(dt_to_gauss(draw(signed_dt())).passages)
+    k = draw(st.integers(min_value=0, max_value=len(passages)))
+    roles = draw(st.sampled_from((("O", "U"), ("U", "O"))))
+    ident = len(passages) // 2 + 1
+    passages[k:k] = [(ident, roles[0]), (ident, roles[1])]
+    return gauss_to_dt(GaussCode(tuple(passages)))
+
+
+@given(abstract_gauss())
+def test_is_reduced_matches_counting_oracle(gauss):
+    assert is_reduced(gauss) == reduced_by_counting(gauss)
+
+
+@given(kinked_dt())
+def test_kinked_codes_are_not_reduced(code):
+    gauss = dt_to_gauss(code)
+    assert not is_reduced(gauss)
+    assert not reduced_by_counting(gauss)

@@ -10,6 +10,7 @@ from rollercoaster import (
     NotRealizable,
     PlanarDiagram,
     closure_components,
+    closure_gauss,
     dt_to_gauss,
     extract_dt,
     extract_gauss,
@@ -18,6 +19,7 @@ from rollercoaster import (
     parse_braid,
     parse_dt,
     pd_from_braid,
+    random_positive_braid_knot,
     realize,
     writhe,
 )
@@ -173,6 +175,7 @@ def test_pd_from_braid_writhe_is_signed_letter_sum():
 
 def test_pd_from_braid_matches_closure_gauss_code():
     word = parse_braid("1 2 1 2")
+    assert extract_gauss(pd_from_braid(word)) == closure_gauss(word)[0]
     assert canonical_dt(extract_dt(pd_from_braid(word))) == canonical_dt(
         extract_dt(realize(extract_dt(pd_from_braid(word))))
     )
@@ -195,3 +198,21 @@ def test_braid_closures_realize_and_round_trip(word):
     code = extract_dt(pd_from_braid(word))
     assert is_realizable(code)
     assert extract_dt(realize(code)) == code
+
+
+@st.composite
+def signed_knot_braids(draw):
+    # signs leave the closure permutation alone, so a seeded positive knot
+    # word with drawn signs still closes to a knot
+    word = random_positive_braid_knot(5, 12, draw(st.integers(min_value=0, max_value=10**6)))
+    c = len(word.letters)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=c, max_size=c))
+    return BraidWord(word.strands, tuple((i, s) for (i, _), s in zip(word.letters, signs)))
+
+
+@given(signed_knot_braids())
+@settings(deadline=None)
+def test_pd_from_braid_traces_the_closure_gauss_code(word):
+    # the rotations follow realize's rule and the walk reads the shared
+    # twin map, so both must land on the braid's own traversal exactly
+    assert extract_gauss(pd_from_braid(word)) == closure_gauss(word)[0]
