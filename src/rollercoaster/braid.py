@@ -12,12 +12,12 @@ Conventions:
   heading right.  Crossing ids in the closure Gauss sequence are the
   1-based letter positions of the word.
 
-For a positive word whose closure is a knot, the traversal meets
-a = |above-set| crossings first from above and b = |below-set| first
-from below, and a - b = n - 1 always holds.  Smoothing an innermost
-bigon drops both counts by one; resolving the first ascending strand's
-crossing with its predecessor and removing the resulting closed strand
-drops them by m+1 and m.  Iterating terminates at a word with n-1
+The counts (a, b) are read off the closure walk: the traversal meets a
+crossings first from above and b first from below.  For a positive word
+whose closure is a knot, a - b = n - 1 always holds.  Smoothing an
+innermost bigon drops both counts by one; resolving the first ascending
+strand's crossing with its predecessor and removing the resulting closed
+strand drops them by m+1 and m.  Iterating terminates at a word with n-1
 letters, where b = 0.
 """
 
@@ -28,7 +28,6 @@ import re
 from dataclasses import dataclass
 
 from .codes import Basepoint, GaussCode, OVER, UNDER
-from .warp import warp_from
 
 
 @dataclass(frozen=True)
@@ -168,25 +167,25 @@ def _closure_walk(word: BraidWord) -> list[tuple[int, bool]]:
     return [passage for start in _knot_order(perm) for passage in visits[start]]
 
 
+def _runs_over(word: BraidWord, slot: int, upper: bool) -> bool:
+    """Whether the closure passage at 1-based letter ``slot``, entered at
+    the upper position or not, runs over there."""
+    return upper == (word.letters[slot - 1][1] > 0)
+
+
 def closure_gauss(word: BraidWord) -> tuple[GaussCode, Basepoint]:
     """Gauss sequence of the closure, traversed from the top-left corner."""
-    passages = []
-    for slot, upper in _closure_walk(word):
-        sign = word.letters[slot - 1][1]
-        over = upper if sign > 0 else not upper
-        passages.append((slot, OVER if over else UNDER))
+    walk = _closure_walk(word)
+    passages = [(slot, OVER if _runs_over(word, slot, upper) else UNDER) for slot, upper in walk]
     return GaussCode(tuple(passages)), Basepoint(0, forward=True)
 
 
 def ab_counts(word: BraidWord) -> tuple[int, int]:
-    """(above, below) counts of the top-left traversal of the closure."""
-    if not word.letters:
-        if word.strands != 1:
-            raise ValueError("closure is a link, not a knot")
-        return (0, 0)
-    code, base = closure_gauss(word)
-    result = warp_from(code, base)
-    return (len(result.above), len(result.below))
+    """(a, b): the crossings the top-left traversal of the closure meets
+    first from above and first from below."""
+    first = dict(reversed(_closure_walk(word)))  # letter position -> upper at its first visit
+    a = sum(_runs_over(word, slot, upper) for slot, upper in first.items())
+    return (a, len(first) - a)
 
 
 def positive_unknotting(word: BraidWord) -> int:
@@ -236,8 +235,12 @@ def smooth_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
     (above, below) counts each drop by one."""
     if bigon not in _innermost_bigons(_sweep(word)[0]):
         raise ValueError(f"{bigon} is not an innermost bigon of this word")
-    letters = tuple(l for k, l in enumerate(word.letters) if k not in (bigon.i, bigon.j))
-    return BraidWord(word.strands, letters)
+    return _drop_bigon(word, bigon)
+
+
+def _drop_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
+    letters, i, j = word.letters, bigon.i, bigon.j
+    return BraidWord(word.strands, letters[:i] + letters[i + 1 : j] + letters[j + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,8 @@ def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
         before = steps[-1].counts_after if steps else ab_counts(current)
         bigon = find_innermost_bigon(current)
         if bigon is not None:
-            action, detail, current = "smooth", bigon, smooth_bigon(current, bigon)
+            # the bigon was just found innermost on this word, so skip smooth_bigon's re-check
+            action, detail, current = "smooth", bigon, _drop_bigon(current, bigon)
         else:
             action = "remove"
             current, detail = remove_first_ascending_strand(current)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import sys
 
@@ -115,6 +116,7 @@ def cmd_braid(args) -> int:
         return 0
     _require_positive(word, "reduce")
     base, steps = braid_mod.reduce_to_base(word)
+    a, b = braid_mod.ab_counts(base)
     if args.json:
         out = []
         for step in steps:
@@ -127,12 +129,10 @@ def cmd_braid(args) -> int:
                     "word": str(step.word),
                 }
             )
-        final = braid_mod.ab_counts(base)
-        print(json.dumps({"steps": out, "final": {"a": final[0], "b": final[1]}}))
+        print(json.dumps({"steps": out, "final": {"a": a, "b": b}}))
         return 0
     for step in steps:
         print(f"{step.action} {step.detail}: counts {step.counts_before} -> {step.counts_after}")
-    a, b = braid_mod.ab_counts(base)
     print(f"base case: counts ({a}, {b}) on {base.strands} strands")
     return 0
 
@@ -156,12 +156,7 @@ def cmd_verify_catalog(args) -> int:
         if out is not None:
             payload = {
                 "rows": [json.loads(r.to_json()) for r in reports],
-                "counts": {
-                    "src": counts.src,
-                    "rc": counts.rc,
-                    "neither": counts.neither,
-                    "unknown": counts.unknown,
-                },
+                "counts": dataclasses.asdict(counts),
                 "pass": not failures,
             }
             json.dump(payload, out, indent=2)
@@ -281,10 +276,7 @@ def main(argv=None) -> int:
             parser.error(f"argument --{name}: expected one argument")
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

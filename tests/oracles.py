@@ -7,8 +7,10 @@ realizability oracle tries every chirality assignment with its own face
 walker, the embedding oracle tries the orientation choices in order
 until one traces c+2 faces instead of colouring the interlacement graph,
 the relabelling oracle re-reads the Gauss sequence from every
-basepoint, the enumeration oracle partitions raw permutations into
-symmetry orbits by breadth-first closure, the warp oracles read the
+basepoint, the braid count oracle builds the closure's validated Gauss
+code and runs a warp traversal over it instead of reading the closure
+walk, the enumeration oracle partitions raw permutations into symmetry
+orbits by breadth-first closure, the warp oracles read the
 below-set afresh at each of the 4c based traversals, the closure-walk
 oracle follows position 1 through the whole word once per strand, the
 bigon oracle compares every pair of candidate bigons, and the nugatory
@@ -26,10 +28,12 @@ from rollercoaster import (
     FramingError,
     Laurent,
     WarpResult,
+    closure_gauss,
     dt_to_gauss,
     gauss_to_dt,
     reverse,
     rotate,
+    warp_from,
 )
 from rollercoaster.embed import (
     Crossing,
@@ -299,6 +303,18 @@ def min_warp_by_basepoint(gauss):
             if best is None or result.degree < best.degree:
                 best = result
     return best
+
+
+def ab_counts_by_warp(word):
+    """(a, b) as the above- and below-set sizes of the warp traversal of
+    the closure's Gauss code from edge 0."""
+    if not word.letters:
+        if word.strands != 1:
+            raise ValueError("closure is a link, not a knot")
+        return (0, 0)
+    code, _ = closure_gauss(word)
+    result = warp_from(code, Basepoint(0))
+    return (len(result.above), len(result.below))
 
 
 def closure_walk_by_rounds(word):

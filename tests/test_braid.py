@@ -1,5 +1,7 @@
+import sys
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rollercoaster import (
     BraidWord,
@@ -17,9 +19,10 @@ from rollercoaster import (
     remove_first_ascending_strand,
     smooth_bigon,
 )
+from rollercoaster import codes, warp
 from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _innermost_bigons, _sweep, permutation
 
-from oracles import closure_walk_by_rounds, innermost_bigons_pairwise
+from oracles import ab_counts_by_warp, closure_walk_by_rounds, innermost_bigons_pairwise
 
 
 def test_parse_braid_plain_and_generator_syntax():
@@ -141,16 +144,13 @@ def positive_knot_words(draw):
     base = list(range(1, n))  # ensure the closure can be connected
     letters = draw(st.permutations(base + extra))
     word = BraidWord(n, tuple((i, 1) for i in letters))
-    if closure_components(word) != 1:
-        return None
+    assume(closure_components(word) == 1)
     return word
 
 
 @given(positive_knot_words())
 @settings(max_examples=200)
 def test_count_difference_is_strands_minus_one(word):
-    if word is None:
-        return
     a, b = ab_counts(word)
     assert a - b == word.strands - 1
 
@@ -158,8 +158,6 @@ def test_count_difference_is_strands_minus_one(word):
 @given(positive_knot_words())
 @settings(max_examples=60, deadline=None)
 def test_positive_unknotting_matches_min_warp(word):
-    if word is None:
-        return
     gauss, _ = closure_gauss(word)
     assert min_warp(gauss).degree == positive_unknotting(word)
 
@@ -167,8 +165,6 @@ def test_positive_unknotting_matches_min_warp(word):
 @given(positive_knot_words())
 @settings(max_examples=100, deadline=None)
 def test_reduction_counts_chain(word):
-    if word is None:
-        return
     _, steps = reduce_to_base(word)
     before = ab_counts(word)
     for step in steps:
@@ -180,16 +176,72 @@ def test_reduction_counts_chain(word):
 @given(positive_knot_words())
 @settings(max_examples=200)
 def test_closure_walk_matches_oracle(word):
-    if word is None:
-        return
     assert _closure_walk(word) == closure_walk_by_rounds(word)
 
 
 @given(positive_knot_words())
 @settings(max_examples=200)
 def test_innermost_bigons_match_oracle(word):
-    if word is None:
-        return
     expected = innermost_bigons_pairwise(word)
     assert _innermost_bigons(_sweep(word)[0]) == expected
     assert find_innermost_bigon(word) == (expected[0] if expected else None)
+
+
+@st.composite
+def signed_knot_words(draw):
+    # signs leave the closure permutation alone, so a signed seeded knot word still closes to a knot
+    word = random_positive_braid_knot(5, 12, draw(st.integers(min_value=0, max_value=10**6)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(word.letters), max_size=len(word.letters)))
+    return BraidWord(word.strands, tuple((i, s) for (i, _), s in zip(word.letters, signs)))
+
+
+@st.composite
+def signed_link_words(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    letters = draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=10))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(letters), max_size=len(letters)))
+    word = BraidWord(n, tuple(zip(letters, signs)))
+    assume(closure_components(word) != 1)
+    return word
+
+
+@given(st.one_of(st.just(BraidWord(1, ())), signed_knot_words()))
+@settings(max_examples=200)
+def test_ab_counts_matches_warp_oracle_on_signed_knot_words(word):
+    assert ab_counts(word) == ab_counts_by_warp(word)
+
+
+@given(signed_link_words())
+@settings(max_examples=100)
+def test_ab_counts_raises_like_warp_oracle_on_link_words(word):
+    with pytest.raises(ValueError) as raised:
+        ab_counts(word)
+    with pytest.raises(ValueError) as expected:
+        ab_counts_by_warp(word)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_reduce_to_base_builds_no_gauss_code_and_runs_no_warp(monkeypatch):
+    calls = {"GaussCode": 0, "warp_from": 0}
+    post_init, original_warp_from = codes.GaussCode.__post_init__, warp.warp_from
+
+    def counted_post_init(self):
+        calls["GaussCode"] += 1
+        post_init(self)
+
+    def counted_warp_from(*args):
+        calls["warp_from"] += 1
+        return original_warp_from(*args)
+
+    monkeypatch.setattr(codes.GaussCode, "__post_init__", counted_post_init)
+    # patch every module that bound the function by name, not only warp itself
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("warp_from") is original_warp_from:
+            monkeypatch.setattr(module, "warp_from", counted_warp_from)
+    word = parse_braid("1 2 1 2 1 2 1 2")
+    base, steps = reduce_to_base(word)
+    assert (ab_counts(base), len(steps)) == ((2, 0), 3)
+    assert calls == {"GaussCode": 0, "warp_from": 0}
+    # the counters are live: the Gauss route trips both
+    ab_counts_by_warp(word)
+    assert calls == {"GaussCode": 1, "warp_from": 1}
