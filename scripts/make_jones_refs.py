@@ -56,7 +56,6 @@ def torus_jones(p: int, q: int) -> Laurent:
 def main() -> int:
     entries = load_catalog()
     rows = []
-    seen: dict[str, frozenset] = {}
     for entry in entries:
         poly = jones(realize(entry.dt))
         if poly.eval_at_unit(1) != 1:
@@ -69,12 +68,10 @@ def main() -> int:
             raise SystemExit(f"{entry.name}: span {span} != crossing number {entry.minimal_crossings}")
         if not entry.alternating and span >= entry.minimal_crossings:
             raise SystemExit(f"{entry.name}: span {span} not below crossing number {entry.minimal_crossings}")
-        key = frozenset(poly.coeffs.items())
-        mkey = frozenset(poly.mirror().coeffs.items())
-        for other_name, other_key in seen.items():
-            if key == other_key or mkey == other_key:
+        mirrored = poly.mirror()
+        for other_name, other, _ in rows:
+            if other == poly or other == mirrored:
                 raise SystemExit(f"{entry.name}: shares a polynomial with {other_name}")
-        seen[entry.name] = key
         rows.append((entry.name, poly, len(entry.dt.entries)))
 
     for name, (p, q) in TORUS.items():

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .codes import Basepoint, GaussCode, OVER, UNDER
@@ -204,30 +205,27 @@ def positive_unknotting(word: BraidWord) -> int:
 # ---------------------------------------------------------------------------
 # bigons
 
-def _innermost_bigons(pairs: list[tuple[int, int]]) -> list[Bigon]:
-    """Innermost bigons from the per-letter strand pairs, left to right.
+def _innermost_bigons(pairs: list[tuple[int, int]]) -> Iterator[Bigon]:
+    """Innermost bigons from the per-letter strand pairs, yielded left to right.
 
     Each bigon joins a letter to the previous letter with the same two
     strands.  Scanning right ends in order, a bigon is innermost exactly
     when its left end lies right of every left end seen so far."""
     last: dict[tuple[int, int], int] = {}
     deepest = -1
-    found = []
     for j, pair in enumerate(pairs):
         key = (min(pair), max(pair))
         i = last.get(key, -1)
         last[key] = j
         if i > deepest:
             deepest = i
-            found.append(Bigon(i, j, key))
-    return found
+            yield Bigon(i, j, key)
 
 
 def find_innermost_bigon(word: BraidWord) -> Bigon | None:
     """Leftmost innermost bigon, or None when every pair of strands
     crosses at most once."""
-    innermost = _innermost_bigons(_sweep(word)[0])
-    return innermost[0] if innermost else None
+    return next(_innermost_bigons(_sweep(word)[0]), None)
 
 
 def smooth_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
@@ -259,7 +257,7 @@ def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCe
     if word.strands < 2:
         raise ValueError("nothing to remove from a one-strand word")
     pairs, perm = _sweep(word)
-    if _innermost_bigons(pairs):
+    if next(_innermost_bigons(pairs), None) is not None:
         raise ValueError("word has a bigon; smooth it first")
     order = _knot_order(perm)
 

@@ -248,8 +248,8 @@ def verify_entry(entry: CatalogEntry, row: int = 0, refs=None) -> RowReport:
     top of the ascending range; the witness size matches the finite branch
     of the rc-crossing column; and the witness's polynomial identifies the
     named knot (mirror images share a name).  A witness that cannot be
-    embedded, or is too large for the bracket, fails the identification
-    check instead of aborting the run.
+    embedded, or has a bracket frontier wider than 16 open edges, fails
+    the identification check instead of aborting the run.
     """
     if refs is None:
         refs = load_jones_refs()

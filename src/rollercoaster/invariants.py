@@ -13,7 +13,8 @@ restricted to the bracket): the placed crossings form a tangle whose
 state is a map from boundary matchings to Laurent coefficients, so the
 cost follows the number of matchings of the open edges rather than the
 2^c smoothings.  Crossings are placed greedily to keep that boundary
-short.
+short, and the widest boundary along that order is the one size limit,
+checked before any contraction.
 """
 
 from __future__ import annotations
@@ -120,6 +121,7 @@ class Laurent:
 
 _DELTA = Laurent({2: -1, -2: -1})
 ONE = Laurent({0: 1})
+_MAX_FRONTIER = 16  # open edge ids; the contraction's cost follows their matchings
 
 
 class BracketCapExceeded(ValueError):
@@ -146,18 +148,22 @@ def _smoothing_arcs(crossing, use_a: bool):
     return ((p, (p + 1) % 4), ((p + 2) % 4, (p + 3) % 4))
 
 
-def _crossing_order(crossings) -> list[int]:
-    """Greedy placement order: next comes the crossing that shares the most
-    edge ids with those already placed, the lowest index on ties."""
-    placed: set[int] = set()
+def _crossing_order(crossings) -> tuple[list[int], int]:
+    """Greedy placement order and its frontier width: next comes the crossing
+    sharing the most edge ids with the open ones (met once so far), the
+    lowest index on ties; the width is the most ids open at once."""
+    open_ids: set[int] = set()
     remaining = list(range(len(crossings)))
     order = []
+    width = 0
     while remaining:
-        best = max(remaining, key=lambda ci: (len(placed.intersection(crossings[ci].edges)), -ci))
+        best = max(remaining, key=lambda ci: (len(open_ids.intersection(crossings[ci].edges)), -ci))
         remaining.remove(best)
         order.append(best)
-        placed.update(crossings[best].edges)
-    return order
+        for e in crossings[best].edges:  # a kink's edge id toggles twice here
+            open_ids ^= {e}
+        width = max(width, len(open_ids))
+    return order, width
 
 
 def _glue(partner: dict[int, int], u: int, v: int) -> int:
@@ -180,7 +186,7 @@ def _glue(partner: dict[int, int], u: int, v: int) -> int:
     return 0
 
 
-def kauffman_bracket(diagram: PlanarDiagram, cap: int = 16) -> Laurent:
+def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
     """Bracket by frontier contraction, one crossing at a time.
 
     The state maps each boundary matching of the placed crossings (a
@@ -189,18 +195,18 @@ def kauffman_bracket(diagram: PlanarDiagram, cap: int = 16) -> Laurent:
     crossing glues its A-arcs (weight A) or its B-arcs (weight A^-1) into
     every matching; the last crossing leaves only the empty matching and
     counts one loop fewer, giving A^(a-b) * delta^(loops-1) per state.
+    The matchings grow with the frontier width, so an order opening more
+    than _MAX_FRONTIER edges at once is rejected before any contraction.
     """
     c = diagram.size
-    if c > cap:
-        raise BracketCapExceeded(f"{c} crossings exceeds the cap of {cap}")
-    if c == 0:
-        return ONE
+    order, width = _crossing_order(diagram.crossings)
+    if width > _MAX_FRONTIER:
+        raise BracketCapExceeded(f"frontier of {width} open edges exceeds the limit of {_MAX_FRONTIER}")
 
     # weight[sign][k]: A^sign * delta^k as {exponent: coeff}, k <= 2 loops per crossing
     delta_pow = [ONE, _DELTA, _DELTA * _DELTA]
     weight = {sign: [d.shift(sign).coeffs for d in delta_pow] for sign in (1, -1)}
     states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    order = _crossing_order(diagram.crossings)
     for step, ci in enumerate(order):
         x = diagram.crossings[ci]
         last = step == c - 1
@@ -225,17 +231,16 @@ def kauffman_bracket(diagram: PlanarDiagram, cap: int = 16) -> Laurent:
     return Laurent(states[()])
 
 
-def jones(diagram: PlanarDiagram, cap: int = 16) -> Laurent:
+def jones(diagram: PlanarDiagram) -> Laurent:
     """Jones polynomial, normalized so the unknot gives 1.
 
     Exponents are quarter powers of t; knots give integer powers.
     """
     w = writhe(diagram)
-    bracket = kauffman_bracket(diagram, cap=cap)
-    f = bracket.shift(-3 * w)
+    f = kauffman_bracket(diagram).shift(-3 * w)
     if w % 2:
         f = -f
-    return Laurent({-e: c for e, c in f.coeffs.items()})
+    return f.mirror()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from rollercoaster import (
     remove_first_ascending_strand,
     smooth_bigon,
 )
-from rollercoaster import codes, warp
+from rollercoaster import braid, codes, warp
 from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _innermost_bigons, _sweep, permutation
 
 from oracles import ab_counts_by_warp, closure_walk_by_rounds, innermost_bigons_pairwise
@@ -90,6 +90,14 @@ def test_find_innermost_bigon_prefers_nested_pairs():
     assert find_innermost_bigon(parse_braid("1 2 1 2")).strands == (1, 2)
     assert find_innermost_bigon(parse_braid("1 2")) is None
     assert find_innermost_bigon(parse_braid("2 1")) is None
+
+
+def test_find_innermost_bigon_stops_at_the_first(monkeypatch):
+    built = []
+    real_bigon = braid.Bigon
+    monkeypatch.setattr(braid, "Bigon", lambda *args: built.append(args) or real_bigon(*args))
+    assert find_innermost_bigon(parse_braid("s1^200")) == real_bigon(0, 1, (1, 2))
+    assert len(built) == 1
 
 
 def test_smooth_bigon_identities():
@@ -183,7 +191,7 @@ def test_closure_walk_matches_oracle(word):
 @settings(max_examples=200)
 def test_innermost_bigons_match_oracle(word):
     expected = innermost_bigons_pairwise(word)
-    assert _innermost_bigons(_sweep(word)[0]) == expected
+    assert list(_innermost_bigons(_sweep(word)[0])) == expected
     assert find_innermost_bigon(word) == (expected[0] if expected else None)
 
 

@@ -145,11 +145,13 @@ def test_verify_catalog_flags_edited_row(capsys, tmp_path):
     assert "row 2" in err
 
 
-def test_verify_catalog_unrealizable_witness_is_a_fail_row(capsys, tmp_path):
+def _verify_with_trefoil_witness(capsys, tmp_path, witness):
+    """Run verify-catalog on the first three packaged rows with the 3_1
+    witness replaced; return the one FAIL row's identification."""
     from importlib import resources
 
     lines = resources.files("rollercoaster.data").joinpath("catalog.csv").read_text().splitlines()
-    lines[1] = lines[1].replace('"[4, 6, 2]"', '"[4, 6, 8, 10, 2]"')
+    lines[1] = lines[1].replace('"[4, 6, 2]"', f'"{witness}"')
     bad = tmp_path / "catalog.csv"
     bad.write_text("\n".join(lines[:4]))
     code, out, _ = run(capsys, "verify-catalog", "--catalog", str(bad))
@@ -158,8 +160,24 @@ def test_verify_catalog_unrealizable_witness_is_a_fail_row(capsys, tmp_path):
     assert len(fails) == 1
     report = json.loads(fails[0][len("FAIL "):])
     assert report["name"] == "3_1"
-    assert report["identification"].startswith("not realizable: ")
     assert "verified 3 rows, 1 failures" in out
+    return report["identification"]
+
+
+def test_verify_catalog_unrealizable_witness_is_a_fail_row(capsys, tmp_path):
+    identification = _verify_with_trefoil_witness(capsys, tmp_path, "[4, 6, 8, 10, 2]")
+    assert identification.startswith("not realizable: ")
+
+
+def test_verify_catalog_over_cap_witness_is_a_fail_row(capsys, tmp_path):
+    from rollercoaster import extract_dt, parse_braid, pd_from_braid
+    from rollercoaster.codes import format_dt
+
+    # the T(9,10) closure: 80 crossings, a bracket frontier of 18 open edges
+    word = parse_braid(" ".join(["s1 s2 s3 s4 s5 s6 s7 s8"] * 10))
+    witness = format_dt(extract_dt(pd_from_braid(word)))
+    identification = _verify_with_trefoil_witness(capsys, tmp_path, witness)
+    assert identification == "over cap: frontier of 18 open edges exceeds the limit of 16"
 
 
 def test_verify_catalog_missing_refs(capsys):

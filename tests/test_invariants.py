@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,12 +22,23 @@ from rollercoaster import (
     pd_from_braid,
     realize,
 )
+from rollercoaster import invariants
 from rollercoaster.catalog import load_catalog
 from rollercoaster.invariants import BracketCapExceeded
 
 from oracles import skein_bracket, state_sum_bracket
 
 RIGHT_TREFOIL = Laurent({4: 1, 12: 1, 16: -1})  # t + t^3 - t^4
+
+_REFS_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "make_jones_refs.py"
+_spec = importlib.util.spec_from_file_location("make_jones_refs", _REFS_SCRIPT)
+make_jones_refs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_jones_refs)
+
+
+def torus_braid(p: int, q: int):
+    """(s1 s2 ... s_(p-1))^q, whose closure is the (p, q) torus knot."""
+    return parse_braid(" ".join([" ".join(f"s{i}" for i in range(1, p))] * q))
 
 
 def test_laurent_arithmetic():
@@ -71,10 +84,24 @@ def test_jones_figure_eight_palindromic():
     assert poly.coeffs == {-8: 1, -4: -1, 0: 1, 4: -1, 8: 1}
 
 
-def test_bracket_cap():
-    word = parse_braid("1 1 1")
-    with pytest.raises(BracketCapExceeded):
-        kauffman_bracket(pd_from_braid(word), cap=2)
+def test_bracket_cap(monkeypatch):
+    # T(9,10): 80 crossings whose greedy order opens 18 edges at once
+    glued = []
+    real_glue = invariants._glue
+    monkeypatch.setattr(invariants, "_glue", lambda *args: glued.append(args) or real_glue(*args))
+    with pytest.raises(BracketCapExceeded, match="^frontier of 18 open edges exceeds the limit of 16$"):
+        kauffman_bracket(pd_from_braid(torus_braid(9, 10)))
+    assert glued == []
+    kauffman_bracket(pd_from_braid(parse_braid("1 1 1")))
+    assert glued  # the counter does see a contraction
+
+
+def test_jones_past_sixteen_crossings_matches_torus_closed_form():
+    # 17 and 24 crossings, frontiers of 4 and 10 open edges
+    for p, q in ((2, 17), (5, 6)):
+        poly = jones(pd_from_braid(torus_braid(p, q)))
+        expected = make_jones_refs.torus_jones(p, q)
+        assert poly in (expected, expected.mirror())
 
 
 def test_state_sum_matches_skein_recursion_on_small_diagrams():
