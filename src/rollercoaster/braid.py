@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .codes import Basepoint, GaussCode, OVER, UNDER
@@ -114,15 +114,24 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 # ---------------------------------------------------------------------------
 # closure combinatorics
 
+def _strand_pairs(word: BraidWord, occupant: list[int] | None = None) -> Iterator[tuple[int, int]]:
+    """For each letter, built only when the scan reaches it, the two
+    strands crossing there (upper first), with strands named by their
+    left-edge position.  A given ``occupant`` list (the strand at each
+    position, top first) ends up holding the strands at the right edge."""
+    if occupant is None:
+        occupant = list(range(1, word.strands + 1))
+    for idx, _ in word.letters:
+        upper, lower = occupant[idx - 1], occupant[idx]
+        occupant[idx - 1], occupant[idx] = lower, upper
+        yield upper, lower
+
+
 def _sweep(word: BraidWord) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """For each letter, the two strands crossing there (upper first), and
     the permutation, with strands named by their left-edge position."""
     occupant = list(range(1, word.strands + 1))
-    pairs = []
-    for idx, _ in word.letters:
-        upper, lower = occupant[idx - 1], occupant[idx]
-        pairs.append((upper, lower))
-        occupant[idx - 1], occupant[idx] = lower, upper
+    pairs = list(_strand_pairs(word, occupant))
     return pairs, {start: pos for pos, start in enumerate(occupant, start=1)}
 
 
@@ -205,7 +214,7 @@ def positive_unknotting(word: BraidWord) -> int:
 # ---------------------------------------------------------------------------
 # bigons
 
-def _innermost_bigons(pairs: list[tuple[int, int]]) -> Iterator[Bigon]:
+def _innermost_bigons(pairs: Iterable[tuple[int, int]]) -> Iterator[Bigon]:
     """Innermost bigons from the per-letter strand pairs, yielded left to right.
 
     Each bigon joins a letter to the previous letter with the same two
@@ -225,13 +234,13 @@ def _innermost_bigons(pairs: list[tuple[int, int]]) -> Iterator[Bigon]:
 def find_innermost_bigon(word: BraidWord) -> Bigon | None:
     """Leftmost innermost bigon, or None when every pair of strands
     crosses at most once."""
-    return next(_innermost_bigons(_sweep(word)[0]), None)
+    return next(_innermost_bigons(_strand_pairs(word)), None)
 
 
 def smooth_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
     """Delete the bigon's two letters.  The closure stays a knot and the
     (above, below) counts each drop by one."""
-    if bigon not in _innermost_bigons(_sweep(word)[0]):
+    if bigon not in _innermost_bigons(_strand_pairs(word)):
         raise ValueError(f"{bigon} is not an innermost bigon of this word")
     return _drop_bigon(word, bigon)
 

@@ -245,6 +245,24 @@ def dt_mirror(code: DTCode) -> DTCode:
     return DTCode(tuple(-e for e in code.entries))
 
 
+def _readings(n: int):
+    """The (s, t) of every relabelling of 2c = n passage positions, in the
+    order ``dt_relabellings`` lists them."""
+    for k in range(n):
+        yield 1, -k
+        yield -1, k - 1
+
+
+def _relabelled(partner, s: int, t: int):
+    """One relabelling, read lazily: for each new even position in order,
+    the old position p moved there and the new label of p's partner.  Old
+    position p moves to (s*p + t) mod 2c."""
+    n = len(partner)
+    for q in range(0, n, 2):
+        p = s * (q - t) % n
+        yield p, (s * partner[p] + t) % n + 1
+
+
 def dt_relabellings(entries: tuple[int, ...]):
     """Entries of the DT codes of one diagram read from each of its 2c
     basepoints in both directions.
@@ -258,15 +276,23 @@ def dt_relabellings(entries: tuple[int, ...]):
     passage at that position runs over.
     """
     partner, over = _dt_chords(entries)
-    n = len(partner)
-    for k in range(n):
-        for s, t in ((1, -k), (-1, k - 1)):
-            out = []
-            for q in range(0, n, 2):
-                p = s * (q - t) % n
-                label = (s * partner[p] + t) % n + 1
-                out.append(label if over[p] else -label)
-            yield tuple(out)
+    for s, t in _readings(len(partner)):
+        yield tuple([label if over[p] else -label for p, label in _relabelled(partner, s, t)])
+
+
+def _least_reading(partner) -> bool:
+    """Whether the unsigned DT code read from position 0 forward, entry i
+    being ``partner[2i] + 1``, is the least of the unsigned codes of
+    ``dt_relabellings``.  Each comparison stops at the first entry that
+    differs, so most relabellings are read one or two entries deep."""
+    code = [partner[q] + 1 for q in range(0, len(partner), 2)]
+    for s, t in _readings(len(partner)):
+        for (_, label), entry in zip(_relabelled(partner, s, t), code):
+            if label != entry:
+                if label < entry:
+                    return False
+                break
+    return True
 
 
 def canonical_dt(code) -> DTCode:

@@ -1,12 +1,29 @@
 """Enumeration of reduced alternating diagrams at small crossing number.
 
-An alternating diagram is encoded by an all-positive DT sequence, so the
-candidates at c crossings are the permutations of (2, 4, ..., 2c).  Two
-candidates describe the same diagram up to basepoint shift, traversal
-reversal, or mirror image exactly when their rotated/reversed codes agree
-after dropping signs; each class keeps its lexicographically least
-all-positive member.  Odd basepoint shifts of an alternating diagram flip
-every sign at once, which is why dropping signs also merges mirrors.
+An alternating diagram is encoded by an all-positive DT sequence, a
+permutation of (2, 4, ..., 2c).  Two such codes describe the same diagram
+up to basepoint shift, traversal reversal, or mirror image exactly when
+their rotated/reversed codes agree after dropping signs; each class keeps
+its lexicographically least all-positive member.  Odd basepoint shifts of
+an alternating diagram flip every sign at once, which is why dropping
+signs also merges mirrors.
+
+The codes are filled in one entry at a time, and a prefix is dropped as
+soon as it cannot be the least member of a reduced class.  Entry i is a
+chord joining passage positions 2i and e_i - 1; its cyclic length is
+min(d, 2c - d) with d = |e_i - 1 - 2i|, and the relabelling that reads
+the code from an end of that chord along its short side starts with the
+entry length + 1.  So:
+
+* cut 1: the first entry e_0 runs over 4..c+1.  At 2 chord 0 is a kink,
+  a nugatory crossing; past c+1 it is shorter the other way round, and
+  the reading from its far end starts lower.
+* cut 2: every later chord has cyclic length at least e_0 - 1, else the
+  reading from its end starts below e_0.
+
+Both cuts drop only codes that the leaf checks (least relabelling,
+reduced) would reject, so the classes and their order are those of a
+walk over all c! permutations.
 """
 
 from __future__ import annotations
@@ -14,25 +31,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from itertools import permutations
-
-from .codes import DTCode, dt_relabellings, dt_to_gauss, is_reduced
+from .codes import DTCode, _dt_chords, _interlacement, _least_reading, dt_to_gauss
 from .embed import is_realizable
 from .warp import min_warp
 
 
+def _first_entries(c: int) -> range:
+    """Cut 1: the first entries a class's least member can have."""
+    return range(4, c + 2, 2)
+
+
 def enumerate_alternating(c: int, cap: int = 10):
     """All reduced, realizable alternating diagrams with c crossings, one per
-    class, yielded as found; permutations come in lexicographic order, so
-    the classes do too."""
+    class, yielded as found.  Free labels are tried in increasing order, so
+    the classes come in lexicographic order."""
     if not 3 <= c <= cap:
         raise ValueError(f"crossing number {c} outside supported range 3..{cap}")
-    for perm in permutations(range(2, 2 * c + 1, 2)):
-        if any(tuple(map(abs, entries)) < perm for entries in dt_relabellings(perm)):
-            continue
-        code = DTCode(perm)
-        if is_reduced(dt_to_gauss(code)) and is_realizable(code):
-            yield code
+    n = 2 * c
+    entries = [0] * c
+    free = [True] * (n + 1)  # free[e]: even label e is not yet an entry
+
+    def extend(i: int, allowed: list[list[int]]):
+        if i == c:
+            partner = _dt_chords(entries)[0]
+            if _least_reading(partner) and all(_interlacement(partner)):
+                code = DTCode(entries)
+                if is_realizable(code):
+                    yield code
+            return
+        for e in allowed[i]:
+            if free[e]:
+                free[e], entries[i] = False, e
+                yield from extend(i + 1, allowed)
+                free[e] = True
+
+    for e0 in _first_entries(c):
+        # cut 2: per chord i, the labels that keep its cyclic length at least e0 - 1
+        allowed = [
+            [e for e in range(2, n + 1, 2) if e0 - 1 <= (e - 1 - 2 * i) % n <= n - e0 + 1]
+            for i in range(c)
+        ]
+        free[e0], entries[0] = False, e0
+        yield from extend(1, allowed)
+        free[e0] = True
 
 
 def a_min_warp(c: int, cap: int = 10) -> tuple[int, DTCode]:

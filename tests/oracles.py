@@ -7,18 +7,20 @@ realizability oracle tries every chirality assignment with its own face
 walker, the embedding oracle tries the orientation choices in order
 until one traces c+2 faces instead of colouring the interlacement graph,
 the relabelling oracle re-reads the Gauss sequence from every
-basepoint, the braid count oracle builds the closure's validated Gauss
-code and runs a warp traversal over it instead of reading the closure
-walk, the enumeration oracle partitions raw permutations into symmetry
-orbits by breadth-first closure, the warp oracles read the
-below-set afresh at each of the 4c based traversals, the closure-walk
-oracle follows position 1 through the whole word once per strand, the
-bigon oracle compares every pair of candidate bigons, and the nugatory
-oracle counts the ids between each crossing's passages instead of
-reading interlacement masks.
+basepoint, the permutation-walk oracle (the earlier enumeration) tries
+all c! codes and builds each one's relabellings in full instead of
+cutting prefixes, the braid count oracle builds the closure's
+validated Gauss code and runs a warp traversal over it instead of
+reading the closure walk, the orbit oracle partitions raw
+permutations into symmetry orbits by breadth-first closure, the warp
+oracles read the below-set afresh at each of the 4c based traversals,
+the closure-walk oracle follows position 1 through the whole word once
+per strand, the bigon oracle compares every pair of candidate bigons,
+and the nugatory oracle counts the ids between each crossing's passages
+instead of reading interlacement masks.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 from rollercoaster import (
     Basepoint,
@@ -31,16 +33,19 @@ from rollercoaster import (
     closure_gauss,
     dt_to_gauss,
     gauss_to_dt,
+    is_reduced,
     reverse,
     rotate,
     warp_from,
 )
+from rollercoaster.codes import dt_relabellings
 from rollercoaster.embed import (
     Crossing,
     NotRealizable,
     PlanarDiagram,
     _reflect,
     count_faces,
+    is_realizable,
 )
 from rollercoaster.invariants import _smoothing_arcs
 
@@ -359,3 +364,17 @@ def reduced_by_counting(code):
         if all(v == 2 for v in counts.values()):
             return False
     return True
+
+
+def enumerate_by_permutations(c: int, cap: int = 10):
+    """Classes of reduced realizable alternating codes, found by walking
+    all c! permutations in lexicographic order and keeping each one no
+    relabelling undercuts."""
+    if not 3 <= c <= cap:
+        raise ValueError(f"crossing number {c} outside supported range 3..{cap}")
+    for perm in permutations(range(2, 2 * c + 1, 2)):
+        if any(tuple(map(abs, entries)) < perm for entries in dt_relabellings(perm)):
+            continue
+        code = DTCode(perm)
+        if is_reduced(dt_to_gauss(code)) and is_realizable(code):
+            yield code

@@ -100,6 +100,22 @@ def test_find_innermost_bigon_stops_at_the_first(monkeypatch):
     assert len(built) == 1
 
 
+def test_find_innermost_bigon_builds_pairs_only_up_to_the_bigon():
+    read = []
+
+    class CountedLetters(tuple):
+        def __iter__(self):
+            for letter in tuple.__iter__(self):
+                read.append(letter)
+                yield letter
+
+    word = parse_braid("s1^200")
+    object.__setattr__(word, "letters", CountedLetters(word.letters))
+    assert find_innermost_bigon(word) == braid.Bigon(0, 1, (1, 2))
+    # one strand pair is built per letter read
+    assert len(read) <= 2
+
+
 def test_smooth_bigon_identities():
     word = parse_braid("1 2 1 2")
     assert ab_counts(word) == (3, 1)

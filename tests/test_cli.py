@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -241,6 +242,20 @@ def test_enumerate_streams_rows_as_found(capsys, monkeypatch, tmp_path):
         main(["enumerate", "--crossings", "3", "--csv", str(out_csv)])
     assert capsys.readouterr().out == "[4, 6, 2]\n"
     assert out_csv.read_text().splitlines() == ["crossings,dt", '3,"[4, 6, 2]"']
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["conjecture", "--max", "9", "--json"], "conjecture_max9.json"),
+    (["enumerate", "--crossings", "9"], "enumerate_c9.txt"),
+])
+def test_c9_output_pinned(capsys, argv, expected):
+    # the bytes the walk over all 9! permutations printed
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / expected).read_text()
 
 
 # arbitrary text, and text over the characters codes are written in so

@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import pytest
 
 from rollercoaster import DTCode, dt_to_gauss, is_reduced, min_warp
-from rollercoaster import search
+from rollercoaster import codes, search
 from rollercoaster.search import ConjectureRow, a_min_warp, conjecture_report, enumerate_alternating
 
-from oracles import exhaustive_realizable, symmetry_orbits
+from oracles import enumerate_by_permutations, exhaustive_realizable, symmetry_orbits
 
 
 def test_c3_is_exactly_the_trefoil():
@@ -19,7 +20,35 @@ def test_c4_includes_figure_eight():
 
 
 def test_class_counts_pinned():
-    assert [len(list(enumerate_alternating(c))) for c in range(3, 8)] == [1, 1, 2, 4, 12]
+    assert [len(list(enumerate_alternating(c))) for c in range(3, 10)] == [1, 1, 2, 4, 12, 34, 131]
+
+
+@pytest.mark.parametrize("c", range(3, 9))
+def test_prefix_walk_matches_permutation_walk(c):
+    assert [code.entries for code in enumerate_alternating(c)] == [
+        code.entries for code in enumerate_by_permutations(c)
+    ]
+
+
+def test_walk_decodes_far_fewer_codes_than_permutations(monkeypatch):
+    calls = []
+    decode = codes._dt_chords
+
+    def counting(entries):
+        calls.append(entries)
+        return decode(entries)
+
+    monkeypatch.setattr(codes, "_dt_chords", counting)
+    monkeypatch.setattr(search, "_dt_chords", counting, raising=False)
+    assert len(list(enumerate_alternating(8))) == 34
+    assert len(calls) < math.factorial(8) // 10
+
+
+def test_cut_1_tries_only_unkinked_first_chords_no_longer_than_c():
+    for c in range(3, 11):
+        n = 2 * c
+        # label 2 makes chord 0 a kink; e - 1 > n - (e - 1) makes it shorter the other way round
+        assert list(search._first_entries(c)) == [e for e in range(4, n + 1, 2) if e - 1 <= n - (e - 1)]
 
 
 def test_every_emitted_code_is_reduced_and_realizable():
