@@ -164,6 +164,9 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
     entries = []
     reader = csv.DictReader(text.splitlines())
     for lineno, row in enumerate(reader, start=2):
+        # DictReader fills missing fields with None and files extra ones under None
+        if None in row or None in row.values():
+            raise CatalogError(f"row {lineno}: expected {len(reader.fieldnames)} fields as in the header")
         try:
             entry = CatalogEntry(
                 name=row["name"],
@@ -249,11 +252,13 @@ def verify_entry(entry: CatalogEntry, row: int = 0, refs=None) -> RowReport:
     of the rc-crossing column; and the witness's polynomial identifies the
     named knot (mirror images share a name).  A witness that cannot be
     embedded, or has a bracket frontier wider than 16 open edges, fails
-    the identification check instead of aborting the run.
+    the identification check instead of aborting the run.  An empty
+    witness is checked as a crossingless diagram of warping degree 0.
     """
     if refs is None:
         refs = load_jones_refs()
-    degree = min_warp(dt_to_gauss(entry.dt)).degree
+    # min_warp needs a basepoint, which a crossingless witness lacks
+    degree = min_warp(dt_to_gauss(entry.dt)).degree if entry.dt.entries else 0
     size = len(entry.dt.entries)
     try:
         found = identify(realize(entry.dt), refs)

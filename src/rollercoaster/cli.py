@@ -17,7 +17,7 @@ from . import braid as braid_mod
 from .catalog import CatalogError, load_catalog, main_rows, summarize, verify_catalog
 from .codes import _strip_comment, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt, parse_gauss
 from .invariants import load_jones_refs
-from .search import conjecture_report, enumerate_alternating
+from .search import _check_crossings, conjecture_report, enumerate_alternating
 from .warp import min_warp, warp_profile
 
 
@@ -168,9 +168,8 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    if not 3 <= args.max <= args.cap:
-        raise CliError(f"--max {args.max} outside supported range 3..{args.cap}")
-    rows = conjecture_report(args.max, cap=args.cap)
+    _check_crossings(args.max, "--max")
+    rows = conjecture_report(args.max)
     if args.json:
         print(
             json.dumps(
@@ -199,8 +198,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if not 3 <= args.crossings <= args.cap:
-        raise CliError(f"crossing number {args.crossings} outside supported range 3..{args.cap}")
+    _check_crossings(args.crossings)  # before the CSV file is opened
     count = 0
     codes = []
     with _open_output(args.csv, newline="") as fh:
@@ -208,7 +206,7 @@ def cmd_enumerate(args) -> int:
         if writer is not None:
             writer.writerow(["crossings", "dt"])
         # text and CSV rows go out as each class is found; only JSON needs the list
-        for code in enumerate_alternating(args.crossings, cap=args.cap):
+        for code in enumerate_alternating(args.crossings):
             count += 1
             if writer is not None:
                 writer.writerow([args.crossings, format_dt(code)])
@@ -253,13 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjecture", help="diagram-level minimum warping vs ceil(c/4)")
     p_conj.add_argument("--max", type=int, required=True)
-    p_conj.add_argument("--cap", type=int, default=10)
     p_conj.add_argument("--json", action="store_true")
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_enum = sub.add_parser("enumerate", help="reduced alternating diagrams at fixed size")
     p_enum.add_argument("--crossings", type=int, required=True)
-    p_enum.add_argument("--cap", type=int, default=10)
     p_enum.add_argument("--csv", metavar="OUT")
     p_enum.add_argument("--json", action="store_true")
     p_enum.set_defaults(func=cmd_enumerate)

@@ -259,7 +259,10 @@ def parse_jones_refs(lines) -> dict[str, Laurent]:
         coeffs = {}
         for item in terms.split():
             exp, _, coeff = item.partition(":")
-            coeffs[int(exp)] = int(coeff)
+            try:
+                coeffs[int(exp)] = int(coeff)
+            except ValueError:
+                raise ValueError(f"line {n}: malformed term {item!r}") from None
         if name in refs:
             raise ValueError(f"line {n}: duplicate reference entry {name}")
         refs[name] = Laurent(coeffs)

@@ -35,18 +35,25 @@ from .codes import DTCode, _dt_chords, _interlacement, _least_reading, dt_to_gau
 from .embed import is_realizable
 from .warp import min_warp
 
+MAX_CROSSINGS = 10  # c = 10 takes seconds, and each extra crossing costs about 8-12x
+
+
+def _check_crossings(c: int, name: str = "crossing number") -> None:
+    """Reject a crossing number outside 3..MAX_CROSSINGS before any search."""
+    if not 3 <= c <= MAX_CROSSINGS:
+        raise ValueError(f"{name} {c} outside supported range 3..{MAX_CROSSINGS}")
+
 
 def _first_entries(c: int) -> range:
     """Cut 1: the first entries a class's least member can have."""
     return range(4, c + 2, 2)
 
 
-def enumerate_alternating(c: int, cap: int = 10):
+def enumerate_alternating(c: int):
     """All reduced, realizable alternating diagrams with c crossings, one per
     class, yielded as found.  Free labels are tried in increasing order, so
     the classes come in lexicographic order."""
-    if not 3 <= c <= cap:
-        raise ValueError(f"crossing number {c} outside supported range 3..{cap}")
+    _check_crossings(c)
     n = 2 * c
     entries = [0] * c
     free = [True] * (n + 1)  # free[e]: even label e is not yet an entry
@@ -76,17 +83,11 @@ def enumerate_alternating(c: int, cap: int = 10):
         free[e0] = True
 
 
-def a_min_warp(c: int, cap: int = 10) -> tuple[int, DTCode]:
-    """Least minimum warping degree over the enumeration, with a witness."""
-    best = None
-    witness = None
-    for code in enumerate_alternating(c, cap=cap):
-        degree = min_warp(dt_to_gauss(code)).degree
-        if best is None or degree < best:
-            best, witness = degree, code
-    if best is None:
-        raise ValueError(f"no reduced alternating diagrams at c={c}")
-    return best, witness
+def a_min_warp(c: int) -> tuple[int, DTCode]:
+    """Least minimum warping degree over the enumeration, with the first
+    class that reaches it as witness."""
+    degrees = ((min_warp(dt_to_gauss(code)).degree, code) for code in enumerate_alternating(c))
+    return min(degrees, key=lambda pair: pair[0])
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,16 @@ class ConjectureRow:
         return self.computed == self.predicted
 
 
-def conjecture_report(c_max: int, cap: int = 10) -> list[ConjectureRow]:
+def conjecture_report(c_max: int) -> list[ConjectureRow]:
     """Diagram-level minimum warping against the ceiling-of-quarters prediction.
 
     The minimum here ranges over reduced alternating diagrams with exactly
-    c crossings, which upper-bounds the knot-level quantity.
+    c crossings, which upper-bounds the knot-level quantity.  An
+    out-of-range c_max is rejected before any row is computed.
     """
+    _check_crossings(c_max)
     rows = []
     for c in range(3, c_max + 1):
-        value, witness = a_min_warp(c, cap=cap)
+        value, witness = a_min_warp(c)
         rows.append(ConjectureRow(c, value, math.ceil(c / 4), witness))
     return rows

@@ -48,6 +48,7 @@ from rollercoaster.embed import (
     is_realizable,
 )
 from rollercoaster.invariants import _smoothing_arcs
+from rollercoaster.search import _check_crossings
 
 DELTA = Laurent({2: -1, -2: -1})
 ONE = Laurent({0: 1})
@@ -366,12 +367,11 @@ def reduced_by_counting(code):
     return True
 
 
-def enumerate_by_permutations(c: int, cap: int = 10):
+def enumerate_by_permutations(c: int):
     """Classes of reduced realizable alternating codes, found by walking
     all c! permutations in lexicographic order and keeping each one no
     relabelling undercuts."""
-    if not 3 <= c <= cap:
-        raise ValueError(f"crossing number {c} outside supported range 3..{cap}")
+    _check_crossings(c)
     for perm in permutations(range(2, 2 * c + 1, 2)):
         if any(tuple(map(abs, entries)) < perm for entries in dt_relabellings(perm)):
             continue

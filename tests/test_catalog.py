@@ -106,6 +106,16 @@ def test_load_rejects_edited_ascending(tmp_path):
         load_catalog(bad)
 
 
+@pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0], lambda row: row + ",extra"])
+def test_load_rejects_row_whose_field_count_differs_from_header(tmp_path, edit):
+    lines = _read_catalog_lines()
+    lines[1] = edit(lines[1])
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(CatalogError, match="^row 2: expected 8 fields"):
+        load_catalog(bad)
+
+
 def _read_catalog_lines():
     from importlib import resources
 

@@ -170,6 +170,23 @@ def test_verify_catalog_unrealizable_witness_is_a_fail_row(capsys, tmp_path):
     assert identification.startswith("not realizable: ")
 
 
+def test_verify_catalog_empty_witness_is_a_fail_row(capsys, tmp_path):
+    assert _verify_with_trefoil_witness(capsys, tmp_path, "[]") == "none"
+
+
+def test_verify_catalog_short_row_exits_1_with_row_message(capsys, tmp_path):
+    from importlib import resources
+
+    lines = resources.files("rollercoaster.data").joinpath("catalog.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines))
+    code, out, err = run(capsys, "verify-catalog", "--catalog", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == "catalog verification failed: row 3: expected 8 fields as in the header\n"
+
+
 def test_verify_catalog_over_cap_witness_is_a_fail_row(capsys, tmp_path):
     from rollercoaster import extract_dt, parse_braid, pd_from_braid
     from rollercoaster.codes import format_dt
@@ -209,10 +226,25 @@ def test_conjecture(capsys):
 
 @pytest.mark.parametrize("value", ["11", "2"])
 def test_conjecture_rejects_max_outside_range(capsys, value):
-    code, out, err = run(capsys, "conjecture", "--max", value, "--cap", "10")
+    code, out, err = run(capsys, "conjecture", "--max", value)
     assert code == 2
     assert out == ""
     assert f"--max {value} outside supported range 3..10" in err
+
+
+def test_cap_option_is_gone():
+    assert fuzz_exit_code(["conjecture", "--max", "8", "--cap", "10"]) == 2
+    assert fuzz_exit_code(["enumerate", "--crossings", "8", "--cap", "10"]) == 2
+
+
+@pytest.mark.parametrize("value", ["11", "2"])
+def test_enumerate_rejects_crossings_outside_range(capsys, tmp_path, value):
+    out_csv = tmp_path / "codes.csv"
+    code, out, err = run(capsys, "enumerate", "--crossings", value, "--csv", str(out_csv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: crossing number {value} outside supported range 3..10\n"
+    assert not out_csv.exists()
 
 
 def test_enumerate_with_csv(capsys, tmp_path):
@@ -232,7 +264,7 @@ def test_enumerate_bad_csv_path_fails_before_work(capsys, monkeypatch):
 
 
 def test_enumerate_streams_rows_as_found(capsys, monkeypatch, tmp_path):
-    def first_then_fail(c, cap):
+    def first_then_fail(c):
         yield DTCode((4, 6, 2))
         raise RuntimeError("interrupted")
 

@@ -158,6 +158,9 @@ def test_parse_jones_refs_format():
     assert refs["unknot"] == Laurent({0: 1})
     with pytest.raises(ValueError, match="duplicate"):
         parse_jones_refs(["3_1; 0:1; a", "3_1; 0:1; b"])
+    for term in ("0:a", "4:"):
+        with pytest.raises(ValueError, match=f"^line 1: malformed term '{term}'$"):
+            parse_jones_refs([f"3_1; {term}; bad"])
 
 
 def test_packaged_refs_cover_catalog():

@@ -59,11 +59,19 @@ def test_every_emitted_code_is_reduced_and_realizable():
             assert all(e > 0 for e in code.entries)
 
 
-def test_cap_enforced():
+def test_crossing_range_enforced():
     with pytest.raises(ValueError):
         list(enumerate_alternating(2))
-    with pytest.raises(ValueError):
-        list(enumerate_alternating(9, cap=8))
+    with pytest.raises(ValueError, match="^crossing number 11 outside supported range 3..10$"):
+        list(enumerate_alternating(search.MAX_CROSSINGS + 1))
+
+
+def test_conjecture_report_rejects_c_max_before_any_row(monkeypatch):
+    calls = []
+    monkeypatch.setattr(search, "a_min_warp", lambda c: calls.append(c))
+    with pytest.raises(ValueError, match="outside supported range"):
+        conjecture_report(search.MAX_CROSSINGS + 1)
+    assert calls == []
 
 
 def test_enumeration_complete_against_brute_force_orbits():
