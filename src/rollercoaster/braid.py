@@ -14,19 +14,25 @@ Conventions:
 
 The counts (a, b) are read off the closure walk: the traversal meets a
 crossings first from above and b first from below.  For a positive word
-whose closure is a knot, a - b = n - 1 always holds.  Smoothing an
-innermost bigon drops both counts by one; resolving the first ascending
-strand's crossing with its predecessor and removing the resulting closed
-strand drops them by m+1 and m.  Iterating terminates at a word with n-1
-letters, where b = 0.
+with c letters on n strands whose closure is a knot, every crossing is
+met first one way or the other, so a + b = c and a - b = n - 1, that is
+(a, b) = ((c + n - 1) / 2, (c - n + 1) / 2).  Smoothing an innermost
+bigon drops both counts by one; resolving the first ascending strand's
+crossing with its predecessor and removing the resulting closed strand
+drops them by m+1 and m.  Iterating terminates at a word with n-1
+letters, where b = 0.  The reduction takes its counts from that closed
+form and finds each bigon by resuming one left-to-right scan where the
+last smoothing left it, so it walks neither the closure nor the whole
+word again per step.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .codes import Basepoint, GaussCode, OVER, UNDER
 
@@ -45,6 +51,15 @@ class BraidWord:
                 raise ValueError(f"generator index {idx} out of range for {self.strands} strands")
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+
+    @classmethod
+    def _trusted(cls, strands: int, letters: tuple[tuple[int, int], ...]) -> BraidWord:
+        """A word from letters already known to be valid, built without
+        re-checking each one."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "strands", strands)
+        object.__setattr__(word, "letters", letters)
+        return word
 
     def is_positive(self) -> bool:
         return all(s == 1 for _, s in self.letters)
@@ -114,14 +129,15 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 # ---------------------------------------------------------------------------
 # closure combinatorics
 
-def _strand_pairs(word: BraidWord, occupant: list[int] | None = None) -> Iterator[tuple[int, int]]:
-    """For each letter, built only when the scan reaches it, the two
-    strands crossing there (upper first), with strands named by their
-    left-edge position.  A given ``occupant`` list (the strand at each
-    position, top first) ends up holding the strands at the right edge."""
-    if occupant is None:
-        occupant = list(range(1, word.strands + 1))
-    for idx, _ in word.letters:
+def _strand_pairs(
+    letters: Sequence[tuple[int, int]], occupant: list[int], start: int = 0
+) -> Iterator[tuple[int, int]]:
+    """For each letter from ``start`` on, built only when the scan
+    reaches it, the two strands crossing there (upper first), with
+    strands named by their left-edge position.  ``occupant`` holds the
+    strand at each position, top first, just before letter ``start``; it
+    is updated in place as the scan goes."""
+    for idx, _ in islice(letters, start, None):
         upper, lower = occupant[idx - 1], occupant[idx]
         occupant[idx - 1], occupant[idx] = lower, upper
         yield upper, lower
@@ -131,8 +147,13 @@ def _sweep(word: BraidWord) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """For each letter, the two strands crossing there (upper first), and
     the permutation, with strands named by their left-edge position."""
     occupant = list(range(1, word.strands + 1))
-    pairs = list(_strand_pairs(word, occupant))
-    return pairs, {start: pos for pos, start in enumerate(occupant, start=1)}
+    pairs = list(_strand_pairs(word.letters, occupant))
+    return pairs, _right_edge(occupant)
+
+
+def _right_edge(occupant: list[int]) -> dict[int, int]:
+    """The permutation read off the strands at the right edge."""
+    return {start: pos for pos, start in enumerate(occupant, start=1)}
 
 
 def permutation(word: BraidWord) -> dict[int, int]:
@@ -214,15 +235,22 @@ def positive_unknotting(word: BraidWord) -> int:
 # ---------------------------------------------------------------------------
 # bigons
 
-def _innermost_bigons(pairs: Iterable[tuple[int, int]]) -> Iterator[Bigon]:
+def _innermost_bigons(
+    pairs: Iterable[tuple[int, int]], last: dict[tuple[int, int], int] | None = None, start: int = 0
+) -> Iterator[Bigon]:
     """Innermost bigons from the per-letter strand pairs, yielded left to right.
 
     Each bigon joins a letter to the previous letter with the same two
     strands.  Scanning right ends in order, a bigon is innermost exactly
-    when its left end lies right of every left end seen so far."""
-    last: dict[tuple[int, int], int] = {}
+    when its left end lies right of every left end seen so far.
+
+    ``pairs`` starts at letter ``start``; ``last`` maps each strand pair
+    (smaller first) of the letters before it to its letter, all distinct,
+    and is updated in place as the scan goes."""
+    if last is None:
+        last = {}
     deepest = -1
-    for j, pair in enumerate(pairs):
+    for j, pair in enumerate(pairs, start):
         key = (min(pair), max(pair))
         i = last.get(key, -1)
         last[key] = j
@@ -234,18 +262,14 @@ def _innermost_bigons(pairs: Iterable[tuple[int, int]]) -> Iterator[Bigon]:
 def find_innermost_bigon(word: BraidWord) -> Bigon | None:
     """Leftmost innermost bigon, or None when every pair of strands
     crosses at most once."""
-    return next(_innermost_bigons(_strand_pairs(word)), None)
+    return next(_innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))), None)
 
 
 def smooth_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
     """Delete the bigon's two letters.  The closure stays a knot and the
     (above, below) counts each drop by one."""
-    if bigon not in _innermost_bigons(_strand_pairs(word)):
+    if bigon not in _innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))):
         raise ValueError(f"{bigon} is not an innermost bigon of this word")
-    return _drop_bigon(word, bigon)
-
-
-def _drop_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
     letters, i, j = word.letters, bigon.i, bigon.j
     return BraidWord(word.strands, letters[:i] + letters[i + 1 : j] + letters[j + 1 :])
 
@@ -266,25 +290,36 @@ def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCe
     if word.strands < 2:
         raise ValueError("nothing to remove from a one-strand word")
     pairs, perm = _sweep(word)
-    if next(_innermost_bigons(pairs), None) is not None:
+    crossing_of: dict[tuple[int, int], int] = {}
+    if next(_innermost_bigons(pairs, crossing_of), None) is not None:
         raise ValueError("word has a bigon; smooth it first")
+    letters, cert = _remove_strand(word.letters, perm, crossing_of)
+    return BraidWord(word.strands - 1, letters), cert
+
+
+def _remove_strand(
+    letters: Sequence[tuple[int, int]], perm: dict[int, int], crossing_of: dict[tuple[int, int], int]
+) -> tuple[tuple[tuple[int, int], ...], RemovalCertificate]:
+    """The strand removal on a positive bigon-free word with closure
+    permutation ``perm``, where ``crossing_of`` maps each strand pair
+    (smaller first) to the one letter where it crosses.  Returns the
+    letters of the smaller word and the certificate."""
     order = _knot_order(perm)
 
     # the last strand returns to position 1, so some strand ascends
-    first_up = next(t for t in range(1, word.strands) if perm[order[t]] < order[t])
+    first_up = next(t for t in range(1, len(perm)) if perm[order[t]] < order[t])
     prev_start, cur_start = order[first_up - 1], order[first_up]
 
-    matches = [k for k, p in enumerate(pairs) if set(p) == {prev_start, cur_start}]
-    if len(matches) != 1:
-        raise AssertionError(f"strands {prev_start} and {cur_start} cross {len(matches)} times")
-    resolved = matches[0]
+    resolved = crossing_of.get((min(prev_start, cur_start), max(prev_start, cur_start)))
+    if resolved is None:
+        raise AssertionError(f"strands {prev_start} and {cur_start} never cross")
 
     # walk the strand that becomes closed once `resolved` is smoothed
     pos = cur_start
     heights = []
     involved = []
     overs = 0
-    for slot, (idx, _) in enumerate(word.letters):
+    for slot, (idx, _) in enumerate(letters):
         heights.append(pos)
         if pos in (idx, idx + 1):
             if slot == resolved:
@@ -300,15 +335,12 @@ def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCe
     m = len(involved) // 2
 
     dropped = set(involved) | {resolved}
-    letters = []
-    for slot, (idx, sign) in enumerate(word.letters):
-        if slot in dropped:
-            continue
-        letters.append((idx - 1 if idx > heights[slot] else idx, sign))
-    return (
-        BraidWord(word.strands - 1, tuple(letters)),
-        RemovalCertificate(crossing=resolved, strand=cur_start, m=m),
+    kept = tuple(
+        (idx - 1 if idx > heights[slot] else idx, sign)
+        for slot, (idx, sign) in enumerate(letters)
+        if slot not in dropped
     )
+    return kept, RemovalCertificate(crossing=resolved, strand=cur_start, m=m)
 
 
 @dataclass(frozen=True)
@@ -322,21 +354,40 @@ class ReductionStep:
 
 def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
     """Smooth bigons and remove ascending strands until n-1 letters
-    remain.  At that point b = 0 and a = n - 1."""
+    remain.  At that point b = 0 and a = n - 1.  Raises ValueError,
+    before any step, on a word that is not positive or closes to a link."""
     if not word.is_positive():
         raise ValueError("word is not positive")
+    _knot_order(permutation(word))
+    c, n = len(word.letters), word.strands
+    a, b = (c + n - 1) // 2, (c - n + 1) // 2
     steps = []
     current = word
-    while len(current.letters) > current.strands - 1:
-        before = steps[-1].counts_after if steps else ab_counts(current)
-        bigon = find_innermost_bigon(current)
+    letters, occupant, last, k = list(word.letters), list(range(1, n + 1)), {}, 0
+    while len(letters) > n - 1:
+        # letters before k cross distinct strand pairs, recorded in `last`,
+        # and `occupant` holds the strands just before letter k
+        bigon = next(_innermost_bigons(_strand_pairs(letters, occupant, k), last, k), None)
         if bigon is not None:
-            # the bigon was just found innermost on this word, so skip smooth_bigon's re-check
-            action, detail, current = "smooth", bigon, _drop_bigon(current, bigon)
+            i, j = bigon.i, bigon.j
+            # rewind the scan to just before letter i: letter j's pair is
+            # letter i's, so it leaves `last` once, when letter j is undone
+            for slot in range(j, i - 1, -1):
+                idx = letters[slot][0]
+                lower, upper = occupant[idx - 1], occupant[idx]
+                occupant[idx - 1], occupant[idx] = upper, lower
+                if slot > i:
+                    del last[(min(upper, lower), max(upper, lower))]
+            del letters[j], letters[i]
+            action, detail, after, k = "smooth", bigon, (a - 1, b - 1), i
         else:
-            action = "remove"
-            current, detail = remove_first_ascending_strand(current)
-        steps.append(ReductionStep(action, detail, before, ab_counts(current), current))
+            kept, detail = _remove_strand(letters, _right_edge(occupant), last)
+            n -= 1
+            letters, occupant, last, k = list(kept), list(range(1, n + 1)), {}, 0
+            action, after = "remove", (a - detail.m - 1, b - detail.m)
+        current = BraidWord._trusted(n, tuple(letters))
+        steps.append(ReductionStep(action, detail, (a, b), after, current))
+        a, b = after
     return current, steps
 
 

@@ -163,7 +163,8 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
             text = fh.read()
     entries = []
     reader = csv.DictReader(text.splitlines())
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the row's physical line: DictReader skips blank lines
         # DictReader fills missing fields with None and files extra ones under None
         if None in row or None in row.values():
             raise CatalogError(f"row {lineno}: expected {len(reader.fieldnames)} fields as in the header")

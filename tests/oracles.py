@@ -16,8 +16,10 @@ permutations into symmetry orbits by breadth-first closure, the warp
 oracles read the below-set afresh at each of the 4c based traversals,
 the closure-walk oracle follows position 1 through the whole word once
 per strand, the bigon oracle compares every pair of candidate bigons,
-and the nugatory oracle counts the ids between each crossing's passages
-instead of reading interlacement masks.
+the reduction oracle recounts the closure and rescans the word from
+its first letter at every step instead of taking the counts from
+(c, n) and resuming one scan, and the nugatory oracle counts the ids
+between each crossing's passages instead of reading interlacement masks.
 """
 
 from itertools import permutations, product
@@ -30,14 +32,19 @@ from rollercoaster import (
     FramingError,
     Laurent,
     WarpResult,
+    ab_counts,
     closure_gauss,
     dt_to_gauss,
+    find_innermost_bigon,
     gauss_to_dt,
     is_reduced,
+    remove_first_ascending_strand,
     reverse,
     rotate,
+    smooth_bigon,
     warp_from,
 )
+from rollercoaster.braid import ReductionStep
 from rollercoaster.codes import dt_relabellings
 from rollercoaster.embed import (
     Crossing,
@@ -350,6 +357,25 @@ def innermost_bigons_pairwise(word):
     candidates = [Bigon(i, j, pair) for pair, ks in slots.items() for i, j in zip(ks, ks[1:])]
     innermost = [b for b in candidates if not any(b.i < o.i and o.j < b.j for o in candidates)]
     return sorted(innermost, key=lambda b: b.i)
+
+
+def reduce_by_resweep(word):
+    """The reduction with each step's counts read off a fresh closure
+    walk and each bigon found by a fresh scan from the first letter."""
+    if not word.is_positive():
+        raise ValueError("word is not positive")
+    steps = []
+    current = word
+    while len(current.letters) > current.strands - 1:
+        before = steps[-1].counts_after if steps else ab_counts(current)
+        bigon = find_innermost_bigon(current)
+        if bigon is not None:
+            action, detail, current = "smooth", bigon, smooth_bigon(current, bigon)
+        else:
+            action = "remove"
+            current, detail = remove_first_ascending_strand(current)
+        steps.append(ReductionStep(action, detail, before, ab_counts(current), current))
+    return current, steps
 
 
 def reduced_by_counting(code):

@@ -129,6 +129,9 @@ def test_criterion_6_induction_steps(sample_words):
     checked = 0
     for word in sample_words[:300]:
         base, steps = reduce_to_base(word)
+        # the reduction takes its counts from (c, n); recount them on every word
+        if steps and steps[0].counts_before != ab_counts(word):
+            bad += 1
         for step in steps:
             a, b = step.counts_before
             a2, b2 = step.counts_after
@@ -137,7 +140,7 @@ def test_criterion_6_induction_steps(sample_words):
             else:
                 ok = (a2, b2) == (a - step.detail.m - 1, b - step.detail.m)
             checked += 1
-            if not ok:
+            if not ok or step.counts_after != ab_counts(step.word):
                 bad += 1
         if ab_counts(base) != (base.strands - 1, 0):
             bad += 1

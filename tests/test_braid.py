@@ -22,7 +22,7 @@ from rollercoaster import (
 from rollercoaster import braid, codes, warp
 from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _innermost_bigons, _sweep, permutation
 
-from oracles import ab_counts_by_warp, closure_walk_by_rounds, innermost_bigons_pairwise
+from oracles import ab_counts_by_warp, closure_walk_by_rounds, innermost_bigons_pairwise, reduce_by_resweep
 
 
 def test_parse_braid_plain_and_generator_syntax():
@@ -144,13 +144,27 @@ def test_reduce_to_base_reaches_n_minus_1():
     base, steps = reduce_to_base(word)
     assert len(base.letters) == base.strands - 1
     assert ab_counts(base) == (base.strands - 1, 0)
+    # the counts come from (c, n), so recount them on each word as well
+    assert steps[0].counts_before == ab_counts(word)
     for step in steps:
         a, b = step.counts_before
         a2, b2 = step.counts_after
+        assert step.counts_after == ab_counts(step.word)
         if step.action == "smooth":
             assert (a2, b2) == (a - 1, b - 1)
         else:
             assert (a2, b2) == (a - step.detail.m - 1, b - step.detail.m)
+
+
+def test_reduce_to_base_rejects_a_link_before_any_step(monkeypatch):
+    built = []
+    real_step = braid.ReductionStep
+    monkeypatch.setattr(braid, "ReductionStep", lambda *args: built.append(args) or real_step(*args))
+    with pytest.raises(ValueError, match="closure is a link, not a knot"):
+        reduce_to_base(parse_braid("1 1"))
+    assert built == []
+    # the counter is live: a knot word builds its steps through it
+    assert len(reduce_to_base(parse_braid("1 1 1"))[1]) == len(built) == 1
 
 
 def test_random_positive_braid_knot_is_deterministic():
@@ -195,6 +209,24 @@ def test_reduction_counts_chain(word):
         assert step.counts_before == before
         assert step.counts_after == ab_counts(step.word)
         before = step.counts_after
+
+
+def _reduction_record(reduction):
+    base, steps = reduction
+    return base, [(s.action, s.detail, s.counts_before, s.counts_after, s.word) for s in steps]
+
+
+@given(positive_knot_words())
+@settings(max_examples=200, deadline=None)
+def test_reduce_to_base_matches_resweep_oracle(word):
+    assert _reduction_record(reduce_to_base(word)) == _reduction_record(reduce_by_resweep(word))
+
+
+@pytest.mark.parametrize("n_max, c_max, seeds", [(6, 20, range(1000)), (7, 30, range(200))])
+def test_reduce_to_base_matches_resweep_oracle_on_seeded_words(n_max, c_max, seeds):
+    for seed in seeds:
+        word = random_positive_braid_knot(n_max, c_max, seed)
+        assert _reduction_record(reduce_to_base(word)) == _reduction_record(reduce_by_resweep(word)), seed
 
 
 @given(positive_knot_words())
@@ -269,3 +301,31 @@ def test_reduce_to_base_builds_no_gauss_code_and_runs_no_warp(monkeypatch):
     # the counters are live: the Gauss route trips both
     ab_counts_by_warp(word)
     assert calls == {"GaussCode": 1, "warp_from": 1}
+
+
+def test_reduce_to_base_recounts_nothing_and_revalidates_no_word(monkeypatch):
+    calls = {"ab_counts": 0, "_closure_walk": 0, "__post_init__": 0}
+    originals = {name: getattr(braid, name) for name in ("ab_counts", "_closure_walk")}
+    post_init = BraidWord.__post_init__
+
+    def counted(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return wrapper
+
+    def counted_post_init(self):
+        calls["__post_init__"] += 1
+        post_init(self)
+
+    word = parse_braid("s1^201")
+    for name in originals:
+        monkeypatch.setattr(braid, name, counted(name))
+    monkeypatch.setattr(BraidWord, "__post_init__", counted_post_init)
+    base, steps = reduce_to_base(word)
+    assert (str(base), len(steps), steps[0].counts_before) == ("1", 100, (101, 100))
+    assert calls == {"ab_counts": 0, "_closure_walk": 0, "__post_init__": 0}
+    # the counters are live: a recount and a checked word trip them
+    braid.ab_counts(base)
+    BraidWord(2, ((1, 1),))
+    assert calls == {"ab_counts": 1, "_closure_walk": 1, "__post_init__": 1}

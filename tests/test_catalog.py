@@ -116,6 +116,16 @@ def test_load_rejects_row_whose_field_count_differs_from_header(tmp_path, edit):
         load_catalog(bad)
 
 
+def test_load_names_the_physical_line_after_a_blank_line(tmp_path):
+    lines = _read_catalog_lines()
+    lines[2] = lines[2].replace("4_1,Y,1,1", "4_1,Y,1,2")
+    lines.insert(2, "")
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(CatalogError, match="^row 4: stored property"):
+        load_catalog(bad)
+
+
 def _read_catalog_lines():
     from importlib import resources
 
