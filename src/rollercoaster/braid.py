@@ -259,43 +259,8 @@ def _innermost_bigons(
             yield Bigon(i, j, key)
 
 
-def find_innermost_bigon(word: BraidWord) -> Bigon | None:
-    """Leftmost innermost bigon, or None when every pair of strands
-    crosses at most once."""
-    return next(_innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))), None)
-
-
-def smooth_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
-    """Delete the bigon's two letters.  The closure stays a knot and the
-    (above, below) counts each drop by one."""
-    if bigon not in _innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))):
-        raise ValueError(f"{bigon} is not an innermost bigon of this word")
-    letters, i, j = word.letters, bigon.i, bigon.j
-    return BraidWord(word.strands, letters[:i] + letters[i + 1 : j] + letters[j + 1 :])
-
-
 # ---------------------------------------------------------------------------
 # strand removal
-
-def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCertificate]:
-    """Resolve the crossing between the first ascending traversal strand
-    and its predecessor, then delete the closed strand this creates.
-
-    Requires a positive bigon-free word with knot closure on at least
-    two strands.  The resulting word has one strand fewer, and its
-    (above, below) counts are (a - m - 1, b - m).
-    """
-    if not word.is_positive():
-        raise ValueError("word is not positive")
-    if word.strands < 2:
-        raise ValueError("nothing to remove from a one-strand word")
-    pairs, perm = _sweep(word)
-    crossing_of: dict[tuple[int, int], int] = {}
-    if next(_innermost_bigons(pairs, crossing_of), None) is not None:
-        raise ValueError("word has a bigon; smooth it first")
-    letters, cert = _remove_strand(word.letters, perm, crossing_of)
-    return BraidWord(word.strands - 1, letters), cert
-
 
 def _remove_strand(
     letters: Sequence[tuple[int, int]], perm: dict[int, int], crossing_of: dict[tuple[int, int], int]

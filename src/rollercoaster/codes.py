@@ -224,30 +224,16 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
     ]))
 
 
-def rotate(code: GaussCode, shift: int) -> GaussCode:
-    """Move the basepoint so traversal starts at passage ``shift``."""
-    k = shift % len(code.passages) if code.passages else 0
-    return GaussCode(code.passages[k:] + code.passages[:k])
-
-
-def reverse(code: GaussCode) -> GaussCode:
-    """Traverse in the opposite direction; roles are unchanged."""
-    return GaussCode(code.passages[::-1])
-
-
 def mirror(code: GaussCode) -> GaussCode:
     """Flip over/under at every crossing."""
     flipped = tuple((i, UNDER if r == OVER else OVER) for i, r in code.passages)
     return GaussCode(flipped)
 
 
-def dt_mirror(code: DTCode) -> DTCode:
-    return DTCode(tuple(-e for e in code.entries))
-
-
 def _readings(n: int):
-    """The (s, t) of every relabelling of 2c = n passage positions, in the
-    order ``dt_relabellings`` lists them."""
+    """The (s, t) of every relabelling of 2c = n passage positions: for
+    k in 0..n-1, the diagram read forward from passage k (s = 1, t = -k),
+    then read backward from passage k - 1 (s = -1, t = k - 1)."""
     for k in range(n):
         yield 1, -k
         yield -1, k - 1
@@ -263,27 +249,10 @@ def _relabelled(partner, s: int, t: int):
         yield p, (s * partner[p] + t) % n + 1
 
 
-def dt_relabellings(entries: tuple[int, ...]):
-    """Entries of the DT codes of one diagram read from each of its 2c
-    basepoints in both directions.
-
-    Passage positions are labels minus one, 0..2c-1, and the code pairs
-    them up.  A relabelling moves old position p to (s*p + t) mod 2c: for
-    k in 0..2c-1 it yields the code of ``rotate(g, k)`` (s = 1, t = -k)
-    and then that of ``reverse(rotate(g, k))`` (s = -1, t = k - 1), where
-    g is the Gauss sequence of ``entries``.  The new entry at each even
-    position is the new partner position plus one, positive when the
-    passage at that position runs over.
-    """
-    partner, over = _dt_chords(entries)
-    for s, t in _readings(len(partner)):
-        yield tuple([label if over[p] else -label for p, label in _relabelled(partner, s, t)])
-
-
 def _least_reading(partner) -> bool:
     """Whether the unsigned DT code read from position 0 forward, entry i
-    being ``partner[2i] + 1``, is the least of the unsigned codes of
-    ``dt_relabellings``.  Each comparison stops at the first entry that
+    being ``partner[2i] + 1``, is the least of the unsigned codes of all
+    the ``_readings``.  Each comparison stops at the first entry that
     differs, so most relabellings are read one or two entries deep."""
     code = [partner[q] + 1 for q in range(0, len(partner), 2)]
     for s, t in _readings(len(partner)):
@@ -293,14 +262,6 @@ def _least_reading(partner) -> bool:
                     return False
                 break
     return True
-
-
-def canonical_dt(code) -> DTCode:
-    """Lexicographically least DT code over all 2c rotations and both
-    traversal directions.  Used for deduplication."""
-    if isinstance(code, GaussCode):
-        code = gauss_to_dt(code)
-    return DTCode(min(dt_relabellings(code.entries), default=()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,15 @@ the reduction oracle recounts the closure and rescans the word from
 its first letter at every step instead of taking the counts from
 (c, n) and resuming one scan, and the nugatory oracle counts the ids
 between each crossing's passages instead of reading interlacement masks.
+
+Beside them live the checked, whole-object forms of private engine
+cores, which the package itself no longer needs: ``rotate``,
+``reverse``, ``dt_relabellings`` and ``canonical_dt`` build every
+relabelling in full from ``codes._readings`` where the search stops at
+the first differing entry, and ``find_innermost_bigon``,
+``smooth_bigon`` and ``remove_first_ascending_strand`` validate and
+rebuild a ``BraidWord`` at each step over the scanner and strand removal
+that ``reduce_to_base`` resumes.
 """
 
 from itertools import permutations, product
@@ -28,24 +37,22 @@ from rollercoaster import (
     Basepoint,
     Bigon,
     BracketCapExceeded,
+    BraidWord,
     DTCode,
     FramingError,
+    GaussCode,
     Laurent,
+    RemovalCertificate,
     WarpResult,
     ab_counts,
     closure_gauss,
     dt_to_gauss,
-    find_innermost_bigon,
     gauss_to_dt,
     is_reduced,
-    remove_first_ascending_strand,
-    reverse,
-    rotate,
-    smooth_bigon,
     warp_from,
 )
-from rollercoaster.braid import ReductionStep
-from rollercoaster.codes import dt_relabellings
+from rollercoaster.braid import ReductionStep, _innermost_bigons, _remove_strand, _strand_pairs, _sweep
+from rollercoaster.codes import _dt_chords, _readings, _relabelled
 from rollercoaster.embed import (
     Crossing,
     NotRealizable,
@@ -256,6 +263,42 @@ def _face_count(gauss, occurrences, mask) -> int:
     return faces
 
 
+def rotate(code: GaussCode, shift: int) -> GaussCode:
+    """Move the basepoint so traversal starts at passage ``shift``."""
+    k = shift % len(code.passages) if code.passages else 0
+    return GaussCode(code.passages[k:] + code.passages[:k])
+
+
+def reverse(code: GaussCode) -> GaussCode:
+    """Traverse in the opposite direction; roles are unchanged."""
+    return GaussCode(code.passages[::-1])
+
+
+def dt_relabellings(entries: tuple[int, ...]):
+    """Entries of the DT codes of one diagram read from each of its 2c
+    basepoints in both directions.
+
+    Passage positions are labels minus one, 0..2c-1, and the code pairs
+    them up.  A relabelling moves old position p to (s*p + t) mod 2c: for
+    k in 0..2c-1 it yields the code of ``rotate(g, k)`` (s = 1, t = -k)
+    and then that of ``reverse(rotate(g, k))`` (s = -1, t = k - 1), where
+    g is the Gauss sequence of ``entries``.  The new entry at each even
+    position is the new partner position plus one, positive when the
+    passage at that position runs over.
+    """
+    partner, over = _dt_chords(entries)
+    for s, t in _readings(len(partner)):
+        yield tuple([label if over[p] else -label for p, label in _relabelled(partner, s, t)])
+
+
+def canonical_dt(code) -> DTCode:
+    """Lexicographically least DT code over all 2c rotations and both
+    traversal directions.  Used for deduplication."""
+    if isinstance(code, GaussCode):
+        code = gauss_to_dt(code)
+    return DTCode(min(dt_relabellings(code.entries), default=()))
+
+
 def gauss_variants(gauss):
     """DT entries from every basepoint: for k = 0..2c-1, those of
     ``rotate(gauss, k)`` then of its reversal, None where the labelling
@@ -357,6 +400,41 @@ def innermost_bigons_pairwise(word):
     candidates = [Bigon(i, j, pair) for pair, ks in slots.items() for i, j in zip(ks, ks[1:])]
     innermost = [b for b in candidates if not any(b.i < o.i and o.j < b.j for o in candidates)]
     return sorted(innermost, key=lambda b: b.i)
+
+
+def find_innermost_bigon(word: BraidWord) -> Bigon | None:
+    """Leftmost innermost bigon, or None when every pair of strands
+    crosses at most once."""
+    return next(_innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))), None)
+
+
+def smooth_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
+    """Delete the bigon's two letters.  The closure stays a knot and the
+    (above, below) counts each drop by one."""
+    if bigon not in _innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))):
+        raise ValueError(f"{bigon} is not an innermost bigon of this word")
+    letters, i, j = word.letters, bigon.i, bigon.j
+    return BraidWord(word.strands, letters[:i] + letters[i + 1 : j] + letters[j + 1 :])
+
+
+def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCertificate]:
+    """Resolve the crossing between the first ascending traversal strand
+    and its predecessor, then delete the closed strand this creates.
+
+    Requires a positive bigon-free word with knot closure on at least
+    two strands.  The resulting word has one strand fewer, and its
+    (above, below) counts are (a - m - 1, b - m).
+    """
+    if not word.is_positive():
+        raise ValueError("word is not positive")
+    if word.strands < 2:
+        raise ValueError("nothing to remove from a one-strand word")
+    pairs, perm = _sweep(word)
+    crossing_of: dict[tuple[int, int], int] = {}
+    if next(_innermost_bigons(pairs, crossing_of), None) is not None:
+        raise ValueError("word has a bigon; smooth it first")
+    letters, cert = _remove_strand(word.letters, perm, crossing_of)
+    return BraidWord(word.strands - 1, letters), cert
 
 
 def reduce_by_resweep(word):

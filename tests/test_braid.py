@@ -9,20 +9,25 @@ from rollercoaster import (
     closure_components,
     closure_gauss,
     dt_to_gauss,
-    find_innermost_bigon,
     gauss_to_dt,
     min_warp,
     parse_braid,
     positive_unknotting,
     random_positive_braid_knot,
     reduce_to_base,
+)
+from rollercoaster import braid, codes, warp
+from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _innermost_bigons, _strand_pairs, _sweep, permutation
+
+from oracles import (
+    ab_counts_by_warp,
+    closure_walk_by_rounds,
+    find_innermost_bigon,
+    innermost_bigons_pairwise,
+    reduce_by_resweep,
     remove_first_ascending_strand,
     smooth_bigon,
 )
-from rollercoaster import braid, codes, warp
-from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _innermost_bigons, _sweep, permutation
-
-from oracles import ab_counts_by_warp, closure_walk_by_rounds, innermost_bigons_pairwise, reduce_by_resweep
 
 
 def test_parse_braid_plain_and_generator_syntax():
@@ -92,15 +97,20 @@ def test_find_innermost_bigon_prefers_nested_pairs():
     assert find_innermost_bigon(parse_braid("2 1")) is None
 
 
-def test_find_innermost_bigon_stops_at_the_first(monkeypatch):
+def first_innermost_bigon(word):
+    """The first bigon of the scan ``reduce_to_base`` resumes."""
+    return next(_innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))))
+
+
+def test_innermost_bigon_scan_stops_at_the_first(monkeypatch):
     built = []
     real_bigon = braid.Bigon
     monkeypatch.setattr(braid, "Bigon", lambda *args: built.append(args) or real_bigon(*args))
-    assert find_innermost_bigon(parse_braid("s1^200")) == real_bigon(0, 1, (1, 2))
+    assert first_innermost_bigon(parse_braid("s1^200")) == real_bigon(0, 1, (1, 2))
     assert len(built) == 1
 
 
-def test_find_innermost_bigon_builds_pairs_only_up_to_the_bigon():
+def test_innermost_bigon_scan_builds_pairs_only_up_to_the_bigon():
     read = []
 
     class CountedLetters(tuple):
@@ -111,7 +121,7 @@ def test_find_innermost_bigon_builds_pairs_only_up_to_the_bigon():
 
     word = parse_braid("s1^200")
     object.__setattr__(word, "letters", CountedLetters(word.letters))
-    assert find_innermost_bigon(word) == braid.Bigon(0, 1, (1, 2))
+    assert first_innermost_bigon(word) == braid.Bigon(0, 1, (1, 2))
     # one strand pair is built per letter read
     assert len(read) <= 2
 

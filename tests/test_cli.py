@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -345,3 +348,13 @@ def test_stdin_dt(capsys, monkeypatch):
     code, out, _ = run(capsys, "warp", "--dt", "-")
     assert code == 0
     assert out.splitlines()[0] == "min_warp: 1"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "rollercoaster", "braid", "--word", "1 1 1", "counts"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "(2, 1)\n")

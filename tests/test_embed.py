@@ -15,7 +15,6 @@ from rollercoaster import (
     extract_dt,
     extract_gauss,
     is_realizable,
-    canonical_dt,
     parse_braid,
     parse_dt,
     pd_from_braid,
@@ -27,7 +26,7 @@ from rollercoaster import (
 from rollercoaster import embed
 from rollercoaster.catalog import load_catalog
 
-from oracles import exhaustive_realizable, search_realize
+from oracles import canonical_dt, exhaustive_realizable, rotate, search_realize
 
 TREFOIL = DTCode((4, 6, 2))
 
@@ -64,7 +63,7 @@ def test_realize_is_chirality_blind():
     # a DT code leaves chirality open: the all-negative trefoil code also
     # reads off the positive trefoil from a shifted basepoint, and realize
     # settles the ambiguity by making crossing 1 positive
-    from rollercoaster import dt_to_gauss, gauss_to_dt, jones, rotate
+    from rollercoaster import dt_to_gauss, gauss_to_dt, jones
 
     shifted = gauss_to_dt(rotate(dt_to_gauss(TREFOIL), 1))
     assert shifted == DTCode((-4, -6, -2))

@@ -1,0 +1,66 @@
+import rollercoaster
+from rollercoaster import braid, codes
+
+PUBLIC = [
+    "AmbiguousMatch",
+    "Basepoint",
+    "Bigon",
+    "BracketCapExceeded",
+    "BraidWord",
+    "Crossing",
+    "DTCode",
+    "FramingError",
+    "GaussCode",
+    "Laurent",
+    "NotRealizable",
+    "PlanarDiagram",
+    "RemovalCertificate",
+    "WarpResult",
+    "ab_counts",
+    "apply_roller_coaster",
+    "closure_components",
+    "closure_gauss",
+    "dt_to_gauss",
+    "extract_dt",
+    "extract_gauss",
+    "gauss_to_dt",
+    "identify",
+    "is_realizable",
+    "is_reduced",
+    "jones",
+    "kauffman_bracket",
+    "load_jones_refs",
+    "match_jones",
+    "min_warp",
+    "mirror",
+    "parse_braid",
+    "parse_dt",
+    "parse_gauss",
+    "pd_from_braid",
+    "positive_unknotting",
+    "random_positive_braid_knot",
+    "realize",
+    "reduce_to_base",
+    "warp_from",
+    "warp_profile",
+    "writhe",
+]
+
+# the checked and brute-force helpers that live in tests/oracles.py (dt_mirror is gone)
+TEST_ONLY = [
+    "rotate",
+    "reverse",
+    "dt_mirror",
+    "canonical_dt",
+    "dt_relabellings",
+    "find_innermost_bigon",
+    "smooth_bigon",
+    "remove_first_ascending_strand",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(rollercoaster.__all__) == PUBLIC
+    assert all(hasattr(rollercoaster, name) for name in rollercoaster.__all__)
+    for module in (rollercoaster, codes, braid):
+        assert [name for name in TEST_ONLY if hasattr(module, name)] == [], module.__name__
