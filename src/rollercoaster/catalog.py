@@ -18,7 +18,7 @@ import csv
 import enum
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .codes import DTCode, dt_to_gauss, parse_dt
@@ -163,6 +163,9 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
             text = fh.read()
     entries = []
     reader = csv.DictReader(text.splitlines())
+    columns = [f.name for f in fields(CatalogEntry)]
+    if sorted(reader.fieldnames or ()) != sorted(columns):
+        raise CatalogError(f"header: expected {','.join(columns)}")
     for row in reader:
         lineno = reader.line_num  # the row's physical line: DictReader skips blank lines
         # DictReader fills missing fields with None and files extra ones under None

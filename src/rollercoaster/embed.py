@@ -13,10 +13,11 @@ strand crosses the first.  These choices are a 2-colouring of the
 interlacement graph of the code (crossings joined when their passages
 alternate along the traversal, with the pairing and the interlacement
 masks taken from ``codes``), read off in one polynomial pass that also
-decides planarity; one face count then confirms the c+2 faces of a
-sphere embedding.  Each component's lowest crossing takes the first
-choice (reflection is free) and the final embedding is reflected if
-needed so that crossing 1 is positive.
+decides planarity.  ``is_realizable`` and the enumeration in ``search``
+stop after this pass; ``realize`` goes on to one face count, which
+confirms the c+2 faces of a sphere embedding.  Each component's lowest
+crossing takes the first choice (reflection is free) and the final
+embedding is reflected if needed so that crossing 1 is positive.
 
 Sign convention: a crossing is positive when the under-strand's inbound
 slot immediately follows the over-strand's inbound slot counterclockwise.
@@ -111,12 +112,12 @@ def _reflect(rotations, overs, signs):
     return rotations, overs, signs
 
 
-def _orientation_bits(code: DTCode, partner) -> list[int]:
+def _orientation_bits(partner, masks) -> list[int] | None:
     """Per crossing, whether the second passage runs the other way round
-    the first one (the bit the rotations of realize swap on).
+    the first one (the bit realize's rotations swap on); None if not planar.
 
     Crossings u and v interlace when exactly one of v's passage times lies
-    strictly between u's; masks[u] holds the crossings interlaced with u,
+    strictly between u's; masks[2u] holds the crossings interlaced with u,
     crossing v as bit ``key[v]``, its first passage time.  By the
     Gauss-code criterion of Rosenstiehl (proved by de Fraysseix and
     Ossona de Mendez), the code is planar exactly when every
@@ -128,7 +129,7 @@ def _orientation_bits(code: DTCode, partner) -> list[int]:
     choice.
     """
     c = len(partner) // 2
-    masks = _interlacement(partner)[::2]
+    masks = masks[::2]
     key = [min(t, partner[t]) for t in range(0, 2 * c, 2)]
 
     bits: list[int | None] = [None] * c
@@ -145,14 +146,14 @@ def _orientation_bits(code: DTCode, partner) -> list[int]:
                 odd = (masks[u] & masks[v]).bit_count() & 1
                 if not masks[u] >> key[v] & 1:
                     if odd:
-                        raise NotRealizable(f"{code} admits no planar embedding")
+                        return None
                     continue
                 want = bits[u] ^ 1 ^ odd
                 if bits[v] is None:
                     bits[v] = want
                     stack.append(v)
                 elif bits[v] != want:
-                    raise NotRealizable(f"{code} admits no planar embedding")
+                    return None
     return bits
 
 
@@ -165,7 +166,9 @@ def realize(code: DTCode) -> PlanarDiagram:
     if c == 0:
         return PlanarDiagram(())
     partner, over = _dt_chords(code.entries)
-    bits = _orientation_bits(code, partner)
+    bits = _orientation_bits(partner, _interlacement(partner))
+    if bits is None:
+        raise NotRealizable(f"{code} admits no planar embedding")
     rotations = [_rotation(2 * i, partner[2 * i], bit, 2 * c) for i, bit in enumerate(bits)]
     if count_faces(rotations) != c + 2:
         raise AssertionError(f"interlacement colouring of {code} is not planar")
@@ -182,11 +185,9 @@ def realize(code: DTCode) -> PlanarDiagram:
 
 
 def is_realizable(code: DTCode) -> bool:
-    try:
-        realize(code)
-    except NotRealizable:
-        return False
-    return True
+    """Whether the code embeds in the sphere: realize's colouring alone."""
+    partner = _dt_chords(code.entries)[0]
+    return _orientation_bits(partner, _interlacement(partner)) is not None
 
 
 def extract_gauss(diagram: PlanarDiagram) -> GaussCode:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import DTCode, _dt_chords, _interlacement, _least_reading, dt_to_gauss
-from .embed import is_realizable
+from .embed import _orientation_bits
 from .warp import min_warp
 
 MAX_CROSSINGS = 10  # c = 10 takes seconds, and each extra crossing costs about 8-12x
@@ -61,10 +61,10 @@ def enumerate_alternating(c: int):
     def extend(i: int, allowed: list[list[int]]):
         if i == c:
             partner = _dt_chords(entries)[0]
-            if _least_reading(partner) and all(_interlacement(partner)):
-                code = DTCode(entries)
-                if is_realizable(code):
-                    yield code
+            masks = _interlacement(partner)
+            if all(masks) and _orientation_bits(partner, masks) is not None:
+                if _least_reading(partner):
+                    yield DTCode(entries)
             return
         for e in allowed[i]:
             if free[e]:

@@ -116,6 +116,30 @@ def test_load_rejects_row_whose_field_count_differs_from_header(tmp_path, edit):
         load_catalog(bad)
 
 
+def test_load_header_only_gives_no_entries(tmp_path):
+    only = tmp_path / "catalog.csv"
+    only.write_text(_read_catalog_lines()[0] + "\n")
+    assert load_catalog(only) == ()
+
+
+@pytest.mark.parametrize("header", [
+    "name,alternating",
+    "rc_crossing,dt,property,lower_bound,ascending,unknotting,alternating,name,name",
+])
+def test_load_rejects_a_header_without_exactly_the_eight_columns(tmp_path, header):
+    bad = tmp_path / "catalog.csv"
+    bad.write_text(header + "\n")
+    with pytest.raises(CatalogError, match="^header: expected name,alternating,"):
+        load_catalog(bad)
+
+
+def test_load_accepts_the_columns_in_any_order(tmp_path):
+    lines = [row.split(",", 1) for row in _read_catalog_lines()[:2]]
+    swapped = tmp_path / "catalog.csv"
+    swapped.write_text("\n".join(f"{rest},{first}" for first, rest in lines))
+    assert load_catalog(swapped) == load_catalog()[:1]
+
+
 def test_load_names_the_physical_line_after_a_blank_line(tmp_path):
     lines = _read_catalog_lines()
     lines[2] = lines[2].replace("4_1,Y,1,1", "4_1,Y,1,2")

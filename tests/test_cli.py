@@ -190,6 +190,32 @@ def test_verify_catalog_short_row_exits_1_with_row_message(capsys, tmp_path):
     assert err == "catalog verification failed: row 3: expected 8 fields as in the header\n"
 
 
+_HEADER_MESSAGE = (
+    "catalog verification failed: header: expected "
+    "name,alternating,unknotting,ascending,lower_bound,property,dt,rc_crossing\n"
+)
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+def test_verify_catalog_misnamed_header_exits_1(capsys, tmp_path, rows):
+    from importlib import resources
+
+    lines = resources.files("rollercoaster.data").joinpath("catalog.csv").read_text().splitlines()
+    lines[0] = lines[0].replace("rc_crossing", "rc_crossings")
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines[: rows + 1]) + "\n")
+    code, out, err = run(capsys, "verify-catalog", "--catalog", str(bad))
+    assert (code, out, err) == (1, "", _HEADER_MESSAGE)
+
+
+@pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "blank-line"])
+def test_verify_catalog_without_header_exits_1(capsys, tmp_path, text):
+    bad = tmp_path / "catalog.csv"
+    bad.write_text(text)
+    code, out, err = run(capsys, "verify-catalog", "--catalog", str(bad))
+    assert (code, out, err) == (1, "", _HEADER_MESSAGE)
+
+
 def test_verify_catalog_over_cap_witness_is_a_fail_row(capsys, tmp_path):
     from rollercoaster import extract_dt, parse_braid, pd_from_braid
     from rollercoaster.codes import format_dt

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from rollercoaster import DTCode, dt_to_gauss, is_reduced, min_warp
-from rollercoaster import codes, search
+from rollercoaster import codes, embed, search
 from rollercoaster.search import ConjectureRow, a_min_warp, conjecture_report, enumerate_alternating
 
 from oracles import enumerate_by_permutations, exhaustive_realizable, symmetry_orbits
@@ -121,16 +121,37 @@ def test_conjecture_report_rows():
 
 def test_enumeration_yields_before_testing_every_candidate(monkeypatch):
     calls = []
-    realizable = search.is_realizable
+    least_reading = search._least_reading
 
-    def counting(code):
-        calls.append(code)
-        return realizable(code)
+    def counting(partner):
+        calls.append(partner)
+        return least_reading(partner)
 
-    monkeypatch.setattr(search, "is_realizable", counting)
+    monkeypatch.setattr(search, "_least_reading", counting)
     stream = enumerate_alternating(6)
     first = next(stream)
     tested_at_first = len(calls)
     rest = list(stream)
     assert tested_at_first < len(calls)
     assert [first.entries] + [c.entries for c in rest] == sorted(c.entries for c in [first] + rest)
+
+
+def test_enumeration_builds_a_code_only_for_each_class(monkeypatch):
+    built = []
+    post_init = DTCode.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DTCode, "__post_init__", counting)
+    classes = list(enumerate_alternating(8))
+    assert len(built) == len(classes) == 34
+
+
+def test_enumeration_decides_planarity_without_realizing(monkeypatch):
+    def refuse(code):
+        raise AssertionError(f"enumeration realized {code}")
+
+    monkeypatch.setattr(embed, "realize", refuse)
+    assert len(list(enumerate_alternating(8))) == 34
