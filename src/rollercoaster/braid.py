@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -129,25 +129,15 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 # ---------------------------------------------------------------------------
 # closure combinatorics
 
-def _strand_pairs(
-    letters: Sequence[tuple[int, int]], occupant: list[int], start: int = 0
-) -> Iterator[tuple[int, int]]:
-    """For each letter from ``start`` on, built only when the scan
-    reaches it, the two strands crossing there (upper first), with
-    strands named by their left-edge position.  ``occupant`` holds the
-    strand at each position, top first, just before letter ``start``; it
-    is updated in place as the scan goes."""
-    for idx, _ in islice(letters, start, None):
-        upper, lower = occupant[idx - 1], occupant[idx]
-        occupant[idx - 1], occupant[idx] = lower, upper
-        yield upper, lower
-
-
 def _sweep(word: BraidWord) -> tuple[list[tuple[int, int]], dict[int, int]]:
     """For each letter, the two strands crossing there (upper first), and
     the permutation, with strands named by their left-edge position."""
     occupant = list(range(1, word.strands + 1))
-    pairs = list(_strand_pairs(word.letters, occupant))
+    pairs = []
+    for idx, _ in word.letters:
+        upper, lower = occupant[idx - 1], occupant[idx]
+        occupant[idx - 1], occupant[idx] = lower, upper
+        pairs.append((upper, lower))
     return pairs, _right_edge(occupant)
 
 
@@ -162,7 +152,10 @@ def permutation(word: BraidWord) -> dict[int, int]:
 
 
 def closure_components(word: BraidWord) -> int:
-    perm = permutation(word)
+    return _cycles(permutation(word))
+
+
+def _cycles(perm: dict[int, int]) -> int:
     seen: set[int] = set()
     cycles = 0
     for start in perm:
@@ -178,24 +171,38 @@ def closure_components(word: BraidWord) -> int:
 
 def _knot_order(perm: dict[int, int]) -> list[int]:
     """Strands in the order the closure traversal from position 1 meets
-    them; raises when the traversal closes before meeting them all."""
+    them, up to its return to position 1."""
     order = [1]
     while perm[order[-1]] != 1:
         order.append(perm[order[-1]])
-    if len(order) != len(perm):
-        raise ValueError("closure is a link, not a knot")
     return order
+
+
+def _knot_sweep(word: BraidWord) -> tuple[list[tuple[int, int]], list[int]]:
+    """The per-letter strand pairs of a word whose closure is a knot, and
+    its strand order.  Raises ValueError naming the components otherwise.
+
+    Each letter changes the number of permutation cycles by one, so n
+    strands and c letters close into at least n - c components; that
+    bound is checked before any per-strand work."""
+    if word.strands > len(word.letters) + 1:
+        raise ValueError(f"closure has at least {word.strands - len(word.letters)} components")
+    pairs, perm = _sweep(word)
+    order = _knot_order(perm)
+    if len(order) != word.strands:
+        raise ValueError(f"closure has {_cycles(perm)} components")
+    return pairs, order
 
 
 def _closure_walk(word: BraidWord) -> list[tuple[int, bool]]:
     """Passages of the closure traversal from the top-left corner, as
     (1-based letter position, entered-at-upper-position) pairs."""
-    pairs, perm = _sweep(word)
-    visits: dict[int, list[tuple[int, bool]]] = {start: [] for start in perm}
+    pairs, order = _knot_sweep(word)
+    visits: dict[int, list[tuple[int, bool]]] = {start: [] for start in order}
     for slot, (upper, lower) in enumerate(pairs, start=1):
         visits[upper].append((slot, True))
         visits[lower].append((slot, False))
-    return [passage for start in _knot_order(perm) for passage in visits[start]]
+    return [passage for start in order for passage in visits[start]]
 
 
 def _runs_over(word: BraidWord, slot: int, upper: bool) -> bool:
@@ -222,10 +229,9 @@ def ab_counts(word: BraidWord) -> tuple[int, int]:
 def positive_unknotting(word: BraidWord) -> int:
     """(C - n + 1) / 2: the unknotting number, genus, and ascending
     number of the closure of a positive braid word."""
+    _knot_sweep(word)
     if not word.is_positive():
         raise ValueError("word is not positive")
-    if closure_components(word) != 1:
-        raise ValueError("closure is a link, not a knot")
     c, n = len(word.letters), word.strands
     if (c - n + 1) % 2:
         raise AssertionError("a knot closure has letters and strands of opposite parity")
@@ -235,28 +241,27 @@ def positive_unknotting(word: BraidWord) -> int:
 # ---------------------------------------------------------------------------
 # bigons
 
-def _innermost_bigons(
-    pairs: Iterable[tuple[int, int]], last: dict[tuple[int, int], int] | None = None, start: int = 0
-) -> Iterator[Bigon]:
-    """Innermost bigons from the per-letter strand pairs, yielded left to right.
+def _first_bigon(
+    letters: Sequence[tuple[int, int]], occupant: list[int], last: dict[tuple[int, int], int], start: int
+) -> Bigon | None:
+    """The first innermost bigon whose right end is at or after letter
+    ``start``, or None when no strand pair crosses twice.
 
-    Each bigon joins a letter to the previous letter with the same two
-    strands.  Scanning right ends in order, a bigon is innermost exactly
-    when its left end lies right of every left end seen so far.
-
-    ``pairs`` starts at letter ``start``; ``last`` maps each strand pair
-    (smaller first) of the letters before it to its letter, all distinct,
-    and is updated in place as the scan goes."""
-    if last is None:
-        last = {}
-    deepest = -1
-    for j, pair in enumerate(pairs, start):
-        key = (min(pair), max(pair))
-        i = last.get(key, -1)
+    ``occupant`` holds the strand at each position, top first, just
+    before letter ``start``; ``last`` maps the strand pair (smaller
+    first) of each earlier letter to that letter, all pairs distinct.
+    The scan updates both in place up to the bigon's right end, which it
+    leaves out of ``last``.  While every pair seen so far is distinct,
+    the first repeated pair joins two letters with no bigon between
+    them, so that bigon is innermost."""
+    for j, (idx, _) in enumerate(islice(letters, start, None), start):
+        upper, lower = occupant[idx - 1], occupant[idx]
+        occupant[idx - 1], occupant[idx] = lower, upper
+        key = (min(upper, lower), max(upper, lower))
+        if key in last:
+            return Bigon(last[key], j, key)
         last[key] = j
-        if i > deepest:
-            deepest = i
-            yield Bigon(i, j, key)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +325,10 @@ class ReductionStep:
 def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
     """Smooth bigons and remove ascending strands until n-1 letters
     remain.  At that point b = 0 and a = n - 1.  Raises ValueError,
-    before any step, on a word that is not positive or closes to a link."""
+    before any step, on a word that closes to a link or is not positive."""
+    _knot_sweep(word)
     if not word.is_positive():
         raise ValueError("word is not positive")
-    _knot_order(permutation(word))
     c, n = len(word.letters), word.strands
     a, b = (c + n - 1) // 2, (c - n + 1) // 2
     steps = []
@@ -332,11 +337,11 @@ def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
     while len(letters) > n - 1:
         # letters before k cross distinct strand pairs, recorded in `last`,
         # and `occupant` holds the strands just before letter k
-        bigon = next(_innermost_bigons(_strand_pairs(letters, occupant, k), last, k), None)
+        bigon = _first_bigon(letters, occupant, last, k)
         if bigon is not None:
             i, j = bigon.i, bigon.j
-            # rewind the scan to just before letter i: letter j's pair is
-            # letter i's, so it leaves `last` once, when letter j is undone
+            # rewind the scan to just before letter i: letter j, left out of
+            # `last`, shares letter i's pair, whose entry goes with letter j
             for slot in range(j, i - 1, -1):
                 idx = letters[slot][0]
                 lower, upper = occupant[idx - 1], occupant[idx]

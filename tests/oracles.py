@@ -18,8 +18,10 @@ the closure-walk oracle follows position 1 through the whole word once
 per strand, the bigon oracle compares every pair of candidate bigons,
 the reduction oracle recounts the closure and rescans the word from
 its first letter at every step instead of taking the counts from
-(c, n) and resuming one scan, and the nugatory oracle counts the ids
-between each crossing's passages instead of reading interlacement masks.
+(c, n) and resuming one scan, the strand-removal oracle follows each
+strand through the whole word to find the first ascending one and the
+crossing to resolve, and the nugatory oracle counts the ids between
+each crossing's passages instead of reading interlacement masks.
 
 Beside them live the checked, whole-object forms of private engine
 cores, which the package itself no longer needs: ``rotate``,
@@ -27,8 +29,8 @@ cores, which the package itself no longer needs: ``rotate``,
 relabelling in full from ``codes._readings`` where the search stops at
 the first differing entry, and ``find_innermost_bigon``,
 ``smooth_bigon`` and ``remove_first_ascending_strand`` validate and
-rebuild a ``BraidWord`` at each step over the scanner and strand removal
-that ``reduce_to_base`` resumes.
+rebuild a ``BraidWord`` at each step over the pairwise bigon oracle and
+their own strand walks.
 """
 
 from itertools import permutations, product
@@ -51,7 +53,7 @@ from rollercoaster import (
     is_reduced,
     warp_from,
 )
-from rollercoaster.braid import ReductionStep, _innermost_bigons, _remove_strand, _strand_pairs, _sweep
+from rollercoaster.braid import ReductionStep
 from rollercoaster.codes import _dt_chords, _readings, _relabelled
 from rollercoaster.embed import (
     Crossing,
@@ -366,7 +368,7 @@ def ab_counts_by_warp(word):
     the closure's Gauss code from edge 0."""
     if not word.letters:
         if word.strands != 1:
-            raise ValueError("closure is a link, not a knot")
+            raise ValueError(f"closure has at least {word.strands} components")
         return (0, 0)
     code, _ = closure_gauss(word)
     result = warp_from(code, Basepoint(0))
@@ -405,16 +407,28 @@ def innermost_bigons_pairwise(word):
 def find_innermost_bigon(word: BraidWord) -> Bigon | None:
     """Leftmost innermost bigon, or None when every pair of strands
     crosses at most once."""
-    return next(_innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))), None)
+    bigons = innermost_bigons_pairwise(word)
+    return bigons[0] if bigons else None
 
 
 def smooth_bigon(word: BraidWord, bigon: Bigon) -> BraidWord:
     """Delete the bigon's two letters.  The closure stays a knot and the
     (above, below) counts each drop by one."""
-    if bigon not in _innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))):
+    if bigon not in innermost_bigons_pairwise(word):
         raise ValueError(f"{bigon} is not an innermost bigon of this word")
     letters, i, j = word.letters, bigon.i, bigon.j
     return BraidWord(word.strands, letters[:i] + letters[i + 1 : j] + letters[j + 1 :])
+
+
+def _follow(letters, pos, skip=None):
+    """Heights of the strand entering at ``pos`` before each letter, and
+    its height at the right edge; at letter ``skip`` it goes straight on."""
+    heights = []
+    for slot, (idx, _) in enumerate(letters):
+        heights.append(pos)
+        if slot != skip and pos in (idx, idx + 1):
+            pos = 2 * idx + 1 - pos
+    return heights, pos
 
 
 def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCertificate]:
@@ -429,12 +443,32 @@ def remove_first_ascending_strand(word: BraidWord) -> tuple[BraidWord, RemovalCe
         raise ValueError("word is not positive")
     if word.strands < 2:
         raise ValueError("nothing to remove from a one-strand word")
-    pairs, perm = _sweep(word)
-    crossing_of: dict[tuple[int, int], int] = {}
-    if next(_innermost_bigons(pairs, crossing_of), None) is not None:
+    if innermost_bigons_pairwise(word):
         raise ValueError("word has a bigon; smooth it first")
-    letters, cert = _remove_strand(word.letters, perm, crossing_of)
-    return BraidWord(word.strands - 1, letters), cert
+    letters = word.letters
+    paths = {start: _follow(letters, start) for start in range(1, word.strands + 1)}
+    order = [1]
+    while paths[order[-1]][1] != 1:
+        order.append(paths[order[-1]][1])
+    if len(order) != word.strands:
+        raise ValueError("closure is a link, not a knot")
+    prev, cur = next((p, q) for p, q in zip(order, order[1:]) if paths[q][1] < q)
+    # the one letter where the two strands swap heights
+    resolved = next(
+        slot for slot, (idx, _) in enumerate(letters)
+        if {paths[prev][0][slot], paths[cur][0][slot]} == {idx, idx + 1}
+    )
+    heights, end = _follow(letters, cur, skip=resolved)
+    dropped = {slot for slot, (idx, _) in enumerate(letters) if heights[slot] in (idx, idx + 1)}
+    if end != cur or len(dropped) % 2 == 0:
+        raise AssertionError("the removed strand must close at its own height after 2m crossings")
+    kept = tuple(
+        (idx - 1 if idx > heights[slot] else idx, sign)
+        for slot, (idx, sign) in enumerate(letters)
+        if slot not in dropped
+    )
+    cert = RemovalCertificate(crossing=resolved, strand=cur, m=len(dropped) // 2)
+    return BraidWord(word.strands - 1, kept), cert
 
 
 def reduce_by_resweep(word):

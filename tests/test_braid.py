@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,12 +13,13 @@ from rollercoaster import (
     gauss_to_dt,
     min_warp,
     parse_braid,
+    pd_from_braid,
     positive_unknotting,
     random_positive_braid_knot,
     reduce_to_base,
 )
 from rollercoaster import braid, codes, warp
-from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _innermost_bigons, _strand_pairs, _sweep, permutation
+from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _first_bigon, permutation
 
 from oracles import (
     ab_counts_by_warp,
@@ -99,7 +101,7 @@ def test_find_innermost_bigon_prefers_nested_pairs():
 
 def first_innermost_bigon(word):
     """The first bigon of the scan ``reduce_to_base`` resumes."""
-    return next(_innermost_bigons(_strand_pairs(word.letters, list(range(1, word.strands + 1)))))
+    return _first_bigon(word.letters, list(range(1, word.strands + 1)), {}, 0)
 
 
 def test_innermost_bigon_scan_stops_at_the_first(monkeypatch):
@@ -170,7 +172,7 @@ def test_reduce_to_base_rejects_a_link_before_any_step(monkeypatch):
     built = []
     real_step = braid.ReductionStep
     monkeypatch.setattr(braid, "ReductionStep", lambda *args: built.append(args) or real_step(*args))
-    with pytest.raises(ValueError, match="closure is a link, not a knot"):
+    with pytest.raises(ValueError, match="^closure has 2 components$"):
         reduce_to_base(parse_braid("1 1"))
     assert built == []
     # the counter is live: a knot word builds its steps through it
@@ -249,8 +251,7 @@ def test_closure_walk_matches_oracle(word):
 @settings(max_examples=200)
 def test_innermost_bigons_match_oracle(word):
     expected = innermost_bigons_pairwise(word)
-    assert list(_innermost_bigons(_sweep(word)[0])) == expected
-    assert find_innermost_bigon(word) == (expected[0] if expected else None)
+    assert first_innermost_bigon(word) == (expected[0] if expected else None)
 
 
 @st.composite
@@ -275,6 +276,38 @@ def signed_link_words(draw):
 @settings(max_examples=200)
 def test_ab_counts_matches_warp_oracle_on_signed_knot_words(word):
     assert ab_counts(word) == ab_counts_by_warp(word)
+
+
+# every entry point that needs a knot closure goes through the one gate
+KNOT_ENTRY_POINTS = (ab_counts, closure_gauss, pd_from_braid, positive_unknotting, reduce_to_base)
+
+
+@pytest.mark.parametrize("function", KNOT_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_huge_strand_count_rejected_before_per_strand_work(function):
+    word = parse_braid("s1000000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^closure has at least 1000000 components$"):
+            function(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@given(signed_link_words())
+@settings(max_examples=100)
+def test_knot_entry_points_raise_one_message_on_link_words(word):
+    messages = set()
+    for function in KNOT_ENTRY_POINTS:
+        with pytest.raises(ValueError) as raised:
+            function(word)
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+    assert messages.pop() in {
+        f"closure has {closure_components(word)} components",
+        f"closure has at least {word.strands - len(word.letters)} components",
+    }
 
 
 @given(signed_link_words())

@@ -124,6 +124,18 @@ def test_braid_reduce_requires_positive(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify-catalog", "--json", "-"], ["enumerate", "--crossings", "3", "--csv", "-"]]
+)
+def test_dash_is_not_an_output_path(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: output path '-' is not supported: stdout carries the text output\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_catalog_shipped(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-catalog", "--json", str(out_path))
