@@ -98,7 +98,8 @@ _TOKEN = re.compile(r"^(?:(-?\d+)|s(\d+)(?:\^(-?\d+))?)$")
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Parse ``1 2 -1`` or ``s1 s2 s1^-1`` style words.
 
-    Strand count defaults to one more than the largest generator index.
+    Strand count defaults to one more than the largest generator index
+    named, zero powers included.
     Words that expand to more than MAX_BRAID_LETTERS letters are rejected
     before any power is expanded.
     """
@@ -122,7 +123,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     if length > MAX_BRAID_LETTERS:
         raise ValueError(f"braid word expands to {length} letters, over the limit of {MAX_BRAID_LETTERS}")
     letters = [(idx, 1 if power > 0 else -1) for idx, power in powers for _ in range(abs(power))]
-    n = strands if strands is not None else max((i for i, _ in letters), default=0) + 1
+    n = strands if strands is not None else max((i for i, _ in powers), default=0) + 1
     return BraidWord(n, tuple(letters))
 
 

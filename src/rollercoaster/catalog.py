@@ -19,11 +19,10 @@ import enum
 import json
 import re
 from dataclasses import dataclass, fields
-from importlib import resources
 
-from .codes import DTCode, dt_to_gauss, parse_dt
+from .codes import DTCode, _read_text, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
-from .invariants import AmbiguousMatch, BracketCapExceeded, identify, load_jones_refs
+from .invariants import AmbiguousMatch, BracketCapExceeded, identify
 from .warp import min_warp
 
 
@@ -150,19 +149,11 @@ def classify(entry: CatalogEntry) -> PropertyClass:
     return PropertyClass.UNKNOWN
 
 
-def _catalog_text() -> str:
-    return resources.files("rollercoaster.data").joinpath("catalog.csv").read_text()
-
-
 def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
-    """Parse the shipped table (or a file at ``path``) into validated entries."""
-    if path is None:
-        text = _catalog_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    """Parse the shipped table (or a file at ``path``, ``-`` for stdin)
+    into validated entries."""
     entries = []
-    reader = csv.DictReader(text.splitlines())
+    reader = csv.DictReader(_read_text(path, "catalog.csv").splitlines())
     columns = [f.name for f in fields(CatalogEntry)]
     if sorted(reader.fieldnames or ()) != sorted(columns):
         raise CatalogError(f"header: expected {','.join(columns)}")
@@ -248,19 +239,17 @@ class RowReport:
         )
 
 
-def verify_entry(entry: CatalogEntry, row: int = 0, refs=None) -> RowReport:
+def verify_entry(entry: CatalogEntry, row: int = 0, *, refs) -> RowReport:
     """Re-derive a row's claims from its DT witness.
 
     Three checks: the minimum warping degree over all basepoints equals the
     top of the ascending range; the witness size matches the finite branch
     of the rc-crossing column; and the witness's polynomial identifies the
-    named knot (mirror images share a name).  A witness that cannot be
-    embedded, or has a bracket frontier wider than 16 open edges, fails
-    the identification check instead of aborting the run.  An empty
+    named knot among ``refs`` (mirror images share a name).  A witness
+    that cannot be embedded, or has a bracket frontier wider than 16 open
+    edges, fails the identification check instead of aborting the run.  An empty
     witness is checked as a crossingless diagram of warping degree 0.
     """
-    if refs is None:
-        refs = load_jones_refs()
     # min_warp needs a basepoint, which a crossingless witness lacks
     degree = min_warp(dt_to_gauss(entry.dt)).degree if entry.dt.entries else 0
     size = len(entry.dt.entries)
@@ -290,9 +279,5 @@ def verify_entry(entry: CatalogEntry, row: int = 0, refs=None) -> RowReport:
     )
 
 
-def verify_catalog(entries=None, refs=None) -> list[RowReport]:
-    if entries is None:
-        entries = load_catalog()
-    if refs is None:
-        refs = load_jones_refs()
+def verify_catalog(entries, refs) -> list[RowReport]:
     return [verify_entry(entry, row=i, refs=refs) for i, entry in enumerate(entries, start=1)]

@@ -1,7 +1,8 @@
 """Command-line surface over the warp, braid, catalog, and search modules.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage or
-parse errors.  Every subcommand has a JSON mode with a stable schema.
+parse errors and on files that cannot be read or written.  Every
+subcommand has a JSON mode with a stable schema.
 """
 
 from __future__ import annotations
@@ -15,24 +16,10 @@ import sys
 
 from . import braid as braid_mod
 from .catalog import CatalogError, load_catalog, main_rows, summarize, verify_catalog
-from .codes import _strip_comment, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt, parse_gauss
+from .codes import _read_text, _strip_comment, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt, parse_gauss
 from .invariants import load_jones_refs
 from .search import _check_crossings, conjecture_report, enumerate_alternating
 from .warp import min_warp, warp_profile
-
-
-class CliError(Exception):
-    """Usage or parse failure; maps to exit code 2."""
-
-
-def _read_source(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read()
-    try:
-        with open(value, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _open_output(path: str | None, newline: str | None = None):
@@ -41,23 +28,16 @@ def _open_output(path: str | None, newline: str | None = None):
     if path is None:
         return contextlib.nullcontext()
     if path == "-":
-        raise CliError("output path '-' is not supported: stdout carries the text output")
-    try:
-        return open(path, "w", encoding="utf-8", newline=newline)
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError("output path '-' is not supported: stdout carries the text output")
+    return open(path, "w", encoding="utf-8", newline=newline)
 
 
 def cmd_warp(args) -> int:
-    try:
-        if args.dt is not None:
-            source = _read_source(args.dt) if args.dt == "-" else args.dt
-            gauss = dt_to_gauss(parse_dt(source))
-        else:
-            lines = _read_source(args.gauss).splitlines()
-            gauss = parse_gauss("\n".join(map(_strip_comment, lines)))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.dt is not None:
+        gauss = dt_to_gauss(parse_dt(_read_text(args.dt) if args.dt == "-" else args.dt))
+    else:
+        lines = _read_text(args.gauss).splitlines()
+        gauss = parse_gauss("\n".join(map(_strip_comment, lines)))
     if args.mirror:
         gauss = mirror(gauss)
     result = min_warp(gauss)
@@ -120,17 +100,14 @@ def cmd_braid(args) -> int:
 
 
 def cmd_verify_catalog(args) -> int:
+    if args.catalog == args.refs == "-":
+        raise ValueError("--catalog and --refs cannot both read stdin")
     try:
         entries = load_catalog(args.catalog)
     except CatalogError as exc:
         print(f"catalog verification failed: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        refs = load_jones_refs(args.refs)
-    except OSError as exc:
-        raise CliError(f"refs not found: {exc}") from exc
+    refs = load_jones_refs(args.refs)
     with _open_output(args.json) as out:
         reports = verify_catalog(entries, refs=refs)
         failures = [r for r in reports if not r.passed]
@@ -226,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_braid.set_defaults(func=cmd_braid)
 
     p_verify = sub.add_parser("verify-catalog", help="recheck every table row")
-    p_verify.add_argument("--catalog", help="CSV path; defaults to the packaged table")
-    p_verify.add_argument("--refs", help="reference polynomial path; defaults to packaged")
+    p_verify.add_argument("--catalog", help="CSV path, or - for stdin; defaults to the packaged table")
+    p_verify.add_argument("--refs", help="reference polynomial path, or -; defaults to packaged")
     p_verify.add_argument("--json", metavar="OUT", help="write the full report as JSON")
     p_verify.set_defaults(func=cmd_verify_catalog)
 
@@ -254,7 +231,7 @@ def main(argv=None) -> int:
             parser.error(f"argument --{name}: expected one argument")
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

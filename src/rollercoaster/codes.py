@@ -30,7 +30,9 @@ arrays; ``DTCode`` and ``GaussCode`` stay the validated public form.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
+from importlib import resources
 
 OVER = "O"
 UNDER = "U"
@@ -106,6 +108,17 @@ class Basepoint:
 def _strip_comment(line: str) -> str:
     """The part of a line before its first ``#``."""
     return line.split("#", 1)[0]
+
+
+def _read_text(path, packaged: str | None = None) -> str:
+    """The text of one input: stdin for ``-``, the file at ``path``, or
+    the packaged data file named ``packaged`` when ``path`` is None."""
+    if path is None:
+        return resources.files("rollercoaster.data").joinpath(packaged).read_text(encoding="utf-8")
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def parse_dt(text: str) -> DTCode:
@@ -240,13 +253,12 @@ def _readings(n: int):
 
 
 def _relabelled(partner, s: int, t: int):
-    """One relabelling, read lazily: for each new even position in order,
-    the old position p moved there and the new label of p's partner.  Old
-    position p moves to (s*p + t) mod 2c."""
+    """One relabelling, read lazily: for each new even position q in
+    order, the new label of the partner of the old position p moved
+    there.  Old position p moves to (s*p + t) mod 2c, so p = s*(q - t)."""
     n = len(partner)
     for q in range(0, n, 2):
-        p = s * (q - t) % n
-        yield p, (s * partner[p] + t) % n + 1
+        yield (s * partner[s * (q - t) % n] + t) % n + 1
 
 
 def _least_reading(partner) -> bool:
@@ -256,7 +268,7 @@ def _least_reading(partner) -> bool:
     differs, so most relabellings are read one or two entries deep."""
     code = [partner[q] + 1 for q in range(0, len(partner), 2)]
     for s, t in _readings(len(partner)):
-        for (_, label), entry in zip(_relabelled(partner, s, t), code):
+        for label, entry in zip(_relabelled(partner, s, t), code):
             if label != entry:
                 if label < entry:
                     return False

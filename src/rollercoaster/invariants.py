@@ -20,9 +20,8 @@ checked before any contraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 
-from .codes import _strip_comment
+from .codes import _read_text, _strip_comment
 from .embed import PlanarDiagram, writhe
 
 
@@ -270,12 +269,9 @@ def parse_jones_refs(lines) -> dict[str, Laurent]:
 
 
 def load_jones_refs(path=None) -> dict[str, Laurent]:
-    """Reference Jones polynomials; defaults to the packaged table."""
-    if path is None:
-        text = resources.files("rollercoaster.data").joinpath("jones_refs.dat").read_text()
-        return parse_jones_refs(text.splitlines())
-    with open(path, encoding="utf-8") as handle:
-        return parse_jones_refs(handle)
+    """Reference Jones polynomials from ``path`` (``-`` for stdin);
+    defaults to the packaged table."""
+    return parse_jones_refs(_read_text(path, "jones_refs.dat").splitlines())
 
 
 def match_jones(poly: Laurent, refs: dict[str, Laurent]) -> list[str]:

@@ -289,8 +289,10 @@ def dt_relabellings(entries: tuple[int, ...]):
     passage at that position runs over.
     """
     partner, over = _dt_chords(entries)
-    for s, t in _readings(len(partner)):
-        yield tuple([label if over[p] else -label for p, label in _relabelled(partner, s, t)])
+    n = len(partner)
+    for s, t in _readings(n):
+        moved = (s * (q - t) % n for q in range(0, n, 2))
+        yield tuple([label if over[p] else -label for p, label in zip(moved, _relabelled(partner, s, t))])
 
 
 def canonical_dt(code) -> DTCode:

@@ -39,6 +39,13 @@ def test_parse_braid_plain_and_generator_syntax():
     assert parse_braid("s1^-2", strands=2).letters == ((1, -1), (1, -1))
 
 
+def test_default_strand_count_counts_zero_powers():
+    assert parse_braid("s5^0") == BraidWord(6, ())
+    assert parse_braid("s1 s3^0") == BraidWord(4, ((1, 1),))
+    with pytest.raises(ValueError, match="^closure has at least 6 components$"):
+        ab_counts(parse_braid("s5^0"))
+
+
 def test_parse_braid_caps_expanded_length():
     assert len(parse_braid(f"s1^{MAX_BRAID_LETTERS}").letters) == MAX_BRAID_LETTERS
     for text in (f"s1^{MAX_BRAID_LETTERS + 1}", f"s1^-{MAX_BRAID_LETTERS} 1", "s1^999999999",

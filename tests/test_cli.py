@@ -58,6 +58,17 @@ def test_warp_mirror_flag(capsys):
     assert payload["profile_forward"] == [2, 1, 2, 1, 2, 1]
 
 
+def test_warp_all_basepoints_text(capsys):
+    code, out, _ = run(capsys, "warp", "--dt", "[4,6,2]", "--all-basepoints")
+    assert code == 0
+    assert out.splitlines() == [
+        "min_warp: 1",
+        "basepoint: edge 0 forward",
+        "profile forward: [1, 2, 1, 2, 1, 2]",
+        "profile backward: [2, 1, 2, 1, 2, 1]",
+    ]
+
+
 def test_warp_gauss_file(tmp_path, capsys):
     path = tmp_path / "knot.gauss"
     path.write_text("# trefoil\n1 -3 2 -1 3 -2\n")
@@ -97,6 +108,11 @@ def test_braid_huge_strand_count_rejected_at_once(capsys, argv, components):
     assert f"closure has at least {components} components" in err
 
 
+def test_braid_zero_power_still_names_its_strands(capsys):
+    assert run(capsys, "braid", "--word", "s5^0", "counts") == (
+        2, "", "error: closure has at least 6 components\n")
+
+
 def test_braid_huge_power_rejected_before_expansion(capsys):
     code, _, err = run(capsys, "braid", "--word", "s1^999999999", "counts")
     assert code == 2
@@ -116,6 +132,32 @@ def test_braid_reduce_prints_identities(capsys):
     assert lines[0].startswith("smooth")
     assert "(5, 3) -> (4, 2)" in lines[0]
     assert lines[-1] == "base case: counts (2, 0) on 3 strands"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--word", "1 2 1 2 1 2 1 2"], {
+        "steps": [
+            {"action": "smooth", "detail": "Bigon(i=0, j=3, strands=(1, 2))",
+             "counts_before": [5, 3], "counts_after": [4, 2], "word": "2 1 1 2 1 2"},
+            {"action": "smooth", "detail": "Bigon(i=1, j=2, strands=(1, 3))",
+             "counts_before": [4, 2], "counts_after": [3, 1], "word": "2 2 1 2"},
+            {"action": "smooth", "detail": "Bigon(i=0, j=1, strands=(2, 3))",
+             "counts_before": [3, 1], "counts_after": [2, 0], "word": "1 2"},
+        ],
+        "final": {"a": 2, "b": 0},
+    }),
+    (["--word", "2 1 3 2 1", "--strands", "4"], {
+        "steps": [
+            {"action": "remove", "detail": "RemovalCertificate(crossing=1, strand=3, m=1)",
+             "counts_before": [4, 1], "counts_after": [2, 0], "word": "2 1"},
+        ],
+        "final": {"a": 2, "b": 0},
+    }),
+])
+def test_braid_reduce_json_schema(capsys, argv, expected):
+    code, out, err = run(capsys, "braid", *argv, "--json", "reduce")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(expected) + "\n"
 
 
 def test_braid_reduce_requires_positive(capsys):
@@ -239,10 +281,35 @@ def test_verify_catalog_over_cap_witness_is_a_fail_row(capsys, tmp_path):
     assert identification == "over cap: frontier of 18 open edges exceeds the limit of 16"
 
 
+PACKAGED = Path(cli.__file__).resolve().parent / "data"
+BARE_REPORT = "verified 86 rows, 0 failures\nSRC=12 RC=32 Neither=34 Unknown=6\n"
+
+
+def test_verify_catalog_bare_report(capsys):
+    assert run(capsys, "verify-catalog") == (0, BARE_REPORT, "")
+
+
+def test_verify_catalog_packaged_files_by_path(capsys):
+    argv = ["--catalog", str(PACKAGED / "catalog.csv"), "--refs", str(PACKAGED / "jones_refs.dat")]
+    assert run(capsys, "verify-catalog", *argv) == (0, BARE_REPORT, "")
+
+
+@pytest.mark.parametrize("option, name", [("--catalog", "catalog.csv"), ("--refs", "jones_refs.dat")])
+def test_verify_catalog_reads_dash_from_stdin(capsys, monkeypatch, option, name):
+    monkeypatch.setattr("sys.stdin", io.StringIO((PACKAGED / name).read_text()))
+    assert run(capsys, "verify-catalog", option, "-") == (0, BARE_REPORT, "")
+
+
+def test_verify_catalog_one_stdin_cannot_feed_both(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_catalog", _no_work)
+    assert run(capsys, "verify-catalog", "--catalog", "-", "--refs", "-") == (
+        2, "", "error: --catalog and --refs cannot both read stdin\n")
+
+
 def test_verify_catalog_missing_refs(capsys):
-    code, _, err = run(capsys, "verify-catalog", "--refs", "/nonexistent/refs.dat")
-    assert code == 2
-    assert "refs not found" in err
+    code, out, err = run(capsys, "verify-catalog", "--refs", "/nonexistent/refs.dat")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: '/nonexistent/refs.dat'\n"
 
 
 def _no_work(*args, **kwargs):
@@ -294,6 +361,12 @@ def test_enumerate_with_csv(capsys, tmp_path):
     assert code == 0
     assert out.splitlines() == ["[4, 6, 2]", "1 diagrams at c=3"]
     assert out_csv.read_text().splitlines() == ["crossings,dt", '3,"[4, 6, 2]"']
+
+
+def test_enumerate_json(capsys):
+    code, out, _ = run(capsys, "enumerate", "--crossings", "5", "--json")
+    assert code == 0
+    assert out == '{"crossings": 5, "codes": [[4, 8, 10, 2, 6], [6, 8, 10, 2, 4]]}\n'
 
 
 def test_enumerate_bad_csv_path_fails_before_work(capsys, monkeypatch):
