@@ -224,19 +224,20 @@ class RowReport:
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks)
 
+    def to_dict(self) -> dict:
+        return {
+            "row": self.row,
+            "name": self.name,
+            "computed_min_warp": self.computed_min_warp,
+            "expected": self.expected,
+            "witness_crossings": self.witness_crossings,
+            "rc_crossing": self.rc_crossing,
+            "identification": self.identification,
+            "checks": [{"name": n, "pass": ok} for n, ok in self.checks],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "row": self.row,
-                "name": self.name,
-                "computed_min_warp": self.computed_min_warp,
-                "expected": self.expected,
-                "witness_crossings": self.witness_crossings,
-                "rc_crossing": self.rc_crossing,
-                "identification": self.identification,
-                "checks": [{"name": n, "pass": ok} for n, ok in self.checks],
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 def verify_entry(entry: CatalogEntry, row: int = 0, *, refs) -> RowReport:

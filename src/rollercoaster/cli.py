@@ -114,7 +114,7 @@ def cmd_verify_catalog(args) -> int:
         counts = summarize(main_rows(entries))
         if out is not None:
             payload = {
-                "rows": [json.loads(r.to_json()) for r in reports],
+                "rows": [r.to_dict() for r in reports],
                 "counts": dataclasses.asdict(counts),
                 "pass": not failures,
             }

@@ -165,37 +165,18 @@ def _crossing_order(crossings) -> tuple[list[int], int]:
     return order, width
 
 
-def _glue(partner: dict[int, int], u: int, v: int) -> int:
-    """Join edge ends u and v by an arc; return 1 if that closes a loop.
-
-    partner maps each open end to the other end of its strand.  An edge id
-    met for the first time becomes an open end; meeting it again extends
-    the strand through it.
-    """
-    a = partner.pop(u, u)
-    if a != u:
-        del partner[a]
-    b = partner.pop(v, v)
-    if b != v:
-        del partner[b]
-    if a == b:
-        return 1
-    partner[a] = b
-    partner[b] = a
-    return 0
-
-
 def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
     """Bracket by frontier contraction, one crossing at a time.
 
-    The state maps each boundary matching of the placed crossings (a
-    sorted tuple of pairs of open edge ids) to the summed weight
-    A^(a-b) * delta^(closed loops) of its partial smoothings.  Placing a
-    crossing glues its A-arcs (weight A) or its B-arcs (weight A^-1) into
-    every matching; the last crossing leaves only the empty matching and
-    counts one loop fewer, giving A^(a-b) * delta^(loops-1) per state.
-    The matchings grow with the frontier width, so an order opening more
-    than _MAX_FRONTIER edges at once is rejected before any contraction.
+    The state maps each boundary matching of the placed crossings (the
+    sorted items of its partner map, which sends each open edge id to the
+    other end of its strand) to the summed weight A^(a-b) * delta^(closed
+    loops) of its partial smoothings.  Placing a crossing glues its A-arcs
+    (weight A) or its B-arcs (weight A^-1) into every matching; the last
+    crossing leaves only the empty matching and counts one loop fewer,
+    giving A^(a-b) * delta^(loops-1) per state.  The matchings grow with
+    the frontier width, so an order opening more than _MAX_FRONTIER edges
+    at once is rejected before any contraction.
     """
     c = diagram.size
     order, width = _crossing_order(diagram.crossings)
@@ -216,13 +197,20 @@ def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
         contracted: dict[tuple, dict[int, int]] = {}
         for matching, poly in states.items():
             for sign, arcs in smoothings:
-                partner = {}
-                for a, b in matching:
-                    partner[a] = b
-                    partner[b] = a
-                loops = sum(_glue(partner, u, v) for u, v in arcs) - last
-                key = tuple(sorted((a, b) for a, b in partner.items() if a < b))
-                target = contracted.setdefault(key, {})
+                partner = dict(matching)
+                loops = -1 if last else 0
+                for u, v in arcs:
+                    # an edge id met for the first time is its own far end
+                    a = partner.pop(u, u)
+                    partner.pop(a, None)
+                    b = partner.pop(v, v)
+                    partner.pop(b, None)
+                    if a == b:
+                        loops += 1
+                    else:
+                        partner[a] = b
+                        partner[b] = a
+                target = contracted.setdefault(tuple(sorted(partner.items())), {})
                 for e, k in weight[sign][loops].items():
                     for e0, c0 in poly.items():
                         target[e0 + e] = target.get(e0 + e, 0) + c0 * k

@@ -22,7 +22,7 @@ from rollercoaster import (
     warp_from,
     warp_profile,
 )
-from rollercoaster.catalog import load_catalog, main_rows, summarize, verify_catalog
+from rollercoaster.catalog import load_catalog, main_rows, summarize
 from rollercoaster.codes import Basepoint
 from rollercoaster.invariants import identify, kauffman_bracket, load_jones_refs, match_jones
 from rollercoaster.search import conjecture_report

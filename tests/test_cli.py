@@ -182,13 +182,12 @@ def test_verify_catalog_shipped(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify-catalog", "--json", str(out_path))
     assert code == 0
-    lines = out.splitlines()
-    assert lines[-2] == "verified 86 rows, 0 failures"
-    assert lines[-1] == "SRC=12 RC=32 Neither=34 Unknown=6"
+    assert out == BARE_REPORT
     payload = json.loads(out_path.read_text())
     assert payload["pass"] is True
     assert len(payload["rows"]) == 86
     assert payload["counts"] == {"src": 12, "rc": 32, "neither": 34, "unknown": 6}
+    assert out_path.read_bytes() == (DATA / "verify_catalog.json").read_bytes()
 
 
 def test_verify_catalog_flags_edited_row(capsys, tmp_path):

@@ -86,14 +86,14 @@ def test_jones_figure_eight_palindromic():
 
 def test_bracket_cap(monkeypatch):
     # T(9,10): 80 crossings whose greedy order opens 18 edges at once
-    glued = []
-    real_glue = invariants._glue
-    monkeypatch.setattr(invariants, "_glue", lambda *args: glued.append(args) or real_glue(*args))
+    smoothed = []
+    real_arcs = invariants._smoothing_arcs
+    monkeypatch.setattr(invariants, "_smoothing_arcs", lambda *args: smoothed.append(args) or real_arcs(*args))
     with pytest.raises(BracketCapExceeded, match="^frontier of 18 open edges exceeds the limit of 16$"):
         kauffman_bracket(pd_from_braid(torus_braid(9, 10)))
-    assert glued == []
+    assert smoothed == []
     kauffman_bracket(pd_from_braid(parse_braid("1 1 1")))
-    assert glued  # the counter does see a contraction
+    assert smoothed  # the counter does see a contraction
 
 
 def test_jones_past_sixteen_crossings_matches_torus_closed_form():
