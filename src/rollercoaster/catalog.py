@@ -18,7 +18,7 @@ import csv
 import enum
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .codes import DTCode, _read_text, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
@@ -225,16 +225,7 @@ class RowReport:
         return all(ok for _, ok in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "row": self.row,
-            "name": self.name,
-            "computed_min_warp": self.computed_min_warp,
-            "expected": self.expected,
-            "witness_crossings": self.witness_crossings,
-            "rc_crossing": self.rc_crossing,
-            "identification": self.identification,
-            "checks": [{"name": n, "pass": ok} for n, ok in self.checks],
-        }
+        return {**asdict(self), "checks": [{"name": n, "pass": ok} for n, ok in self.checks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -15,16 +15,18 @@ Conventions used throughout the package:
 * Basepoints live on edges.  Edge k (0 <= k < 2c) is the arc entered
   after passage k-1 and ending at passage k, indices mod 2c, so forward
   traversal from edge k meets passage k first and backward traversal
-  meets passage k-1 first.
+  meets passage k-1 first.  ``embed`` numbers its edges one step on, so
+  its edge k is basepoint edge k+1.
 
 Internally both formats decode once into chords over the passage
 positions 0..2c-1 (labels minus one): ``partner[p]`` is the other
 position of p's crossing and ``over[p]`` says whether the passage at p
 runs over.  ``_dt_chords`` and ``_gauss_chords`` build them;
 ``_interlacement`` turns ``partner`` into one bitmask per position of
-the chords interlaced with p's chord.  The conversions, the symmetry
-relabellings, the nugatory test and ``embed.realize`` all read these
-arrays; ``DTCode`` and ``GaussCode`` stay the validated public form.
+the chords interlaced with p's chord.  The conversions, the nugatory
+test and ``embed.realize`` all read these arrays, and the enumeration in
+``search`` builds them directly; ``DTCode`` and ``GaussCode`` stay the
+validated public form.
 """
 
 from __future__ import annotations
@@ -241,39 +243,6 @@ def mirror(code: GaussCode) -> GaussCode:
     """Flip over/under at every crossing."""
     flipped = tuple((i, UNDER if r == OVER else OVER) for i, r in code.passages)
     return GaussCode(flipped)
-
-
-def _readings(n: int):
-    """The (s, t) of every relabelling of 2c = n passage positions: for
-    k in 0..n-1, the diagram read forward from passage k (s = 1, t = -k),
-    then read backward from passage k - 1 (s = -1, t = k - 1)."""
-    for k in range(n):
-        yield 1, -k
-        yield -1, k - 1
-
-
-def _relabelled(partner, s: int, t: int):
-    """One relabelling, read lazily: for each new even position q in
-    order, the new label of the partner of the old position p moved
-    there.  Old position p moves to (s*p + t) mod 2c, so p = s*(q - t)."""
-    n = len(partner)
-    for q in range(0, n, 2):
-        yield (s * partner[s * (q - t) % n] + t) % n + 1
-
-
-def _least_reading(partner) -> bool:
-    """Whether the unsigned DT code read from position 0 forward, entry i
-    being ``partner[2i] + 1``, is the least of the unsigned codes of all
-    the ``_readings``.  Each comparison stops at the first entry that
-    differs, so most relabellings are read one or two entries deep."""
-    code = [partner[q] + 1 for q in range(0, len(partner), 2)]
-    for s, t in _readings(len(partner)):
-        for label, entry in zip(_relabelled(partner, s, t), code):
-            if label != entry:
-                if label < entry:
-                    return False
-                break
-    return True
 
 
 # ---------------------------------------------------------------------------

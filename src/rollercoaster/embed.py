@@ -8,7 +8,8 @@ sign.  Every edge id appears exactly twice in the whole diagram.
 
 Construction labels edges by traversal: edge k runs from passage k to
 passage k+1 (mod 2c), so passage k enters on edge k-1 and leaves on
-edge k.  Realization picks, at every crossing, which way the second
+edge k.  This edge k is ``codes.Basepoint`` edge k+1, which ends at
+passage k+1.  Realization picks, at every crossing, which way the second
 strand crosses the first.  These choices are a 2-colouring of the
 interlacement graph of the code (crossings joined when their passages
 alternate along the traversal, with the pairing and the interlacement

@@ -24,6 +24,11 @@ entry length + 1.  So:
 Both cuts drop only codes that the leaf checks (least relabelling,
 reduced) would reject, so the classes and their order are those of a
 walk over all c! permutations.
+
+The walk's only state is the chord array the leaf reads: ``partner[p]``
+is the other passage position of p's crossing, so entry i is
+``partner[2i] + 1`` and an odd position q is still free while
+``partner[q]`` is None.  A ``DTCode`` is built for each class only.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import DTCode, _dt_chords, _interlacement, _least_reading, dt_to_gauss
+from .codes import DTCode, _interlacement, dt_to_gauss
 from .embed import _orientation_bits
 from .warp import min_warp
 
@@ -49,38 +54,58 @@ def _first_entries(c: int) -> range:
     return range(4, c + 2, 2)
 
 
+def _least_reading(partner) -> bool:
+    """Whether the unsigned DT code read from position 0 forward, entry i
+    being ``partner[2i] + 1``, is the least of the 4c unsigned codes of
+    the diagram's readings.  For k in 0..2c-1, reading forward from
+    passage k moves old position p to p - k (s = 1, t = -k) and reading
+    backward from passage k - 1 moves it to k - 1 - p (s = -1, t = k - 1),
+    both mod 2c; the new entry at even position q is then the new label
+    of the partner of old position s*(q - t).  Each comparison stops at
+    the first entry that differs, so most readings are read one or two
+    entries deep."""
+    n = len(partner)
+    for k in range(n):
+        for s, t in ((1, -k), (-1, k - 1)):
+            for q in range(0, n, 2):
+                label = (s * partner[s * (q - t) % n] + t) % n
+                if label != partner[q]:
+                    if label < partner[q]:
+                        return False
+                    break
+    return True
+
+
 def enumerate_alternating(c: int):
     """All reduced, realizable alternating diagrams with c crossings, one per
     class, yielded as found.  Free labels are tried in increasing order, so
     the classes come in lexicographic order."""
     _check_crossings(c)
     n = 2 * c
-    entries = [0] * c
-    free = [True] * (n + 1)  # free[e]: even label e is not yet an entry
+    partner: list[int | None] = [None] * n
 
     def extend(i: int, allowed: list[list[int]]):
         if i == c:
-            partner = _dt_chords(entries)[0]
             masks = _interlacement(partner)
             if all(masks) and _orientation_bits(partner, masks) is not None:
                 if _least_reading(partner):
-                    yield DTCode(entries)
+                    yield DTCode([q + 1 for q in partner[::2]])
             return
-        for e in allowed[i]:
-            if free[e]:
-                free[e], entries[i] = False, e
+        for q in allowed[i]:
+            if partner[q] is None:
+                partner[2 * i], partner[q] = q, 2 * i
                 yield from extend(i + 1, allowed)
-                free[e] = True
+                partner[q] = None
 
     for e0 in _first_entries(c):
-        # cut 2: per chord i, the labels that keep its cyclic length at least e0 - 1
+        # cut 2: per chord i, the odd positions that keep its cyclic length at least e0 - 1
         allowed = [
-            [e for e in range(2, n + 1, 2) if e0 - 1 <= (e - 1 - 2 * i) % n <= n - e0 + 1]
+            [q for q in range(1, n, 2) if e0 - 1 <= (q - 2 * i) % n <= n - e0 + 1]
             for i in range(c)
         ]
-        free[e0], entries[0] = False, e0
+        partner[0], partner[e0 - 1] = e0 - 1, 0
         yield from extend(1, allowed)
-        free[e0] = True
+        partner[e0 - 1] = None
 
 
 def a_min_warp(c: int) -> tuple[int, DTCode]:

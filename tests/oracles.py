@@ -26,11 +26,11 @@ each crossing's passages instead of reading interlacement masks.
 Beside them live the checked, whole-object forms of private engine
 cores, which the package itself no longer needs: ``rotate``,
 ``reverse``, ``dt_relabellings`` and ``canonical_dt`` build every
-relabelling in full from ``codes._readings`` where the search stops at
-the first differing entry, and ``find_innermost_bigon``,
-``smooth_bigon`` and ``remove_first_ascending_strand`` validate and
-rebuild a ``BraidWord`` at each step over the pairwise bigon oracle and
-their own strand walks.
+relabelling in full, in their own loop over basepoints and directions,
+where the search stops at the first differing entry, and
+``find_innermost_bigon``, ``smooth_bigon`` and
+``remove_first_ascending_strand`` validate and rebuild a ``BraidWord``
+at each step over the pairwise bigon oracle and their own strand walks.
 """
 
 from itertools import permutations, product
@@ -54,7 +54,7 @@ from rollercoaster import (
     warp_from,
 )
 from rollercoaster.braid import ReductionStep
-from rollercoaster.codes import _dt_chords, _readings, _relabelled
+from rollercoaster.codes import _dt_chords
 from rollercoaster.embed import (
     Crossing,
     NotRealizable,
@@ -290,9 +290,14 @@ def dt_relabellings(entries: tuple[int, ...]):
     """
     partner, over = _dt_chords(entries)
     n = len(partner)
-    for s, t in _readings(n):
-        moved = (s * (q - t) % n for q in range(0, n, 2))
-        yield tuple([label if over[p] else -label for p, label in zip(moved, _relabelled(partner, s, t))])
+    for k in range(n):
+        for s, t in ((1, -k), (-1, k - 1)):
+            code = []
+            for q in range(0, n, 2):
+                p = s * (q - t) % n
+                label = (s * partner[p] + t) % n + 1
+                code.append(label if over[p] else -label)
+            yield tuple(code)
 
 
 def canonical_dt(code) -> DTCode:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from rollercoaster import DTCode, dt_to_gauss, is_reduced, min_warp
-from rollercoaster import codes, embed, search
+from rollercoaster import embed, search
 from rollercoaster.search import ConjectureRow, a_min_warp, conjecture_report, enumerate_alternating
 
 from oracles import enumerate_by_permutations, exhaustive_realizable, symmetry_orbits
@@ -30,18 +30,17 @@ def test_prefix_walk_matches_permutation_walk(c):
     ]
 
 
-def test_walk_decodes_far_fewer_codes_than_permutations(monkeypatch):
-    calls = []
-    decode = codes._dt_chords
+def test_walk_reaches_far_fewer_leaves_than_permutations(monkeypatch):
+    leaves = []
+    interlacement = search._interlacement
 
-    def counting(entries):
-        calls.append(entries)
-        return decode(entries)
+    def counting(partner):
+        leaves.append(partner)
+        return interlacement(partner)
 
-    monkeypatch.setattr(codes, "_dt_chords", counting)
-    monkeypatch.setattr(search, "_dt_chords", counting, raising=False)
+    monkeypatch.setattr(search, "_interlacement", counting)
     assert len(list(enumerate_alternating(8))) == 34
-    assert len(calls) < math.factorial(8) // 10
+    assert len(leaves) == 852 < math.factorial(8) // 10
 
 
 def test_cut_1_tries_only_unkinked_first_chords_no_longer_than_c():
