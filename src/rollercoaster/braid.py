@@ -206,25 +206,27 @@ def _closure_walk(word: BraidWord) -> list[tuple[int, bool]]:
     return [passage for start in order for passage in visits[start]]
 
 
-def _runs_over(word: BraidWord, slot: int, upper: bool) -> bool:
-    """Whether the closure passage at 1-based letter ``slot``, entered at
-    the upper position or not, runs over there."""
-    return upper == (word.letters[slot - 1][1] > 0)
-
-
 def closure_gauss(word: BraidWord) -> tuple[GaussCode, Basepoint]:
     """Gauss sequence of the closure, traversed from the top-left corner."""
-    walk = _closure_walk(word)
-    passages = [(slot, OVER if _runs_over(word, slot, upper) else UNDER) for slot, upper in walk]
+    letters = word.letters
+    passages = [
+        (slot, OVER if upper == (letters[slot - 1][1] > 0) else UNDER)
+        for slot, upper in _closure_walk(word)
+    ]
     return GaussCode(tuple(passages)), Basepoint(0, forward=True)
 
 
 def ab_counts(word: BraidWord) -> tuple[int, int]:
     """(a, b): the crossings the top-left traversal of the closure meets
     first from above and first from below."""
-    first = dict(reversed(_closure_walk(word)))  # letter position -> upper at its first visit
-    a = sum(_runs_over(word, slot, upper) for slot, upper in first.items())
-    return (a, len(first) - a)
+    letters = word.letters
+    seen: set[int] = set()
+    a = 0
+    for slot, upper in _closure_walk(word):
+        if slot not in seen:
+            seen.add(slot)
+            a += upper == (letters[slot - 1][1] > 0)
+    return (a, len(seen) - a)
 
 
 def positive_unknotting(word: BraidWord) -> int:

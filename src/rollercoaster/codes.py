@@ -77,11 +77,17 @@ class GaussCode:
 
     def __post_init__(self):
         # a list, not a generator: tuple(<genexpr>) leaves more peak memory behind
-        object.__setattr__(self, "passages", tuple([(int(i), r) for i, r in self.passages]))
-        roles: dict[int, list[str]] = {}
-        for ident, role in self.passages:
+        passages = tuple([(int(i), r) for i, r in self.passages])
+        object.__setattr__(self, "passages", passages)
+        for _, role in passages:
             if role not in (OVER, UNDER):
                 raise ValueError(f"bad strand role {role!r}")
+        # with both roles valid, 2k distinct passages over k ids are one
+        # over and one under per crossing
+        if len(set(passages)) == len(passages) == 2 * len({ident for ident, _ in passages}):
+            return
+        roles: dict[int, list[str]] = {}
+        for ident, role in passages:
             roles.setdefault(ident, []).append(role)
         for ident, rs in roles.items():
             if sorted(rs) != [OVER, UNDER]:

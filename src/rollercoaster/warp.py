@@ -15,6 +15,12 @@ from edge k, the first passage of every crossing is its last one read
 forward, so the backward below-set is the forward above-set and the
 backward degree is c minus the forward one.  One pass along the sequence
 therefore gives the degree at every basepoint in both directions.
+
+So the least degree over both directions is v = min(lo, c - hi),
+where lo and hi are the least and greatest forward degrees.  ``min_warp``
+takes the first edge reaching it: the first forward degree equal to v,
+or the first equal to c - v, read backward.  The smaller edge wins, and
+forward wins a tie.
 """
 
 from __future__ import annotations
@@ -51,9 +57,13 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
 
 def warp_profile(code: GaussCode, forward: bool = True) -> list[int]:
     """Warping degree at every edge basepoint, one traversal direction."""
-    if not code.passages:
-        return []
-    degree = warp_from(code, Basepoint(0)).degree
+    # edge 0 first: the crossings whose first passage runs under
+    seen: set[int] = set()
+    degree = 0
+    for ident, role in code.passages:
+        if ident not in seen:
+            seen.add(ident)
+            degree += role == UNDER
     profile = []
     for _, role in code.passages:
         profile.append(degree)
@@ -69,8 +79,12 @@ def min_warp(code: GaussCode) -> WarpResult:
     if not code.passages:
         raise ValueError("empty Gauss sequence has no basepoint")
     c, profile = code.crossings, warp_profile(code)
-    _, edge, backward = min((min(d, c - d), e, c - d < d) for e, d in enumerate(profile))
-    return warp_from(code, Basepoint(edge, not backward))
+    lo, hi = min(profile), max(profile)
+    v = min(lo, c - hi)
+    n = len(profile)
+    forward = profile.index(v) if lo == v else n
+    backward = profile.index(c - v) if c - hi == v else n
+    return warp_from(code, Basepoint(min(forward, backward), forward <= backward))
 
 
 def apply_roller_coaster(code: GaussCode, base: Basepoint) -> GaussCode:

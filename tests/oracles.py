@@ -3,15 +3,17 @@
 Nothing here shares computation strategy with the package: the bracket
 oracles resolve crossings recursively or sum all 2^c states (one
 union-find per state) instead of contracting a frontier, the
-realizability oracle tries every chirality assignment with its own face
-walker, the embedding oracle tries the orientation choices in order
-until one traces c+2 faces instead of colouring the interlacement graph,
-the relabelling oracle re-reads the Gauss sequence from every
-basepoint, the permutation-walk oracle (the earlier enumeration) tries
-all c! codes and builds each one's relabellings in full instead of
-cutting prefixes, the braid count oracle builds the closure's
-validated Gauss code and runs a warp traversal over it instead of
-reading the closure walk, the orbit oracle partitions raw
+realizability oracle tries every chirality assignment with its own
+face walker, the embedding oracle tries the orientation choices in
+order until one traces c+2 faces instead of colouring the
+interlacement graph, the relabelling oracle re-reads the Gauss
+sequence from every basepoint, the permutation-walk oracle (the
+earlier enumeration) tries all c! codes and builds each one's
+relabellings in full instead of cutting prefixes, the braid count
+oracle builds the closure's validated Gauss code from the
+round-by-round closure walk and the letter signs and reads its
+below-set with the based-traversal oracle instead of counting first
+visits on the closure walk, the orbit oracle partitions raw
 permutations into symmetry orbits by breadth-first closure, the warp
 oracles read the below-set afresh at each of the 4c based traversals,
 the closure-walk oracle follows position 1 through the whole word once
@@ -47,11 +49,10 @@ from rollercoaster import (
     RemovalCertificate,
     WarpResult,
     ab_counts,
-    closure_gauss,
+    closure_components,
     dt_to_gauss,
     gauss_to_dt,
     is_reduced,
-    warp_from,
 )
 from rollercoaster.braid import ReductionStep
 from rollercoaster.codes import _dt_chords
@@ -265,6 +266,23 @@ def _face_count(gauss, occurrences, mask) -> int:
     return faces
 
 
+def gauss_code_problem(passages):
+    """The message ``GaussCode`` rejects ``passages`` with, or None when
+    it accepts them: ids are read as integers, the first role other than
+    "O" or "U" is named, and then the first crossing, in first-seen order,
+    whose roles are not exactly one over and one under.  Roles are
+    grouped per crossing, where the class compares set sizes."""
+    roles: dict[int, list[str]] = {}
+    for ident, role in [(int(i), r) for i, r in passages]:
+        if role not in ("O", "U"):
+            return f"bad strand role {role!r}"
+        roles.setdefault(ident, []).append(role)
+    for ident, rs in roles.items():
+        if sorted(rs) != ["O", "U"]:
+            return f"crossing {ident} must occur exactly once over and once under"
+    return None
+
+
 def rotate(code: GaussCode, shift: int) -> GaussCode:
     """Move the basepoint so traversal starts at passage ``shift``."""
     k = shift % len(code.passages) if code.passages else 0
@@ -371,14 +389,21 @@ def min_warp_by_basepoint(gauss):
 
 
 def ab_counts_by_warp(word):
-    """(a, b) as the above- and below-set sizes of the warp traversal of
-    the closure's Gauss code from edge 0."""
-    if not word.letters:
-        if word.strands != 1:
-            raise ValueError(f"closure has at least {word.strands} components")
-        return (0, 0)
-    code, _ = closure_gauss(word)
-    result = warp_from(code, Basepoint(0))
+    """(a, b) as the above- and below-set sizes of the based traversal
+    from edge 0 of the closure's Gauss sequence.  The sequence is built
+    from the round-by-round closure walk: on a positive letter the strand
+    entering at the upper position passes over, on a negative letter the
+    one entering at the lower position does."""
+    if word.strands > len(word.letters) + 1:
+        raise ValueError(f"closure has at least {word.strands - len(word.letters)} components")
+    components = closure_components(word)
+    if components != 1:
+        raise ValueError(f"closure has {components} components")
+    passages = []
+    for slot, upper in closure_walk_by_rounds(word):
+        over = upper if word.letters[slot - 1][1] == 1 else not upper
+        passages.append((slot, "O" if over else "U"))
+    result = based_warp(GaussCode(tuple(passages)), Basepoint(0))
     return (len(result.above), len(result.below))
 
 

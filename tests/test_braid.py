@@ -349,7 +349,7 @@ def test_reduce_to_base_builds_no_gauss_code_and_runs_no_warp(monkeypatch):
     assert (ab_counts(base), len(steps)) == ((2, 0), 3)
     assert calls == {"GaussCode": 0, "warp_from": 0}
     # the counters are live: the Gauss route trips both
-    ab_counts_by_warp(word)
+    min_warp(closure_gauss(word)[0])
     assert calls == {"GaussCode": 1, "warp_from": 1}
 
 

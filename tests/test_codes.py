@@ -15,7 +15,15 @@ from rollercoaster import (
 )
 from rollercoaster.codes import format_dt, format_gauss
 
-from oracles import canonical_dt, dt_relabellings, gauss_variants, reduced_by_counting, reverse, rotate
+from oracles import (
+    canonical_dt,
+    dt_relabellings,
+    gauss_code_problem,
+    gauss_variants,
+    reduced_by_counting,
+    reverse,
+    rotate,
+)
 
 TREFOIL = DTCode((4, 6, 2))
 FIG8 = DTCode((4, 6, 8, 2))
@@ -137,6 +145,67 @@ def abstract_gauss(draw):
         passages[first] = (ident, "O" if over_first else "U")
         passages[second] = (ident, "U" if over_first else "O")
     return GaussCode(tuple(passages))
+
+
+def _assert_gauss_code_verdict(passages):
+    expected = gauss_code_problem(passages)
+    if expected is None:
+        assert GaussCode(passages).passages == tuple((int(i), r) for i, r in passages)
+    else:
+        with pytest.raises(ValueError) as raised:
+            GaussCode(passages)
+        assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("passages, message", [
+    ((), None),
+    (((1, "O"), (1, "U")), None),
+    ((("1", "O"), (1, "U")), None),
+    (((1, "O"),), "crossing 1 must occur exactly once over and once under"),
+    (((1, "O"), (1, "O")), "crossing 1 must occur exactly once over and once under"),
+    (((1, "O"), (2, "U")), "crossing 1 must occur exactly once over and once under"),
+    (((1, "O"), (1, "U"), (1, "O"), (1, "U")), "crossing 1 must occur exactly once over and once under"),
+    # both crossings are bad; the one met first is named
+    (((3, "O"), (1, "O"), (1, "O"), (3, "O")), "crossing 3 must occur exactly once over and once under"),
+    (((2, "O"), (1, "U"), (2, "U"), (1, "U"), (1, "O")), "crossing 1 must occur exactly once over and once under"),
+    # a bad role is named before any crossing check, wherever it sits
+    (((1, "O"), (1, "O"), (2, "X")), "bad strand role 'X'"),
+    (((1, "o"), (1, "U")), "bad strand role 'o'"),
+    (((1, 1), (1, "U")), "bad strand role 1"),
+])
+def test_gauss_code_rejections_pinned(passages, message):
+    assert gauss_code_problem(passages) == message
+    _assert_gauss_code_verdict(passages)
+
+
+@st.composite
+def mutated_gauss(draw):
+    """A valid Gauss sequence after one to three edits: drop a passage,
+    duplicate one, flip a role, set a role to "X", or spell an id as a
+    string."""
+    passages = list(draw(abstract_gauss()).passages)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not passages:
+            break
+        k = draw(st.integers(min_value=0, max_value=len(passages) - 1))
+        ident, role = passages[k]
+        edit = draw(st.sampled_from(("drop", "duplicate", "flip", "X", "string")))
+        if edit == "drop":
+            del passages[k]
+        elif edit == "duplicate":
+            passages.insert(draw(st.integers(min_value=0, max_value=len(passages))), (ident, role))
+        elif edit == "flip":
+            passages[k] = (ident, {"O": "U", "U": "O"}.get(role, role))
+        elif edit == "X":
+            passages[k] = (ident, "X")
+        else:
+            passages[k] = (str(ident), role)
+    return tuple(passages)
+
+
+@given(mutated_gauss())
+def test_gauss_code_rejects_like_oracle(passages):
+    _assert_gauss_code_verdict(passages)
 
 
 @given(abstract_gauss())

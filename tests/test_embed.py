@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -214,3 +215,13 @@ def test_pd_from_braid_traces_the_closure_gauss_code(word):
     # the rotations follow realize's rule and the walk reads the shared
     # twin map, so both must land on the braid's own traversal exactly
     assert extract_gauss(pd_from_braid(word)) == closure_gauss(word)[0]
+
+
+def test_closure_gauss_roles_match_the_planar_diagram_on_seeded_signed_words():
+    # pd_from_braid takes each crossing's over-strand from its letter sign,
+    # so this checks closure_gauss's over/under rule on fixed inputs
+    for seed in range(800):
+        rng = random.Random(seed)
+        word = random_positive_braid_knot(6, 20, seed)
+        word = BraidWord(word.strands, tuple((i, rng.choice((1, -1))) for i, _ in word.letters))
+        assert closure_gauss(word)[0] == extract_gauss(pd_from_braid(word)), seed

@@ -8,6 +8,7 @@ from rollercoaster import (
     min_warp,
     mirror,
     parse_dt,
+    parse_gauss,
     warp_from,
     warp_profile,
 )
@@ -39,8 +40,19 @@ def test_min_warp_values():
 
 
 def test_min_warp_tie_break_prefers_smallest_edge_then_forward():
-    result = min_warp(TREFOIL)
-    assert result.base == Basepoint(0, forward=True)
+    cases = [
+        # every edge ties at degree 1 one way or the other: edge 0, forward first
+        ("1 -3 2 -1 3 -2", Basepoint(0, forward=True), 1),
+        ("-1 3 -2 1 -3 2", Basepoint(0, forward=False), 1),
+        # forward profile [1, 2, 1, 0]: the backward 0 at edge 1 comes
+        # before the forward 0 at edge 3
+        ("1 -2 -1 2", Basepoint(1, forward=False), 0),
+        # forward profile [1, 0, 1, 2]: forward 0 at edge 1, backward 0 at edge 3
+        ("-1 2 1 -2", Basepoint(1, forward=True), 0),
+    ]
+    for gauss, base, degree in cases:
+        result = min_warp(parse_gauss(gauss))
+        assert (result.base, result.degree) == (base, degree), gauss
 
 
 def test_roller_coaster_reaches_descending_fixed_point():
@@ -106,7 +118,7 @@ def test_min_warp_matches_oracle(gauss):
     assert result.above == expected.above
 
 
-def test_min_warp_reads_two_based_traversals(monkeypatch):
+def test_min_warp_reads_one_based_traversal(monkeypatch):
     calls = []
 
     def counting(code, base):
@@ -116,4 +128,4 @@ def test_min_warp_reads_two_based_traversals(monkeypatch):
     monkeypatch.setattr(warp, "warp_from", counting)
     gauss = dt_to_gauss(parse_dt("[12,14,16,2,4,6,8,10]"))
     assert min_warp(gauss).degree == 2
-    assert len(calls) <= 2
+    assert calls == [Basepoint(1, forward=False)]
