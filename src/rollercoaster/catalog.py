@@ -49,7 +49,9 @@ class Range:
     hi: int
 
     def __post_init__(self):
-        if self.lo > self.hi or self.lo < 0:
+        if self.lo < 0 or self.hi < 0:
+            raise CatalogError(f"negative bound in range {self.lo}..{self.hi}")
+        if self.lo > self.hi:
             raise CatalogError(f"empty range [{self.lo}, {self.hi}]")
 
     @property

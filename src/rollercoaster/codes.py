@@ -15,8 +15,7 @@ Conventions used throughout the package:
 * Basepoints live on edges.  Edge k (0 <= k < 2c) is the arc entered
   after passage k-1 and ending at passage k, indices mod 2c, so forward
   traversal from edge k meets passage k first and backward traversal
-  meets passage k-1 first.  ``embed`` numbers its edges one step on, so
-  its edge k is basepoint edge k+1.
+  meets passage k-1 first.
 
 Internally both formats decode once into chords over the passage
 positions 0..2c-1 (labels minus one): ``partner[p]`` is the other

@@ -6,19 +6,20 @@ incident edge ids in counterclockwise rotation order, the rotation
 slots (an opposite pair) carried by the over-strand, and the crossing
 sign.  Every edge id appears exactly twice in the whole diagram.
 
-Construction labels edges by traversal: edge k runs from passage k to
-passage k+1 (mod 2c), so passage k enters on edge k-1 and leaves on
-edge k.  This edge k is ``codes.Basepoint`` edge k+1, which ends at
-passage k+1.  Realization picks, at every crossing, which way the second
-strand crosses the first.  These choices are a 2-colouring of the
-interlacement graph of the code (crossings joined when their passages
-alternate along the traversal, with the pairing and the interlacement
-masks taken from ``codes``), read off in one polynomial pass that also
-decides planarity.  ``is_realizable`` and the enumeration in ``search``
-stop after this pass; ``realize`` goes on to one face count, which
-confirms the c+2 faces of a sphere embedding.  Each component's lowest
-crossing takes the first choice (reflection is free) and the final
-embedding is reflected if needed so that crossing 1 is positive.
+Construction labels edges by traversal: passage t (0-based) enters on
+edge t and leaves on edge t+1 (mod 2c), so ``codes.Basepoint`` edge k
+is planar-diagram edge k.  Realization picks, at every crossing, which
+way the second strand crosses the first.  These choices are a
+2-colouring of the interlacement graph of the code (crossings joined
+when their passages alternate along the traversal, with the pairing and
+the interlacement masks taken from ``codes``), read off in one
+polynomial pass that also decides planarity.  ``is_realizable`` and the
+enumeration in ``search`` stop after this pass; ``realize`` goes on to
+one face count, which confirms the c+2 faces of a sphere embedding.
+The colouring is unique up to flipping each component.  Each
+component's lowest crossing takes the first choice, and when that makes
+crossing 1 negative every bit is flipped, which gives the mirror
+embedding with crossing 1 positive.
 
 Sign convention: a crossing is positive when the under-strand's inbound
 slot immediately follows the over-strand's inbound slot counterclockwise.
@@ -100,22 +101,20 @@ def writhe(diagram: PlanarDiagram) -> int:
     return sum(x.sign for x in diagram.crossings)
 
 
-def _rotation(t1, t2, bit, n):
-    """Edges in1, in2, out1, out2 round the crossing passed at times t1
-    and t2; bit swaps in2 and out2."""
-    return ((t1 - 1) % n, (t2 - 1 + bit) % n, t1 % n, (t2 - bit) % n)
-
-
-def _reflect(rotations, overs, signs):
-    rotations = [tuple(rot[::-1]) for rot in rotations]
-    overs = [tuple(sorted((3 - s) % 4 for s in ov)) for ov in overs]
-    signs = [-s for s in signs]
-    return rotations, overs, signs
+def _crossing(t1, t2, bit, first_over, n) -> Crossing:
+    """The crossing passed at times t1 and t2, as edges in1, in2, out1,
+    out2 round it; bit swaps in2 and out2, and first_over says whether
+    the passage at t1 runs over."""
+    return Crossing(
+        (t1 % n, (t2 + bit) % n, (t1 + 1) % n, (t2 + 1 - bit) % n),
+        (0, 2) if first_over else (1, 3),
+        1 if first_over != bit else -1,
+    )
 
 
 def _orientation_bits(partner, masks) -> list[int] | None:
     """Per crossing, whether the second passage runs the other way round
-    the first one (the bit realize's rotations swap on); None if not planar.
+    the first one (the bit ``_crossing`` swaps on); None if not planar.
 
     Crossings u and v interlace when exactly one of v's passage times lies
     strictly between u's; masks[2u] holds the crossings interlaced with u,
@@ -170,19 +169,13 @@ def realize(code: DTCode) -> PlanarDiagram:
     bits = _orientation_bits(partner, _interlacement(partner))
     if bits is None:
         raise NotRealizable(f"{code} admits no planar embedding")
-    rotations = [_rotation(2 * i, partner[2 * i], bit, 2 * c) for i, bit in enumerate(bits)]
-    if count_faces(rotations) != c + 2:
+    if not over[0]:
+        # the mirror embedding, with crossing 1 positive
+        bits = [bit ^ 1 for bit in bits]
+    crossings = [_crossing(2 * i, partner[2 * i], bit, over[2 * i], 2 * c) for i, bit in enumerate(bits)]
+    if count_faces([x.edges for x in crossings]) != c + 2:
         raise AssertionError(f"interlacement colouring of {code} is not planar")
-    # crossing i's odd-labelled passage comes in at slot 0 and the other
-    # one at slot 1, or at slot 3 when its bit is set
-    overs = [(0, 2) if over[2 * i] else (1, 3) for i in range(c)]
-    signs = [1 if over[2 * i] != bit else -1 for i, bit in enumerate(bits)]
-    if signs[0] < 0:
-        rotations, overs, signs = _reflect(rotations, overs, signs)
-    # a list, not a generator: tuple(<genexpr>) leaves more peak memory behind
-    return PlanarDiagram(
-        tuple([Crossing(rot, ov, s) for rot, ov, s in zip(rotations, overs, signs)])
-    )
+    return PlanarDiagram(tuple(crossings))
 
 
 def is_realizable(code: DTCode) -> bool:
@@ -195,14 +188,13 @@ def extract_gauss(diagram: PlanarDiagram) -> GaussCode:
     """Traverse the diagram structure and read off the Gauss sequence.
 
     The walk starts where construction placed the first passage: the
-    slot entered by the last edge id and left by edge 0.
+    slot entered by edge 0 and left by edge 1.
     """
     c = diagram.size
     if c == 0:
         return GaussCode(())
-    last = 2 * c - 1
     start = next(((ci, slot) for ci, x in enumerate(diagram.crossings) for slot in range(4)
-                  if x.edges[slot] == last and x.edges[(slot + 2) % 4] == 0), None)
+                  if x.edges[slot] == 0 and x.edges[(slot + 2) % 4] == 1), None)
     if start is None:
         raise ValueError("no traversal start: diagram edges are not labelled 0..2c-1")
     twin = _twins([x.edges for x in diagram.crossings])
@@ -221,17 +213,16 @@ def extract_dt(diagram: PlanarDiagram) -> DTCode:
 
 def pd_from_braid(word: BraidWord) -> PlanarDiagram:
     """Planar diagram of the braid closure, edges labelled along the
-    top-left traversal.  writhe equals the signed letter sum."""
+    top-left traversal.  The passage entering a letter at its upper
+    position runs over exactly when the letter is positive, so the sign
+    rule of ``_crossing`` makes writhe the signed letter sum."""
     walk = _closure_walk(word)
     # time of each (letter position, entered-at-upper-position) passage
     times = {passage: t for t, passage in enumerate(walk)}
-    rotations = [
-        _rotation(times[k, True], times[k, False], 0, len(walk))
-        for k in range(1, len(word.letters) + 1)
+    crossings = [
+        _crossing(times[k, True], times[k, False], 0, sign > 0, len(walk))
+        for k, (_, sign) in enumerate(word.letters, start=1)
     ]
-    if rotations and count_faces(rotations) != len(rotations) + 2:
+    if crossings and count_faces([x.edges for x in crossings]) != len(crossings) + 2:
         raise AssertionError("braid closure rotation system is not planar")
-    return PlanarDiagram(tuple([
-        Crossing(rot, (0, 2) if sign > 0 else (1, 3), sign)
-        for rot, (_, sign) in zip(rotations, word.letters)
-    ]))
+    return PlanarDiagram(tuple(crossings))

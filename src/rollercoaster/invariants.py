@@ -247,9 +247,14 @@ def parse_jones_refs(lines) -> dict[str, Laurent]:
         for item in terms.split():
             exp, _, coeff = item.partition(":")
             try:
-                coeffs[int(exp)] = int(coeff)
+                exp, coeff = int(exp), int(coeff)
             except ValueError:
                 raise ValueError(f"line {n}: malformed term {item!r}") from None
+            if exp in coeffs:
+                raise ValueError(f"line {n}: duplicate exponent {exp}")
+            coeffs[exp] = coeff
+        if not coeffs:
+            raise ValueError(f"line {n}: no terms")
         if name in refs:
             raise ValueError(f"line {n}: duplicate reference entry {name}")
         refs[name] = Laurent(coeffs)

@@ -6,7 +6,9 @@ union-find per state) instead of contracting a frontier, the
 realizability oracle tries every chirality assignment with its own
 face walker, the embedding oracle tries the orientation choices in
 order until one traces c+2 faces instead of colouring the
-interlacement graph, the relabelling oracle re-reads the Gauss
+interlacement graph (it still counts faces with the package's
+``count_faces``) and takes the mirror by flipping every choice when
+crossing 1 comes out negative, the relabelling oracle re-reads the Gauss
 sequence from every basepoint, the permutation-walk oracle (the
 earlier enumeration) tries all c! codes and builds each one's
 relabellings in full instead of cutting prefixes, the braid count
@@ -60,7 +62,6 @@ from rollercoaster.embed import (
     Crossing,
     NotRealizable,
     PlanarDiagram,
-    _reflect,
     count_faces,
     is_realizable,
 )
@@ -165,7 +166,7 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
 def _passage_slot(rot, t, n):
     """Inbound rotation slot of the passage at time t: the slot carrying
     its in-edge with its out-edge opposite."""
-    in_e, out_e = (t - 1) % n, t % n
+    in_e, out_e = t, (t + 1) % n
     for s in range(4):
         if rot[s] == in_e and rot[(s + 2) % 4] == out_e:
             return s
@@ -174,7 +175,8 @@ def _passage_slot(rot, t, n):
 
 def search_realize(code: DTCode) -> PlanarDiagram:
     """Embedding by trying the 2^(c-1) orientation choices in order and
-    keeping the first whose face tracing yields c+2 faces."""
+    keeping the first whose face tracing yields c+2 faces, mirrored when
+    that makes crossing 1 negative."""
     c = code.crossings
     if c == 0:
         return PlanarDiagram(())
@@ -184,22 +186,23 @@ def search_realize(code: DTCode) -> PlanarDiagram:
         times.append((2 * i - 2, abs(entry) - 1))
 
     def half_edges(t):
-        return ((t - 1) % n, t % n)
+        return (t, (t + 1) % n)
 
-    found = None
-    for bits in product((0, 1), repeat=c - 1):
-        rotations = []
-        for (t1, t2), bit in zip(times, (0,) + bits):
+    def rotations(choices):
+        found = []
+        for (t1, t2), bit in zip(times, choices):
             in1, out1 = half_edges(t1)
             in2, out2 = half_edges(t2)
             if bit:
                 in2, out2 = out2, in2
-            rotations.append((in1, in2, out1, out2))
-        if count_faces(rotations) == c + 2:
-            found = rotations
-            break
-    if found is None:
+            found.append((in1, in2, out1, out2))
+        return found
+
+    choices = next((bits for bits in product((0,), *[(0, 1)] * (c - 1))
+                    if count_faces(rotations(bits)) == c + 2), None)
+    if choices is None:
         raise NotRealizable(f"{code} admits no planar embedding")
+    found = rotations(choices)
 
     overs = []
     signs = []
@@ -211,7 +214,10 @@ def search_realize(code: DTCode) -> PlanarDiagram:
         signs.append(1 if under_in == (over_in + 1) % 4 else -1)
 
     if signs[0] < 0:
-        found, overs, signs = _reflect(found, overs, signs)
+        # the mirror: every choice flips, which moves no over-strand off
+        # its slot pair and turns every crossing the other way
+        found = rotations([bit ^ 1 for bit in choices])
+        signs = [-s for s in signs]
     return PlanarDiagram(
         tuple(Crossing(rot, ov, s) for rot, ov, s in zip(found, overs, signs))
     )

@@ -25,8 +25,10 @@ def test_range_parse_and_format():
     assert Range.parse("2..3") == Range(2, 3)
     assert str(Range(2, 2)) == "2"
     assert str(Range(2, 3)) == "2..3"
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError, match=r"^empty range \[3, 2\]$"):
         Range(3, 2)
+    with pytest.raises(CatalogError, match=r"^negative bound in range -1\.\.-1$"):
+        Range.parse("-1")
 
 
 def test_rc_crossing_parse_and_format():
@@ -103,6 +105,19 @@ def test_load_rejects_edited_ascending(tmp_path):
     bad = tmp_path / "catalog.csv"
     bad.write_text("\n".join(lines))
     with pytest.raises(CatalogError, match="row 2"):
+        load_catalog(bad)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ("3_1,Y,-1,1", r"^row 2: negative bound in range -1\.\.-1$"),
+    ("3_1,Y,1,3..1", r"^row 2: empty range \[3, 1\]$"),
+])
+def test_load_names_the_fault_in_a_bad_range(tmp_path, fields, message):
+    lines = _read_catalog_lines()
+    lines[1] = lines[1].replace("3_1,Y,1,1", fields)
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(CatalogError, match=message):
         load_catalog(bad)
 
 

@@ -147,6 +147,28 @@ def test_realize_matches_search_oracle_on_every_catalog_witness():
         assert realize(entry.dt) == search_realize(entry.dt), entry.name
 
 
+def assert_edges_follow_the_code(code, diagram):
+    # passage t enters on edge t, so crossing i holds its odd passage's
+    # edges 2i and 2i+1 opposite each other, the first at slot 0
+    for i, (entry, x) in enumerate(zip(code.entries, diagram.crossings)):
+        assert (x.edges[0], x.edges[2]) == (2 * i, 2 * i + 1), (code, i)
+        assert (x.over == (0, 2)) == (entry > 0), (code, i)
+    assert diagram.crossings[0].sign == 1, code
+
+
+def test_realize_numbers_edges_as_basepoints_on_every_catalog_witness():
+    for entry in load_catalog():
+        assert_edges_follow_the_code(entry.dt, realize(entry.dt))
+
+
+@given(signed_dt())
+@settings(max_examples=200, deadline=None)
+def test_realize_numbers_edges_as_basepoints(code):
+    diagram = realize_or_none(realize, code)
+    assume(diagram is not None)
+    assert_edges_follow_the_code(code, diagram)
+
+
 def test_realize_counts_faces_once(monkeypatch):
     count_faces = embed.count_faces
     calls = []
@@ -217,11 +239,26 @@ def test_pd_from_braid_traces_the_closure_gauss_code(word):
     assert extract_gauss(pd_from_braid(word)) == closure_gauss(word)[0]
 
 
+def seeded_signed_word(seed):
+    rng = random.Random(seed)
+    word = random_positive_braid_knot(6, 20, seed)
+    return BraidWord(word.strands, tuple((i, rng.choice((1, -1))) for i, _ in word.letters))
+
+
 def test_closure_gauss_roles_match_the_planar_diagram_on_seeded_signed_words():
     # pd_from_braid takes each crossing's over-strand from its letter sign,
     # so this checks closure_gauss's over/under rule on fixed inputs
     for seed in range(800):
-        rng = random.Random(seed)
-        word = random_positive_braid_knot(6, 20, seed)
-        word = BraidWord(word.strands, tuple((i, rng.choice((1, -1))) for i, _ in word.letters))
+        word = seeded_signed_word(seed)
         assert closure_gauss(word)[0] == extract_gauss(pd_from_braid(word)), seed
+
+
+def test_pd_from_braid_numbers_edges_as_basepoints_on_seeded_signed_words():
+    # passage t of the closure's Gauss code enters on edge t and leaves
+    # on edge t+1, as codes.Basepoint numbers the edges
+    for seed in range(500):
+        diagram = pd_from_braid(seeded_signed_word(seed))
+        n = 2 * diagram.size
+        for t, (ident, _) in enumerate(extract_gauss(diagram).passages):
+            edges = diagram.crossings[ident - 1].edges
+            assert any(edges[s] == t and edges[(s + 2) % 4] == (t + 1) % n for s in range(4)), (seed, t)

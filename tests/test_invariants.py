@@ -161,6 +161,10 @@ def test_parse_jones_refs_format():
     for term in ("0:a", "4:"):
         with pytest.raises(ValueError, match=f"^line 1: malformed term '{term}'$"):
             parse_jones_refs([f"3_1; {term}; bad"])
+    with pytest.raises(ValueError, match="^line 2: duplicate exponent 4$"):
+        parse_jones_refs(["# comment", "3_1; 4:1 4:-1; x"])
+    with pytest.raises(ValueError, match="^line 1: no terms$"):
+        parse_jones_refs(["3_1; ; x"])
 
 
 def test_packaged_refs_cover_catalog():
