@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .codes import Basepoint, GaussCode, OVER, UNDER
+from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _unchecked
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,6 @@ class BraidWord:
                 raise ValueError(f"generator index {idx} out of range for {self.strands} strands")
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-
-    @classmethod
-    def _trusted(cls, strands: int, letters: tuple[tuple[int, int], ...]) -> BraidWord:
-        """A word from letters already known to be valid, built without
-        re-checking each one."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "strands", strands)
-        object.__setattr__(word, "letters", letters)
-        return word
 
     def is_positive(self) -> bool:
         return all(s == 1 for _, s in self.letters)
@@ -92,7 +83,7 @@ class RemovalCertificate:
 
 MAX_BRAID_LETTERS = 100_000
 
-_TOKEN = re.compile(r"^(?:(-?\d+)|s(\d+)(?:\^(-?\d+))?)$")
+_TOKEN = re.compile(rf"({_INTEGER.pattern})|s([0-9]+)(?:\^({_INTEGER.pattern}))?")
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
@@ -103,28 +94,37 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     Words that expand to more than MAX_BRAID_LETTERS letters are rejected
     before any power is expanded.
     """
-    powers: list[tuple[int, int]] = []  # (generator index, signed exponent)
-    for tok in re.split(r"[,\s]+", text.strip()):
+    powers: list[tuple[tuple[int, int], int]] = []  # (letter, repeat count)
+    length = top = 0
+    for tok in _SPLIT.split(text.strip()):
         if not tok:
             continue
-        match = _TOKEN.match(tok)
+        match = _TOKEN.fullmatch(tok)
         if match is None:
             raise ValueError(f"malformed braid token {tok!r}")
-        if match.group(1) is not None:
-            v = int(match.group(1))
+        plain, idx, power = match.groups()
+        if plain is not None:
+            v = int(plain)
             idx, power = abs(v), 1 if v > 0 else -1
         else:
-            idx = int(match.group(2))
-            power = int(match.group(3)) if match.group(3) else 1
+            idx = int(idx)
+            power = int(power) if power else 1
         if idx == 0:
             raise ValueError("generator index 0 is not allowed")
-        powers.append((idx, power))
-    length = sum(abs(power) for _, power in powers)
+        if idx > top:
+            top = idx
+        count = abs(power)
+        length += count
+        powers.append(((idx, 1 if power > 0 else -1), count))
     if length > MAX_BRAID_LETTERS:
         raise ValueError(f"braid word expands to {length} letters, over the limit of {MAX_BRAID_LETTERS}")
-    letters = [(idx, 1 if power > 0 else -1) for idx, power in powers for _ in range(abs(power))]
-    n = strands if strands is not None else max((i for i, _ in powers), default=0) + 1
-    return BraidWord(n, tuple(letters))
+    letters: list[tuple[int, int]] = []
+    for letter, count in powers:
+        letters += [letter] * count
+    if strands is None:
+        # every index lies in 1..top and every sign is +1 or -1
+        return _unchecked(BraidWord, strands=top + 1, letters=tuple(letters))
+    return BraidWord(strands, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,8 @@ def closure_gauss(word: BraidWord) -> tuple[GaussCode, Basepoint]:
         (slot, OVER if upper == (letters[slot - 1][1] > 0) else UNDER)
         for slot, upper in _closure_walk(word)
     ]
-    return GaussCode(tuple(passages)), Basepoint(0, forward=True)
+    # each letter is passed once from each position, one passage over
+    return _unchecked(GaussCode, passages=tuple(passages)), Basepoint(0, forward=True)
 
 
 def ab_counts(word: BraidWord) -> tuple[int, int]:
@@ -358,7 +359,7 @@ def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
             n -= 1
             letters, occupant, last, k = list(kept), list(range(1, n + 1)), {}, 0
             action, after = "remove", (a - detail.m - 1, b - detail.m)
-        current = BraidWord._trusted(n, tuple(letters))
+        current = _unchecked(BraidWord, strands=n, letters=tuple(letters))
         steps.append(ReductionStep(action, detail, (a, b), after, current))
         a, b = after
     return current, steps

@@ -26,6 +26,20 @@ the chords interlaced with p's chord.  The conversions, the nugatory
 test and ``embed.realize`` all read these arrays, and the enumeration in
 ``search`` builds them directly; ``DTCode`` and ``GaussCode`` stay the
 validated public form.
+
+Input is checked once, where it enters: every public constructor
+(``DTCode``, ``GaussCode``, ``braid.BraidWord``) checks its fields, and so
+do the parsers ``parse_dt``, ``parse_gauss`` and ``braid.parse_braid``
+(one integer-token rule, ``_INTEGER``, for all three) and
+``embed.extract_gauss``, which reads a caller's planar diagram.  A value
+the package builds from checked values is valid by construction and is
+built with ``_unchecked``, which skips ``__post_init__``: the closure
+sequence of ``braid.closure_gauss``, the words of ``braid.parse_braid``
+(without ``strands``) and ``braid.reduce_to_base``, the results of
+``dt_to_gauss``, ``mirror`` and ``warp.apply_roller_coaster`` (one over
+and one under passage per crossing), of ``gauss_to_dt`` once its framing
+check passes, and the codes ``search.enumerate_alternating`` yields.
+Re-checking those cost a fifth of the time of a braid item.
 """
 
 from __future__ import annotations
@@ -39,8 +53,24 @@ OVER = "O"
 UNDER = "U"
 
 
+# the token separator and the one integer-token form the code parsers
+# accept: ASCII digits, an optional minus sign, no "+", "_" or other
+# Unicode digits
+_SPLIT = re.compile(r"[,\s]+")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 class FramingError(ValueError):
     """A Gauss sequence admits no odd/even crossing labelling."""
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass value built without running ``__post_init__``,
+    for values the package constructs valid from checked values.  The
+    fields must already have the types the checked constructor gives."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 @dataclass(frozen=True)
@@ -133,14 +163,11 @@ def parse_dt(text: str) -> DTCode:
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    tokens = [t for t in re.split(r"[,\s]+", body.strip()) if t]
-    entries = []
+    tokens = [t for t in _SPLIT.split(body.strip()) if t]
     for tok in tokens:
-        try:
-            entries.append(int(tok))
-        except ValueError:
-            raise ValueError(f"malformed DT token {tok!r}") from None
-    return DTCode(tuple(entries))
+        if not _INTEGER.fullmatch(tok):
+            raise ValueError(f"malformed DT token {tok!r}")
+    return DTCode(tuple(map(int, tokens)))
 
 
 def format_dt(code: DTCode) -> str:
@@ -152,13 +179,12 @@ def parse_gauss(text: str) -> GaussCode:
 
     ``1 -3 2 -1 3 -2`` is a trefoil.
     """
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+    tokens = [t for t in _SPLIT.split(text.strip()) if t]
     passages = []
     for tok in tokens:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ValueError(f"malformed Gauss token {tok!r}") from None
+        if not _INTEGER.fullmatch(tok):
+            raise ValueError(f"malformed Gauss token {tok!r}")
+        v = int(tok)
         if v == 0:
             raise ValueError("crossing ids must be nonzero")
         passages.append((abs(v), OVER if v > 0 else UNDER))
@@ -219,7 +245,7 @@ def dt_to_gauss(code: DTCode) -> GaussCode:
     Crossing i sits at odd label 2i-1 and even label ``abs(entries[i-1])``.
     """
     partner, over = _dt_chords(code.entries)
-    return GaussCode(tuple([
+    return _unchecked(GaussCode, passages=tuple([
         ((p if p % 2 == 0 else partner[p]) // 2 + 1, OVER if over[p] else UNDER)
         for p in range(len(partner))
     ]))
@@ -239,7 +265,9 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
         if p < q and (q - p) % 2 == 0:
             ident = code.passages[p][0]
             raise FramingError(f"crossing {ident} met at labels {p + 1} and {q + 1} of equal parity")
-    return DTCode(tuple([
+    # every chord now joins an even position to an odd one, so the
+    # entries are the even labels 2..2c, each once
+    return _unchecked(DTCode, entries=tuple([
         partner[p] + 1 if over[p] else -partner[p] - 1 for p in range(0, len(partner), 2)
     ]))
 
@@ -247,7 +275,7 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
 def mirror(code: GaussCode) -> GaussCode:
     """Flip over/under at every crossing."""
     flipped = tuple((i, UNDER if r == OVER else OVER) for i, r in code.passages)
-    return GaussCode(flipped)
+    return _unchecked(GaussCode, passages=flipped)
 
 
 # ---------------------------------------------------------------------------

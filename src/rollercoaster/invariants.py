@@ -243,6 +243,8 @@ def parse_jones_refs(lines) -> dict[str, Laurent]:
         if len(fields) < 2:
             raise ValueError(f"line {n}: expected 'name; exp:coeff ...; note'")
         name, terms = fields[0], fields[1]
+        if not name:
+            raise ValueError(f"line {n}: empty knot name")
         coeffs = {}
         for item in terms.split():
             exp, _, coeff = item.partition(":")
@@ -255,9 +257,12 @@ def parse_jones_refs(lines) -> dict[str, Laurent]:
             coeffs[exp] = coeff
         if not coeffs:
             raise ValueError(f"line {n}: no terms")
+        poly = Laurent(coeffs)
+        if not poly:
+            raise ValueError(f"line {n}: zero polynomial")
         if name in refs:
             raise ValueError(f"line {n}: duplicate reference entry {name}")
-        refs[name] = Laurent(coeffs)
+        refs[name] = poly
     return refs
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import DTCode, _interlacement, dt_to_gauss
+from .codes import DTCode, _interlacement, _unchecked, dt_to_gauss
 from .embed import _orientation_bits
 from .warp import min_warp
 
@@ -89,7 +89,8 @@ def enumerate_alternating(c: int):
             masks = _interlacement(partner)
             if all(masks) and _orientation_bits(partner, masks) is not None:
                 if _least_reading(partner):
-                    yield DTCode([q + 1 for q in partner[::2]])
+                    # each even position is paired with an odd one: a valid code
+                    yield _unchecked(DTCode, entries=tuple([q + 1 for q in partner[::2]]))
             return
         for q in allowed[i]:
             if partner[q] is None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import Basepoint, GaussCode, OVER, UNDER
+from .codes import Basepoint, GaussCode, OVER, UNDER, _unchecked
 
 
 @dataclass(frozen=True)
@@ -94,4 +94,4 @@ def apply_roller_coaster(code: GaussCode, base: Basepoint) -> GaussCode:
     flipped = tuple(
         (i, (UNDER if r == OVER else OVER) if i in below else r) for i, r in code.passages
     )
-    return GaussCode(flipped)
+    return _unchecked(GaussCode, passages=flipped)

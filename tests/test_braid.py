@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -6,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rollercoaster import (
     BraidWord,
+    DTCode,
+    GaussCode,
     ab_counts,
     closure_components,
     closure_gauss,
@@ -13,6 +16,7 @@ from rollercoaster import (
     gauss_to_dt,
     min_warp,
     parse_braid,
+    parse_gauss,
     pd_from_braid,
     positive_unknotting,
     random_positive_braid_knot,
@@ -52,6 +56,36 @@ def test_parse_braid_caps_expanded_length():
                  f"s1^{MAX_BRAID_LETTERS // 2} s2^{MAX_BRAID_LETTERS // 2} s1"):
         with pytest.raises(ValueError, match="over the limit"):
             parse_braid(text)
+
+
+@pytest.mark.parametrize("token", ["+1", "1_0", "\u0663", "s\u0663", "s1^\u0662", "s1^+2"])
+def test_parse_braid_reads_only_ascii_integer_tokens(token):
+    with pytest.raises(ValueError, match=f"^malformed braid token {re.escape(repr(token))}$"):
+        parse_braid(f"1 {token}")
+
+
+@st.composite
+def braid_texts(draw):
+    """Braid text in plain and generator syntax, zero and negative powers
+    included, with the strand count and letters it spells."""
+    tokens, letters, top = [], [], 0
+    for idx, power, plain in draw(st.lists(st.tuples(st.integers(1, 9), st.integers(-3, 3), st.booleans()),
+                                           max_size=12)):
+        if plain and power in (1, -1):
+            tokens.append(str(idx * power))
+        else:
+            tokens.append(f"s{idx}" if power == 1 else f"s{idx}^{power}")
+        letters += [(idx, 1 if power > 0 else -1)] * abs(power)
+        top = max(top, idx)
+    separator = draw(st.sampled_from([" ", ",", ", ", "\n"]))
+    return separator.join(tokens), top + 1, tuple(letters)
+
+
+@given(braid_texts())
+def test_parse_braid_equals_its_checked_rebuild(case):
+    text, strands, letters = case
+    word = parse_braid(text)
+    assert word == BraidWord(strands, letters) == BraidWord(word.strands, word.letters)
 
 
 def test_parse_braid_strand_inference_and_validation():
@@ -279,6 +313,12 @@ def signed_link_words(draw):
     return word
 
 
+@given(signed_knot_words())
+def test_closure_gauss_equals_its_checked_rebuild(word):
+    gauss, _ = closure_gauss(word)
+    assert GaussCode(gauss.passages) == gauss
+
+
 @given(st.one_of(st.just(BraidWord(1, ())), signed_knot_words()))
 @settings(max_examples=200)
 def test_ab_counts_matches_warp_oracle_on_signed_knot_words(word):
@@ -348,9 +388,35 @@ def test_reduce_to_base_builds_no_gauss_code_and_runs_no_warp(monkeypatch):
     base, steps = reduce_to_base(word)
     assert (ab_counts(base), len(steps)) == ((2, 0), 3)
     assert calls == {"GaussCode": 0, "warp_from": 0}
-    # the counters are live: the Gauss route trips both
-    min_warp(closure_gauss(word)[0])
+    # the counters are live: a parsed Gauss code and its warp trip both
+    min_warp(parse_gauss("1 -2 3 -1 2 -3"))
     assert calls == {"GaussCode": 1, "warp_from": 1}
+
+
+def test_braid_item_checks_its_text_once(monkeypatch):
+    # a braid item as the benchmark runs it: the parser checks the text,
+    # and no value built from the parsed word is checked again
+    word = random_positive_braid_knot(6, 20, 3)
+    checked = []
+    for cls in (BraidWord, GaussCode, DTCode):
+        def counting(self, post_init=cls.__post_init__):
+            checked.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    parsed = parse_braid(str(word))
+    gauss, _ = closure_gauss(parsed)
+    gauss_to_dt(gauss)
+    ab_counts(parsed)
+    min_warp(gauss)
+    reduce_to_base(parsed)
+    assert parsed == word
+    assert checked == []
+    # the spies are live: the public constructors still check
+    BraidWord(2, ((1, 1),))
+    parse_gauss("1 -1")
+    DTCode((2,))
+    assert checked == ["BraidWord", "GaussCode", "DTCode"]
 
 
 def test_reduce_to_base_recounts_nothing_and_revalidates_no_word(monkeypatch):

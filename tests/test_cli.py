@@ -113,6 +113,22 @@ def test_braid_zero_power_still_names_its_strands(capsys):
         2, "", "error: closure has at least 6 components\n")
 
 
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["warp", "--dt", "4 6 0_2"], "", "malformed DT token '0_2'"),
+    (["warp", "--dt", "+4 6 2"], "", "malformed DT token '+4'"),
+    (["warp", "--dt", "\u0664 6 2"], "", "malformed DT token '\u0664'"),
+    (["warp", "--gauss", "-"], "1 -2 3 -1 2 -0_3", "malformed Gauss token '-0_3'"),
+    (["warp", "--gauss", "-"], "+1 -2 3 -1 2 -3", "malformed Gauss token '+1'"),
+    (["warp", "--gauss", "-"], "\u0661 -2 3 -1 2 -3", "malformed Gauss token '\u0661'"),
+    (["braid", "--word", "+1 1 1", "counts"], "", "malformed braid token '+1'"),
+    (["braid", "--word", "1_0 1 1", "counts"], "", "malformed braid token '1_0'"),
+    (["braid", "--word", "\u0661 1 1", "counts"], "", "malformed braid token '\u0661'"),
+])
+def test_integer_tokens_are_ascii_digits(capsys, monkeypatch, argv, stdin, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_braid_huge_power_rejected_before_expansion(capsys):
     code, _, err = run(capsys, "braid", "--word", "s1^999999999", "counts")
     assert code == 2

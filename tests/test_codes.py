@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +44,19 @@ def test_parse_dt_rejects_bad_entries():
         parse_dt("[4, 8, 2]")
     with pytest.raises(ValueError, match="duplicate"):
         parse_dt("[4, -4, 2]")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_dt, "4 6 0_2", "malformed DT token '0_2'"),
+    (parse_dt, "+4 6 2", "malformed DT token '+4'"),
+    (parse_dt, "\u0664 6 2", "malformed DT token '\u0664'"),
+    (parse_gauss, "1 -2 3 -1 2 -0_3", "malformed Gauss token '-0_3'"),
+    (parse_gauss, "+1 -2 3 -1 2 -3", "malformed Gauss token '+1'"),
+    (parse_gauss, "\u0661 -2 3 -1 2 -3", "malformed Gauss token '\u0661'"),
+])
+def test_code_parsers_read_only_ascii_integer_tokens(parse, text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 def test_format_dt_round_trip():
@@ -230,6 +245,25 @@ def signed_dt(draw):
     perm = draw(st.permutations(range(2, 2 * c + 1, 2)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=c, max_size=c))
     return DTCode(tuple(s * e for s, e in zip(signs, perm)))
+
+
+@given(signed_dt())
+def test_built_codes_equal_their_checked_rebuild(code):
+    # dt_to_gauss, mirror and gauss_to_dt build their results unchecked
+    gauss = dt_to_gauss(code)
+    for built in (gauss, mirror(gauss)):
+        assert GaussCode(built.passages) == built
+    dt = gauss_to_dt(gauss)
+    assert DTCode(dt.entries) == dt == code
+
+
+@given(abstract_gauss())
+def test_gauss_to_dt_equals_its_checked_rebuild(gauss):
+    try:
+        dt = gauss_to_dt(gauss)
+    except FramingError:
+        return
+    assert DTCode(dt.entries) == dt
 
 
 @given(signed_dt())

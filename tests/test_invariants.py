@@ -165,6 +165,10 @@ def test_parse_jones_refs_format():
         parse_jones_refs(["# comment", "3_1; 4:1 4:-1; x"])
     with pytest.raises(ValueError, match="^line 1: no terms$"):
         parse_jones_refs(["3_1; ; x"])
+    with pytest.raises(ValueError, match="^line 1: zero polynomial$"):
+        parse_jones_refs(["3_1; 0:0; x"])
+    with pytest.raises(ValueError, match="^line 2: empty knot name$"):
+        parse_jones_refs(["unknot; 0:1; x", "; 0:1; x"])
 
 
 def test_packaged_refs_cover_catalog():

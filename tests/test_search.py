@@ -19,6 +19,12 @@ def test_c4_includes_figure_eight():
     assert (4, 6, 8, 2) in codes
 
 
+@pytest.mark.parametrize("c", range(3, 8))
+def test_enumerated_codes_equal_their_checked_rebuild(c):
+    for code in enumerate_alternating(c):
+        assert DTCode(code.entries) == code
+
+
 def test_class_counts_pinned():
     assert [len(list(enumerate_alternating(c))) for c in range(3, 10)] == [1, 1, 2, 4, 12, 34, 131]
 
@@ -136,16 +142,24 @@ def test_enumeration_yields_before_testing_every_candidate(monkeypatch):
 
 
 def test_enumeration_builds_a_code_only_for_each_class(monkeypatch):
-    built = []
-    post_init = DTCode.__post_init__
+    built, checked = [], []
+    unchecked, post_init = search._unchecked, DTCode.__post_init__
 
-    def counting(self):
-        built.append(self)
+    def counting(cls, **fields):
+        built.append(cls)
+        return unchecked(cls, **fields)
+
+    def counting_post_init(self):
+        checked.append(self)
         post_init(self)
 
-    monkeypatch.setattr(DTCode, "__post_init__", counting)
+    monkeypatch.setattr(search, "_unchecked", counting)
+    monkeypatch.setattr(DTCode, "__post_init__", counting_post_init)
     classes = list(enumerate_alternating(8))
-    assert len(built) == len(classes) == 34
+    # one code per class, built without re-checking: its chords pair
+    # every even position with an odd one
+    assert built == [DTCode] * len(classes) and len(classes) == 34
+    assert checked == []
 
 
 def test_enumeration_decides_planarity_without_realizing(monkeypatch):

@@ -3,6 +3,7 @@ from hypothesis import given
 from rollercoaster import (
     Basepoint,
     DTCode,
+    GaussCode,
     apply_roller_coaster,
     dt_to_gauss,
     min_warp,
@@ -92,6 +93,7 @@ def test_adjacent_basepoints_differ_by_at_most_one(gauss):
 def test_descending_fixed_point_property(gauss):
     base = Basepoint(0)
     changed = apply_roller_coaster(gauss, base)
+    assert GaussCode(changed.passages) == changed
     assert warp_from(changed, base).degree == 0
     assert apply_roller_coaster(changed, base) == changed
 
