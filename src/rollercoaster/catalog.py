@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, fields
 
-from .codes import DTCode, _read_text, dt_to_gauss, parse_dt
+from .codes import _INTEGER, DTCode, _read_text, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
 from .invariants import AmbiguousMatch, BracketCapExceeded, identify
 from .warp import min_warp
@@ -61,11 +61,10 @@ class Range:
     @classmethod
     def parse(cls, text: str) -> "Range":
         text = text.strip()
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return cls(int(lo), int(hi))
-        value = int(text)
-        return cls(value, value)
+        bounds = [bound.strip() for bound in text.split("..", 1)]
+        if not all(_INTEGER.fullmatch(bound) for bound in bounds):
+            raise CatalogError(f"bad range {text!r}")
+        return cls(int(bounds[0]), int(bounds[-1]))
 
     def __str__(self):
         return str(self.lo) if self.is_point else f"{self.lo}..{self.hi}"
@@ -91,13 +90,13 @@ class RCCrossing:
     @classmethod
     def parse(cls, text: str) -> "RCCrossing":
         text = text.strip()
-        m = re.fullmatch(r"\{(\d+),\s*(\d+)\+\}", text)
+        m = re.fullmatch(r"\{([0-9]+),\s*([0-9]+)\+\}", text)
         if m:
             return cls(int(m.group(1)), int(m.group(2)))
-        m = re.fullmatch(r"(\d+)\+", text)
+        m = re.fullmatch(r"([0-9]+)\+", text)
         if m:
             return cls(None, int(m.group(1)))
-        m = re.fullmatch(r"\d+", text)
+        m = re.fullmatch(r"[0-9]+", text)
         if m:
             return cls(int(text), None)
         raise CatalogError(f"bad rc-crossing {text!r}")
@@ -110,7 +109,7 @@ class RCCrossing:
         return f"{self.at_least}+"
 
 
-_NAME = re.compile(r"(\d+)[a-z]?_\d+")
+_NAME = re.compile(r"([0-9]+)[a-z]?_[0-9]+")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ import sys
 
 from . import braid as braid_mod
 from .catalog import CatalogError, load_catalog, main_rows, summarize, verify_catalog
-from .codes import _read_text, _strip_comment, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt, parse_gauss
+from .codes import (
+    _read_text, _strip_comment, _unchecked, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt, parse_gauss,
+)
 from .invariants import load_jones_refs
 from .search import _check_crossings, conjecture_report, enumerate_alternating
 from .warp import min_warp, warp_profile
@@ -77,25 +79,33 @@ def cmd_braid(args) -> int:
         code = gauss_to_dt(gauss)
         print(json.dumps({"dt": list(code.entries)}) if args.json else format_dt(code))
         return 0
-    base, steps = braid_mod.reduce_to_base(word)
-    a, b = braid_mod.ab_counts(base)
+    # the word is checked before the generator is returned, so a rejected
+    # word prints nothing; each step goes out as it comes, read off the
+    # live letter list, and no word is copied
+    steps = braid_mod._reduction(word)
+    strands, letters = word.strands, word.letters
+    out = sys.stdout
     if args.json:
-        out = []
-        for step in steps:
-            out.append(
-                {
-                    "action": step.action,
-                    "detail": str(step.detail),
-                    "counts_before": list(step.counts_before),
-                    "counts_after": list(step.counts_after),
-                    "word": str(step.word),
-                }
-            )
-        print(json.dumps({"steps": out, "final": {"a": a, "b": b}}))
-        return 0
-    for step in steps:
-        print(f"{step.action} {step.detail}: counts {step.counts_before} -> {step.counts_after}")
-    print(f"base case: counts ({a}, {b}) on {base.strands} strands")
+        out.write('{"steps": [')
+    sep = ""
+    for action, detail, before, after, strands, letters in steps:
+        if args.json:
+            step = {
+                "action": action,
+                "detail": str(detail),
+                "counts_before": list(before),
+                "counts_after": list(after),
+                "word": braid_mod._format_letters(letters),
+            }
+            out.write(sep + json.dumps(step))
+            sep = ", "
+        else:
+            print(f"{action} {detail}: counts {before} -> {after}")
+    a, b = braid_mod.ab_counts(_unchecked(braid_mod.BraidWord, strands=strands, letters=tuple(letters)))
+    if args.json:
+        out.write(f'], "final": {json.dumps({"a": a, "b": b})}}}\n')
+    else:
+        print(f"base case: counts ({a}, {b}) on {strands} strands")
     return 0
 
 

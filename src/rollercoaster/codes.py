@@ -30,8 +30,10 @@ validated public form.
 Input is checked once, where it enters: every public constructor
 (``DTCode``, ``GaussCode``, ``braid.BraidWord``) checks its fields, and so
 do the parsers ``parse_dt``, ``parse_gauss`` and ``braid.parse_braid``
-(one integer-token rule, ``_INTEGER``, for all three) and
-``embed.extract_gauss``, which reads a caller's planar diagram.  A value
+and ``embed.extract_gauss``, which reads a caller's planar diagram.  One
+integer-token rule, ASCII digits as in ``_INTEGER``, serves every reader
+of integers: the three parsers, the catalog's range, rc-crossing and
+knot-name columns, and the terms of the Jones reference table.  A value
 the package builds from checked values is valid by construction and is
 built with ``_unchecked``, which skips ``__post_init__``: the closure
 sequence of ``braid.closure_gauss``, the words of ``braid.parse_braid``
@@ -53,8 +55,8 @@ OVER = "O"
 UNDER = "U"
 
 
-# the token separator and the one integer-token form the code parsers
-# accept: ASCII digits, an optional minus sign, no "+", "_" or other
+# the token separator and the one integer-token form every reader
+# accepts: ASCII digits, an optional minus sign, no "+", "_" or other
 # Unicode digits
 _SPLIT = re.compile(r"[,\s]+")
 _INTEGER = re.compile(r"-?[0-9]+")

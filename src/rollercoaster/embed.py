@@ -217,12 +217,13 @@ def pd_from_braid(word: BraidWord) -> PlanarDiagram:
     position runs over exactly when the letter is positive, so the sign
     rule of ``_crossing`` makes writhe the signed letter sum."""
     walk = _closure_walk(word)
-    # time of each (letter position, entered-at-upper-position) passage
+    # time of each (letter position, role) passage
     times = {passage: t for t, passage in enumerate(walk)}
-    crossings = [
-        _crossing(times[k, True], times[k, False], 0, sign > 0, len(walk))
-        for k, (_, sign) in enumerate(word.letters, start=1)
-    ]
+    crossings = []
+    for k, (_, sign) in enumerate(word.letters, start=1):
+        # the role of the passage entering at the upper position, then the lower
+        upper, lower = (OVER, UNDER) if sign > 0 else (UNDER, OVER)
+        crossings.append(_crossing(times[k, upper], times[k, lower], 0, sign > 0, len(walk)))
     if crossings and count_faces([x.edges for x in crossings]) != len(crossings) + 2:
         raise AssertionError("braid closure rotation system is not planar")
     return PlanarDiagram(tuple(crossings))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .codes import _read_text, _strip_comment
+from .codes import _INTEGER, _read_text, _strip_comment
 from .embed import PlanarDiagram, writhe
 
 
@@ -248,10 +248,9 @@ def parse_jones_refs(lines) -> dict[str, Laurent]:
         coeffs = {}
         for item in terms.split():
             exp, _, coeff = item.partition(":")
-            try:
-                exp, coeff = int(exp), int(coeff)
-            except ValueError:
-                raise ValueError(f"line {n}: malformed term {item!r}") from None
+            if not (_INTEGER.fullmatch(exp) and _INTEGER.fullmatch(coeff)):
+                raise ValueError(f"line {n}: malformed term {item!r}")
+            exp, coeff = int(exp), int(coeff)
             if exp in coeffs:
                 raise ValueError(f"line {n}: duplicate exponent {exp}")
             coeffs[exp] = coeff

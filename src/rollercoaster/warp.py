@@ -45,12 +45,11 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
     n = len(code.passages)
     if not 0 <= base.edge < n:
         raise ValueError(f"basepoint edge {base.edge} out of range for {n} passages")
-    step = 1 if base.forward else -1
-    start = base.edge if base.forward else base.edge - 1
-    first: dict[int, str] = {}
-    for k in range(n):
-        ident, role = code.passages[(start + step * k) % n]
-        first.setdefault(ident, role)
+    rotated = code.passages[base.edge:] + code.passages[:base.edge]
+    # a dict keeps each key's last value: read backward, the forward order
+    # leaves each crossing's first passage; read as is, its last, which is
+    # the first passage backward from the edge
+    first = dict(reversed(rotated) if base.forward else rotated)
     below = frozenset(i for i, role in first.items() if role == UNDER)
     return WarpResult(base, below, frozenset(first.keys() - below))
 

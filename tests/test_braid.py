@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rollercoaster import (
+    Bigon,
     BraidWord,
     DTCode,
     GaussCode,
+    RemovalCertificate,
     ab_counts,
     closure_components,
     closure_gauss,
@@ -23,7 +25,7 @@ from rollercoaster import (
     reduce_to_base,
 )
 from rollercoaster import braid, codes, warp
-from rollercoaster.braid import MAX_BRAID_LETTERS, _closure_walk, _first_bigon, permutation
+from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep, _closure_walk, _first_bigon, _reduction, permutation
 
 from oracles import (
     ab_counts_by_warp,
@@ -209,6 +211,40 @@ def test_reduce_to_base_reaches_n_minus_1():
             assert (a2, b2) == (a - step.detail.m - 1, b - step.detail.m)
 
 
+def test_step_records_are_named_tuples():
+    bigon = Bigon(0, 3, (1, 2))
+    cert = RemovalCertificate(crossing=1, strand=3, m=1)
+    # the CLI prints these reprs, the same bytes the dataclass records gave
+    assert str(bigon) == "Bigon(i=0, j=3, strands=(1, 2))"
+    assert str(cert) == "RemovalCertificate(crossing=1, strand=3, m=1)"
+    assert (bigon.i, bigon.j, bigon.strands, cert.crossing, cert.strand, cert.m) == (0, 3, (1, 2), 1, 3, 1)
+    _, (step,) = reduce_to_base(parse_braid("1 2 1 2"))
+    assert repr(step) == (
+        "ReductionStep(action='smooth', detail=Bigon(i=0, j=3, strands=(1, 2)), counts_before=(3, 1), "
+        "counts_after=(2, 0), word=BraidWord(strands=3, letters=((2, 1), (1, 1))))"
+    )
+    for record, field in ((bigon, "i"), (cert, "m"), (step, "word")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    # tuple semantics: a record equals, and hashes as, the plain tuple of its fields
+    assert bigon == (0, 3, (1, 2)) and hash(bigon) == hash((0, 3, (1, 2)))
+    assert step == ("smooth", bigon, (3, 1), (2, 0), BraidWord(3, ((2, 1), (1, 1))))
+    assert isinstance(step, ReductionStep) and isinstance(step, tuple)
+
+
+def test_reduction_generator_checks_the_word_when_called():
+    # no step is asked for: the check runs before the generator is returned
+    with pytest.raises(ValueError, match="^closure has 2 components$"):
+        _reduction(parse_braid("1 1"))
+    with pytest.raises(ValueError, match="^word is not positive$"):
+        _reduction(parse_braid("-1 -1 -1"))
+
+
+def test_reduction_generator_edits_one_letter_list():
+    lists = {id(letters) for *_, letters in _reduction(parse_braid("s1^201"))}
+    assert len(lists) == 1
+
+
 def test_reduce_to_base_rejects_a_link_before_any_step(monkeypatch):
     built = []
     real_step = braid.ReductionStep
@@ -283,9 +319,30 @@ def test_reduce_to_base_matches_resweep_oracle_on_seeded_words(n_max, c_max, see
 
 
 @given(positive_knot_words())
+@settings(max_examples=200, deadline=None)
+def test_reduction_generator_matches_reduce_to_base(word):
+    # each step's letter list is live, so it is copied before the next step
+    streamed = [
+        (action, detail, before, after, BraidWord(n, tuple(letters)))
+        for action, detail, before, after, n, letters in _reduction(word)
+    ]
+    _, steps = reduce_to_base(word)
+    assert streamed == steps
+
+
+@given(positive_knot_words())
 @settings(max_examples=200)
 def test_closure_walk_matches_oracle(word):
-    assert _closure_walk(word) == closure_walk_by_rounds(word)
+    assert _closure_walk(word) == roles_by_rounds(word)
+
+
+def roles_by_rounds(word):
+    """The oracle walk with each passage's role: the strand entering at
+    the upper position runs over exactly on a positive letter."""
+    return [
+        (slot, "O" if upper == (word.letters[slot - 1][1] > 0) else "U")
+        for slot, upper in closure_walk_by_rounds(word)
+    ]
 
 
 @given(positive_knot_words())
@@ -311,6 +368,11 @@ def signed_link_words(draw):
     word = BraidWord(n, tuple(zip(letters, signs)))
     assume(closure_components(word) != 1)
     return word
+
+
+@given(signed_knot_words())
+def test_closure_walk_matches_oracle_on_signed_knot_words(word):
+    assert _closure_walk(word) == roles_by_rounds(word)
 
 
 @given(signed_knot_words())

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -29,6 +31,31 @@ def test_range_parse_and_format():
         Range(3, 2)
     with pytest.raises(CatalogError, match=r"^negative bound in range -1\.\.-1$"):
         Range.parse("-1")
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", "1..+2", "1..2_0", "\u0661..2", "", "1..2..3"])
+def test_range_parse_reads_only_ascii_integers(text):
+    with pytest.raises(CatalogError, match=f"^bad range {re.escape(repr(text))}$"):
+        Range.parse(text)
+
+
+def test_range_parse_keeps_its_accepted_forms():
+    assert Range.parse(" 1 .. 2 ") == Range(1, 2)
+    with pytest.raises(CatalogError, match=r"^negative bound in range -1\.\.2$"):
+        Range.parse("-1..2")
+
+
+@pytest.mark.parametrize("text", ["\u0661\u0662+", "{\u0669, 12+}", "\u0669"])
+def test_rc_crossing_parse_reads_only_ascii_digits(text):
+    with pytest.raises(CatalogError, match=f"^bad rc-crossing {re.escape(repr(text))}$"):
+        RCCrossing.parse(text)
+
+
+def test_knot_names_take_ascii_digits_only():
+    entry = load_catalog()[0]
+    with pytest.raises(CatalogError, match="^bad knot name '\u0663_1'$"):
+        dataclasses.replace(entry, name="\u0663_1")
+    assert dataclasses.replace(entry, name="3_1").minimal_crossings == 3
 
 
 def test_rc_crossing_parse_and_format():
@@ -111,6 +138,8 @@ def test_load_rejects_edited_ascending(tmp_path):
 @pytest.mark.parametrize("fields, message", [
     ("3_1,Y,-1,1", r"^row 2: negative bound in range -1\.\.-1$"),
     ("3_1,Y,1,3..1", r"^row 2: empty range \[3, 1\]$"),
+    ("3_1,Y,1_0,1", r"^row 2: bad range '1_0'$"),
+    ("3_1,Y,1,+1", r"^row 2: bad range '\+1'$"),
 ])
 def test_load_names_the_fault_in_a_bad_range(tmp_path, fields, message):
     lines = _read_catalog_lines()

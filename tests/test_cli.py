@@ -1,15 +1,17 @@
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollercoaster import DTCode, cli
+from rollercoaster import DTCode, ab_counts, cli, parse_braid, reduce_to_base
 from rollercoaster.braid import MAX_BRAID_LETTERS
 from rollercoaster.cli import main
 
@@ -150,6 +152,70 @@ def test_braid_reduce_prints_identities(capsys):
     assert lines[-1] == "base case: counts (2, 0) on 3 strands"
 
 
+def test_text_reduce_streams_in_linear_memory(capsys):
+    # s1^4001 reduces in 2000 smoothings; a copy of the word per step, as
+    # the list API keeps, would hold about 2000 * 16 KiB
+    tracemalloc.start()
+    try:
+        code = main(["braid", "--word", "s1^4001", "reduce"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert (code, out.count("\n")) == (0, 2001)
+    assert out.endswith("base case: counts (1, 0) on 2 strands\n")
+    assert peak < 4 << 20
+
+
+def benchmark_words(seed, count):
+    """The first ``count`` words of the braid benchmark at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [text for _, text in module.braid_words(seed, count)]
+
+
+def reduce_outputs(text, strands=None):
+    """Text and ``--json`` output of ``braid reduce``, built from the list API."""
+    base, steps = reduce_to_base(parse_braid(text, strands))
+    a, b = ab_counts(base)
+    lines = [f"{s.action} {s.detail}: counts {s.counts_before} -> {s.counts_after}\n" for s in steps]
+    lines.append(f"base case: counts ({a}, {b}) on {base.strands} strands\n")
+    payload = {
+        "steps": [
+            {
+                "action": s.action,
+                "detail": str(s.detail),
+                "counts_before": list(s.counts_before),
+                "counts_after": list(s.counts_after),
+                "word": str(s.word),
+            }
+            for s in steps
+        ],
+        "final": {"a": a, "b": b},
+    }
+    return "".join(lines), json.dumps(payload) + "\n"
+
+
+README_WORDS = [("1 1 1", None), ("1 2 1 2", None), ("2 1 3 2 1", 4), ("1 2 1 2 1 2 1 2", None), ("1", None)]
+
+
+def test_streamed_reduce_equals_the_list_api(capsys):
+    cases = README_WORDS + [("s1^1001", None)] + [(text, None) for text in benchmark_words(1, 50)]
+    for text, strands in cases:
+        argv = ["braid", "--word", text] + ([] if strands is None else ["--strands", str(strands)])
+        want_text, want_json = reduce_outputs(text, strands)
+        assert run(capsys, *argv, "reduce") == (0, want_text, ""), text
+        assert run(capsys, *argv, "--json", "reduce") == (0, want_json, ""), text
+
+
+@pytest.mark.parametrize("word, message", [("1 1", "closure has 2 components"), ("-1 -1 -1", "word is not positive")])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_rejected_reduce_prints_nothing(capsys, word, message, mode):
+    assert run(capsys, "braid", "--word", word, *mode, "reduce") == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["--word", "1 2 1 2 1 2 1 2"], {
         "steps": [
@@ -257,6 +323,33 @@ def test_verify_catalog_short_row_exits_1_with_row_message(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "catalog verification failed: row 3: expected 8 fields as in the header\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("3_1,Y,1,1,", "3_1,Y,1_0,1,", "bad range '1_0'"),
+    ("3_1,Y,1,1,", "3_1,Y,1,+1,", "bad range '+1'"),
+    ("3_1,Y,1,1,", "3_1,Y,\u0661,1,", "bad range '\u0661'"),
+    ('"[4, 6, 2]",3', '"[4, 6, 2]",\u0663', "bad rc-crossing '\u0663'"),
+    ('"[4, 6, 2]",3', '"[4, 6, 2]",\u0661\u0662+', "bad rc-crossing '\u0661\u0662+'"),
+    ("3_1,", "\u0663_1,", "bad knot name '\u0663_1'"),
+])
+def test_verify_catalog_reads_only_ascii_integers(capsys, tmp_path, old, new, message):
+    # a malformed row stops the run before any row is checked, and exits 1
+    # as every malformed catalog row does
+    from importlib import resources
+
+    lines = resources.files("rollercoaster.data").joinpath("catalog.csv").read_text().splitlines()
+    lines[1] = lines[1].replace(old, new)
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    code, out, err = run(capsys, "verify-catalog", "--catalog", str(bad))
+    assert (code, out, err) == (1, "", f"catalog verification failed: row 2: {message}\n")
+
+
+def test_verify_catalog_reads_only_ascii_reference_terms(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("3_1; +4:1_0 \u0661\u0662:-1; x\n"))
+    code, out, err = run(capsys, "verify-catalog", "--refs", "-")
+    assert (code, out, err) == (2, "", "error: line 1: malformed term '+4:1_0'\n")
 
 
 _HEADER_MESSAGE = (

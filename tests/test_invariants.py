@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -158,8 +159,8 @@ def test_parse_jones_refs_format():
     assert refs["unknot"] == Laurent({0: 1})
     with pytest.raises(ValueError, match="duplicate"):
         parse_jones_refs(["3_1; 0:1; a", "3_1; 0:1; b"])
-    for term in ("0:a", "4:"):
-        with pytest.raises(ValueError, match=f"^line 1: malformed term '{term}'$"):
+    for term in ("0:a", "4:", "+4:1", "4:1_0", "\u0661\u0662:-1", "4:\u0661"):
+        with pytest.raises(ValueError, match=f"^line 1: malformed term {re.escape(repr(term))}$"):
             parse_jones_refs([f"3_1; {term}; bad"])
     with pytest.raises(ValueError, match="^line 2: duplicate exponent 4$"):
         parse_jones_refs(["# comment", "3_1; 4:1 4:-1; x"])
