@@ -32,6 +32,15 @@ caller that prints each step as it comes (``braid reduce``) holds O(n)
 memory on an n-letter word.  ``reduce_to_base`` is the list form over
 it: it snapshots one ``BraidWord`` per step, O(n^2) on long words.  The
 step records are named tuples.
+
+A word's closure facts, its knot order, passage walk and positivity,
+are computed once per word, on first use, and stored on the frozen word
+(``functools.cached_property``), so ``ab_counts``, ``closure_gauss``,
+``positive_unknotting``, ``reduce_to_base``, ``closure_components`` and
+``embed.pd_from_braid`` sweep a word's closure once between them.  The
+facts are not fields: equality, hashing and repr ignore them.  A link's
+order raises, so a link stores nothing and raises on every call.  The
+reduction reads only the order and positivity, never the walk.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import random
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
@@ -62,7 +72,26 @@ class BraidWord:
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
 
     def is_positive(self) -> bool:
+        return self._positive
+
+    # the closure facts (module docstring), stored in the instance dict
+    # on first use; a fact that raises stores nothing
+
+    @cached_property
+    def _positive(self) -> bool:
         return all(s == 1 for _, s in self.letters)
+
+    @cached_property
+    def _order(self) -> tuple[int, ...]:
+        """The knot order of the closure (``_knot_order``), after the
+        strand-count bound.  Raises ValueError for a link."""
+        _check_strand_count(self)
+        return tuple(_knot_order(_permutation(self)))
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[int, str], ...]:
+        """The passages of the closure (``_closure_walk``)."""
+        return tuple(_closure_walk(self))
 
     def __str__(self) -> str:
         return _format_letters(self.letters)
@@ -107,7 +136,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """
     powers: list[tuple[tuple[int, int], int]] = []  # (letter, repeat count)
     length = top = 0
-    for tok in _SPLIT.split(text.strip()):
+    for tok in _SPLIT.split(text):
         if not tok:
             continue
         match = _TOKEN.fullmatch(tok)
@@ -162,7 +191,11 @@ def _right_edge(occupant: list[int]) -> dict[int, int]:
 
 
 def closure_components(word: BraidWord) -> int:
-    return _cycles(permutation(word))
+    try:
+        word._order
+    except ValueError:
+        return _cycles(_permutation(word))
+    return 1
 
 
 def _cycles(perm: dict[int, int]) -> int:
@@ -199,20 +232,21 @@ def _knot_order(perm: dict[int, int]) -> list[int]:
     return order
 
 
-def _check_knot(word: BraidWord) -> None:
-    """The knot gate of the entry points that need no strand pairs: the
-    strand-count bound, then the permutation's one cycle."""
-    _check_strand_count(word)
-    _knot_order(_permutation(word))
+def _check_positive_knot(word: BraidWord) -> None:
+    """The gate of the entry points that need a positive knot word and
+    no passages: the knot order, then the positivity."""
+    word._order  # raises for a link
+    if not word._positive:
+        raise ValueError("word is not positive")
 
 
 def _closure_walk(word: BraidWord) -> list[tuple[int, str]]:
     """Passages of the closure traversal from the top-left corner, as
     (1-based letter position, OVER/UNDER) pairs.  The strand entering a
     letter at its upper position runs over exactly when the letter is
-    positive.  Raises ValueError, as ``_check_knot``, when the closure is
-    not a knot."""
-    _check_strand_count(word)
+    positive.  Raises ValueError, as the knot order does, when the
+    closure is not a knot."""
+    order = word._order
     occupant = list(range(1, word.strands + 1))
     visits: list[list[tuple[int, str]]] = [[] for _ in range(word.strands + 1)]
     for slot, (idx, sign) in enumerate(word.letters, start=1):
@@ -224,13 +258,16 @@ def _closure_walk(word: BraidWord) -> list[tuple[int, str]]:
         else:
             visits[upper].append((slot, UNDER))
             visits[lower].append((slot, OVER))
-    return [passage for start in _knot_order(_right_edge(occupant)) for passage in visits[start]]
+    return [passage for start in order for passage in visits[start]]
+
+
+_TOP_LEFT = Basepoint(0, forward=True)
 
 
 def closure_gauss(word: BraidWord) -> tuple[GaussCode, Basepoint]:
     """Gauss sequence of the closure, traversed from the top-left corner."""
     # each letter is passed once from each position, one passage over
-    return _unchecked(GaussCode, passages=tuple(_closure_walk(word))), Basepoint(0, forward=True)
+    return _unchecked(GaussCode, passages=word._walk), _TOP_LEFT
 
 
 def ab_counts(word: BraidWord) -> tuple[int, int]:
@@ -238,7 +275,7 @@ def ab_counts(word: BraidWord) -> tuple[int, int]:
     first from above and first from below."""
     # a dict keeps each key's last value, so the reversed walk leaves each
     # crossing's first role
-    first = dict(reversed(_closure_walk(word)))
+    first = dict(reversed(word._walk))
     a = [*first.values()].count(OVER)
     return (a, len(first) - a)
 
@@ -246,9 +283,7 @@ def ab_counts(word: BraidWord) -> tuple[int, int]:
 def positive_unknotting(word: BraidWord) -> int:
     """(C - n + 1) / 2: the unknotting number, genus, and ascending
     number of the closure of a positive braid word."""
-    _check_knot(word)
-    if not word.is_positive():
-        raise ValueError("word is not positive")
+    _check_positive_knot(word)
     c, n = len(word.letters), word.strands
     if (c - n + 1) % 2:
         raise AssertionError("a knot closure has letters and strands of opposite parity")
@@ -343,9 +378,7 @@ def _reduction(word: BraidWord) -> Iterator[tuple]:
     n-1 letters remain, where b = 0 and a = n - 1.  Raises ValueError when
     called, before any step, on a word that closes to a link or is not
     positive; otherwise returns the generator of the steps."""
-    _check_knot(word)
-    if not word.is_positive():
-        raise ValueError("word is not positive")
+    _check_positive_knot(word)
     return _steps(list(word.letters), word.strands)
 
 

@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, fields
 
-from .codes import _INTEGER, DTCode, _read_text, dt_to_gauss, parse_dt
+from .codes import _BLANK, _INTEGER, DTCode, _read_text, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
 from .invariants import AmbiguousMatch, BracketCapExceeded, identify
 from .warp import min_warp
@@ -60,14 +60,17 @@ class Range:
 
     @classmethod
     def parse(cls, text: str) -> "Range":
-        text = text.strip()
-        bounds = [bound.strip() for bound in text.split("..", 1)]
+        text = text.strip(_BLANK)
+        bounds = [bound.strip(_BLANK) for bound in text.split("..", 1)]
         if not all(_INTEGER.fullmatch(bound) for bound in bounds):
             raise CatalogError(f"bad range {text!r}")
         return cls(int(bounds[0]), int(bounds[-1]))
 
     def __str__(self):
         return str(self.lo) if self.is_point else f"{self.lo}..{self.hi}"
+
+
+_CONDITIONAL = re.compile(r"\{([0-9]+),[%s]*([0-9]+)\+\}" % _BLANK)
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,8 @@ class RCCrossing:
 
     @classmethod
     def parse(cls, text: str) -> "RCCrossing":
-        text = text.strip()
-        m = re.fullmatch(r"\{([0-9]+),\s*([0-9]+)\+\}", text)
+        text = text.strip(_BLANK)
+        m = _CONDITIONAL.fullmatch(text)
         if m:
             return cls(int(m.group(1)), int(m.group(2)))
         m = re.fullmatch(r"([0-9]+)\+", text)

@@ -33,15 +33,18 @@ do the parsers ``parse_dt``, ``parse_gauss`` and ``braid.parse_braid``
 and ``embed.extract_gauss``, which reads a caller's planar diagram.  One
 integer-token rule, ASCII digits as in ``_INTEGER``, serves every reader
 of integers: the three parsers, the catalog's range, rc-crossing and
-knot-name columns, and the terms of the Jones reference table.  A value
-the package builds from checked values is valid by construction and is
-built with ``_unchecked``, which skips ``__post_init__``: the closure
-sequence of ``braid.closure_gauss``, the words of ``braid.parse_braid``
-(without ``strands``) and ``braid.reduce_to_base``, the results of
-``dt_to_gauss``, ``mirror`` and ``warp.apply_roller_coaster`` (one over
-and one under passage per crossing), of ``gauss_to_dt`` once its framing
-check passes, and the codes ``search.enumerate_alternating`` yields.
-Re-checking those cost a fifth of the time of a braid item.
+knot-name columns, and the terms of the Jones reference table.  The same
+readers take only ASCII whitespace, ``_BLANK``, around and between
+tokens.  A value the package builds from checked values is valid by
+construction and is built with ``_unchecked``, which skips
+``__post_init__``: the closure sequence of ``braid.closure_gauss``, the
+words of ``braid.parse_braid`` (without ``strands``) and
+``braid.reduce_to_base``, the results of ``dt_to_gauss``, ``mirror`` and
+``warp.apply_roller_coaster`` (one over and one under passage per
+crossing), of ``gauss_to_dt`` once its framing check passes, the
+``WarpResult`` of ``warp.warp_from``, and the codes
+``search.enumerate_alternating`` yields.  Re-checking those cost a fifth
+of the time of a braid item.
 """
 
 from __future__ import annotations
@@ -55,10 +58,14 @@ OVER = "O"
 UNDER = "U"
 
 
-# the token separator and the one integer-token form every reader
+# the one blank every reader takes around and between tokens: ASCII
+# whitespace, where str.split(), str.strip() and "\s" take any Unicode
+# space
+_BLANK = " \t\n\r\f\v"
+# the token separator, and the one integer-token form every reader
 # accepts: ASCII digits, an optional minus sign, no "+", "_" or other
 # Unicode digits
-_SPLIT = re.compile(r"[,\s]+")
+_SPLIT = re.compile(f"[,{_BLANK}]+")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -162,10 +169,10 @@ def _read_text(path, packaged: str | None = None) -> str:
 
 def parse_dt(text: str) -> DTCode:
     """Parse a DT code from ``[4, 6, 2]`` or bare ``4 6 2`` form."""
-    body = text.strip()
+    body = text.strip(_BLANK)
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    tokens = [t for t in _SPLIT.split(body.strip()) if t]
+    tokens = [t for t in _SPLIT.split(body) if t]
     for tok in tokens:
         if not _INTEGER.fullmatch(tok):
             raise ValueError(f"malformed DT token {tok!r}")
@@ -181,7 +188,7 @@ def parse_gauss(text: str) -> GaussCode:
 
     ``1 -3 2 -1 3 -2`` is a trefoil.
     """
-    tokens = [t for t in _SPLIT.split(text.strip()) if t]
+    tokens = [t for t in _SPLIT.split(text) if t]
     passages = []
     for tok in tokens:
         if not _INTEGER.fullmatch(tok):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, _closure_walk
+from .braid import BraidWord
 from .codes import DTCode, GaussCode, OVER, UNDER, _dt_chords, _interlacement, gauss_to_dt
 
 
@@ -216,7 +216,7 @@ def pd_from_braid(word: BraidWord) -> PlanarDiagram:
     top-left traversal.  The passage entering a letter at its upper
     position runs over exactly when the letter is positive, so the sign
     rule of ``_crossing`` makes writhe the signed letter sum."""
-    walk = _closure_walk(word)
+    walk = word._walk
     # time of each (letter position, role) passage
     times = {passage: t for t, passage in enumerate(walk)}
     crossings = []

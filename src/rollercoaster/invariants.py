@@ -19,9 +19,10 @@ checked before any contraction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .codes import _INTEGER, _read_text, _strip_comment
+from .codes import _BLANK, _INTEGER, _read_text, _strip_comment
 from .embed import PlanarDiagram, writhe
 
 
@@ -233,20 +234,24 @@ def jones(diagram: PlanarDiagram) -> Laurent:
 # ---------------------------------------------------------------------------
 # identification against a reference table
 
+# a term list's items: runs of anything but ASCII blanks
+_ITEM = re.compile(f"[^{_BLANK}]+")
+
+
 def parse_jones_refs(lines) -> dict[str, Laurent]:
     refs: dict[str, Laurent] = {}
     for n, line in enumerate(lines, start=1):
-        body = _strip_comment(line).strip()
+        body = _strip_comment(line).strip(_BLANK)
         if not body:
             continue
-        fields = [f.strip() for f in body.split(";")]
+        fields = [f.strip(_BLANK) for f in body.split(";")]
         if len(fields) < 2:
             raise ValueError(f"line {n}: expected 'name; exp:coeff ...; note'")
         name, terms = fields[0], fields[1]
         if not name:
             raise ValueError(f"line {n}: empty knot name")
         coeffs = {}
-        for item in terms.split():
+        for item in _ITEM.findall(terms):
             exp, _, coeff = item.partition(":")
             if not (_INTEGER.fullmatch(exp) and _INTEGER.fullmatch(coeff)):
                 raise ValueError(f"line {n}: malformed term {item!r}")

@@ -51,7 +51,7 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
     # the first passage backward from the edge
     first = dict(reversed(rotated) if base.forward else rotated)
     below = frozenset(i for i, role in first.items() if role == UNDER)
-    return WarpResult(base, below, frozenset(first.keys() - below))
+    return _unchecked(WarpResult, base=base, below=below, above=frozenset(first.keys() - below))
 
 
 def warp_profile(code: GaussCode, forward: bool = True) -> list[int]:

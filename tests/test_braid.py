@@ -60,7 +60,8 @@ def test_parse_braid_caps_expanded_length():
             parse_braid(text)
 
 
-@pytest.mark.parametrize("token", ["+1", "1_0", "\u0663", "s\u0663", "s1^\u0662", "s1^+2"])
+@pytest.mark.parametrize("token", ["+1", "1_0", "\u0663", "s\u0663", "s1^\u0662", "s1^+2",
+                                   "1\u20032", "2\u00a0", "\u3000s1"])
 def test_parse_braid_reads_only_ascii_integer_tokens(token):
     with pytest.raises(ValueError, match=f"^malformed braid token {re.escape(repr(token))}$"):
         parse_braid(f"1 {token}")
@@ -79,7 +80,7 @@ def braid_texts(draw):
             tokens.append(f"s{idx}" if power == 1 else f"s{idx}^{power}")
         letters += [(idx, 1 if power > 0 else -1)] * abs(power)
         top = max(top, idx)
-    separator = draw(st.sampled_from([" ", ",", ", ", "\n"]))
+    separator = draw(st.sampled_from([" ", ",", ", ", "\n", "\t", "\r\n", "\x0b", "\x0c"]))
     return separator.join(tokens), top + 1, tuple(letters)
 
 
@@ -507,3 +508,59 @@ def test_reduce_to_base_recounts_nothing_and_revalidates_no_word(monkeypatch):
     braid.ab_counts(base)
     BraidWord(2, ((1, 1),))
     assert calls == {"ab_counts": 1, "_closure_walk": 1, "__post_init__": 1}
+
+
+# the public readers of a word's closure facts: the knot order, the
+# passage walk and the positivity
+CLOSURE_READERS = (*KNOT_ENTRY_POINTS, closure_components, permutation, BraidWord.is_positive)
+
+
+def test_a_word_sweeps_its_closure_once(monkeypatch):
+    calls = {"_closure_walk": 0, "_permutation": 0}
+    originals = {name: getattr(braid, name) for name in calls}
+
+    def counted(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return wrapper
+
+    word = parse_braid(str(random_positive_braid_knot(6, 20, 5)))
+    for name in calls:
+        monkeypatch.setattr(braid, name, counted(name))
+    for function in (ab_counts, closure_gauss, positive_unknotting, reduce_to_base, closure_components, pd_from_braid):
+        function(word)
+    assert calls == {"_closure_walk": 1, "_permutation": 1}
+    # the spies are live: another word sweeps its own closure
+    ab_counts(parse_braid("1 1 1"))
+    assert calls == {"_closure_walk": 2, "_permutation": 2}
+
+
+def _outcome(function, word):
+    try:
+        return "value", function(word)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@given(
+    st.one_of(positive_knot_words(), signed_knot_words(), signed_link_words()),
+    st.permutations(CLOSURE_READERS),
+    st.permutations(CLOSURE_READERS),
+)
+@settings(max_examples=150)
+def test_stored_closure_facts_change_no_result(word, first, second):
+    # each reader, called twice in a drawn order on one shared word, gives
+    # what it gives on a fresh parse of the same text
+    text = " ".join(str(i * s) for i, s in word.letters)
+    shared = parse_braid(text, strands=word.strands)
+    for function in (*first, *second):
+        assert _outcome(function, shared) == _outcome(function, parse_braid(text, strands=word.strands))
+    fresh = parse_braid(text, strands=word.strands)
+    assert (shared, hash(shared), repr(shared)) == (fresh, hash(fresh), repr(fresh))
+    if closure_components(word) == 1:
+        assert list(vars(shared)["_walk"]) == roles_by_rounds(word)
+    else:
+        # a link raises on every call and stores neither order nor walk
+        assert {"_order", "_walk"}.isdisjoint(vars(shared))
+        assert all(_outcome(f, shared)[0] == "error" for f in KNOT_ENTRY_POINTS)

@@ -33,7 +33,8 @@ def test_range_parse_and_format():
         Range.parse("-1")
 
 
-@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", "1..+2", "1..2_0", "\u0661..2", "", "1..2..3"])
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", "1..+2", "1..2_0", "\u0661..2", "", "1..2..3",
+                                  "1\u2003..2", "1..\u00a02"])
 def test_range_parse_reads_only_ascii_integers(text):
     with pytest.raises(CatalogError, match=f"^bad range {re.escape(repr(text))}$"):
         Range.parse(text)
@@ -41,11 +42,12 @@ def test_range_parse_reads_only_ascii_integers(text):
 
 def test_range_parse_keeps_its_accepted_forms():
     assert Range.parse(" 1 .. 2 ") == Range(1, 2)
+    assert Range.parse("\t1\x0b..\x0c2\r\n") == Range(1, 2)
     with pytest.raises(CatalogError, match=r"^negative bound in range -1\.\.2$"):
         Range.parse("-1..2")
 
 
-@pytest.mark.parametrize("text", ["\u0661\u0662+", "{\u0669, 12+}", "\u0669"])
+@pytest.mark.parametrize("text", ["\u0661\u0662+", "{\u0669, 12+}", "\u0669", "{9,\u200312+}", "12+\u3000"])
 def test_rc_crossing_parse_reads_only_ascii_digits(text):
     with pytest.raises(CatalogError, match=f"^bad rc-crossing {re.escape(repr(text))}$"):
         RCCrossing.parse(text)
@@ -62,6 +64,7 @@ def test_rc_crossing_parse_and_format():
     assert RCCrossing.parse("9") == RCCrossing(9, None)
     assert RCCrossing.parse("12+") == RCCrossing(None, 12)
     assert RCCrossing.parse("{9, 12+}") == RCCrossing(9, 12)
+    assert RCCrossing.parse("\t{9,\x0b\x0c12+}\r\n") == RCCrossing(9, 12)
     for text in ("9", "12+", "{9, 12+}"):
         assert str(RCCrossing.parse(text)) == text
     with pytest.raises(CatalogError):

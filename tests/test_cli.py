@@ -125,6 +125,9 @@ def test_braid_zero_power_still_names_its_strands(capsys):
     (["braid", "--word", "+1 1 1", "counts"], "", "malformed braid token '+1'"),
     (["braid", "--word", "1_0 1 1", "counts"], "", "malformed braid token '1_0'"),
     (["braid", "--word", "\u0661 1 1", "counts"], "", "malformed braid token '\u0661'"),
+    (["warp", "--dt", "[4,\u00a06, 2]"], "", "malformed DT token '\\xa06'"),
+    (["warp", "--gauss", "-"], "1\u2003-2 3 -1 2 -3", "malformed Gauss token '1\\u2003-2'"),
+    (["braid", "--word", "1\u20032", "counts"], "", "malformed braid token '1\\u20032'"),
 ])
 def test_integer_tokens_are_ascii_digits(capsys, monkeypatch, argv, stdin, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -332,6 +335,9 @@ def test_verify_catalog_short_row_exits_1_with_row_message(capsys, tmp_path):
     ('"[4, 6, 2]",3', '"[4, 6, 2]",\u0663', "bad rc-crossing '\u0663'"),
     ('"[4, 6, 2]",3', '"[4, 6, 2]",\u0661\u0662+', "bad rc-crossing '\u0661\u0662+'"),
     ("3_1,", "\u0663_1,", "bad knot name '\u0663_1'"),
+    ("3_1,Y,1,1,", "3_1,Y,1\u2003..1,1,", "bad range '1\\u2003..1'"),
+    ('"[4, 6, 2]",3', '"[4,\u00a06, 2]",3', "malformed DT token '\\xa06'"),
+    ('"[4, 6, 2]",3', '"[4, 6, 2]","{3,\u200312+}"', "bad rc-crossing '{3,\\u200312+}'"),
 ])
 def test_verify_catalog_reads_only_ascii_integers(capsys, tmp_path, old, new, message):
     # a malformed row stops the run before any row is checked, and exits 1
@@ -344,6 +350,12 @@ def test_verify_catalog_reads_only_ascii_integers(capsys, tmp_path, old, new, me
     bad.write_text("\n".join(lines), encoding="utf-8")
     code, out, err = run(capsys, "verify-catalog", "--catalog", str(bad))
     assert (code, out, err) == (1, "", f"catalog verification failed: row 2: {message}\n")
+
+
+def test_verify_catalog_takes_only_ascii_blanks_in_reference_terms(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("3_1; 4:1\u200312:1 16:-1; x\n"))
+    code, out, err = run(capsys, "verify-catalog", "--refs", "-")
+    assert (code, out, err) == (2, "", "error: line 1: malformed term '4:1\\u200312:1'\n")
 
 
 def test_verify_catalog_reads_only_ascii_reference_terms(capsys, monkeypatch):

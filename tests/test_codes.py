@@ -53,10 +53,19 @@ def test_parse_dt_rejects_bad_entries():
     (parse_gauss, "1 -2 3 -1 2 -0_3", "malformed Gauss token '-0_3'"),
     (parse_gauss, "+1 -2 3 -1 2 -3", "malformed Gauss token '+1'"),
     (parse_gauss, "\u0661 -2 3 -1 2 -3", "malformed Gauss token '\u0661'"),
+    (parse_dt, "[4,\u00a06, 2]", "malformed DT token " + repr("\u00a06")),
+    (parse_dt, "\u2003[4, 6, 2]", "malformed DT token " + repr("\u2003[4")),
+    (parse_gauss, "1\u2003-2 3 -1 2 -3", "malformed Gauss token " + repr("1\u2003-2")),
+    (parse_gauss, "1 -2 3 -1 2 -3\u3000", "malformed Gauss token " + repr("-3\u3000")),
 ])
 def test_code_parsers_read_only_ascii_integer_tokens(parse, text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse(text)
+
+
+def test_code_parsers_take_every_ascii_blank():
+    assert parse_dt(" \t[4,\x0b6,\x0c2]\r\n") == TREFOIL
+    assert parse_gauss("\t1 -3\x0b2,-1\x0c3\r-2\n") == parse_gauss("1 -3 2 -1 3 -2")
 
 
 def test_format_dt_round_trip():

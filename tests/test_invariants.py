@@ -162,6 +162,10 @@ def test_parse_jones_refs_format():
     for term in ("0:a", "4:", "+4:1", "4:1_0", "\u0661\u0662:-1", "4:\u0661"):
         with pytest.raises(ValueError, match=f"^line 1: malformed term {re.escape(repr(term))}$"):
             parse_jones_refs([f"3_1; {term}; bad"])
+    for line, term in (("3_1; 4:1\u200312:1 16:-1; x", "4:1\u200312:1"), ("3_1; 4:1 16:-1\u00a0; x", "16:-1\u00a0")):
+        with pytest.raises(ValueError, match=f"^line 1: malformed term {re.escape(repr(term))}$"):
+            parse_jones_refs([line])
+    assert parse_jones_refs(["\t3_1;\x0b4:1\t12:1\x0c16:-1 ;x\r"])["3_1"] == RIGHT_TREFOIL
     with pytest.raises(ValueError, match="^line 2: duplicate exponent 4$"):
         parse_jones_refs(["# comment", "3_1; 4:1 4:-1; x"])
     with pytest.raises(ValueError, match="^line 1: no terms$"):

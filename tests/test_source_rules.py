@@ -1,0 +1,78 @@
+"""Two source rules the CI grep steps also check, read with ``ast`` so that
+they hold in tier-1 as well: no ``assert`` statement in ``src/`` or
+``scripts/`` (``python -O`` strips them), and no engine name that an
+oracle-independence step forbids in ``tests/oracles.py``."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+ORACLES = ROOT / "tests" / "oracles.py"
+
+# a CI step that keeps the oracles apart from the engine:
+#     ! grep -nE '<pattern>' tests/oracles.py
+_ORACLE_STEP = re.compile(r"^\s*! grep -nE '([^']+)' tests/oracles\.py\s*$", re.M)
+
+
+def _asserts(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def _names(tree):
+    """Every name the module binds, imports (``as`` names too) or reads,
+    and every identifier-like string, as ``getattr`` would take it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for name in (*alias.name.split("."), alias.asname):
+                    if name:
+                        yield name, node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def _forbidden(tree, patterns):
+    return sorted({f"line {line}: {name}" for name, line in _names(tree) for p in patterns if re.search(p, name)})
+
+
+def oracle_step_patterns():
+    return _ORACLE_STEP.findall(WORKFLOW.read_text(encoding="utf-8"))
+
+
+def test_no_assert_statements_in_src_or_scripts():
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in _asserts(path)] == []
+
+
+def test_the_six_oracle_independence_steps_are_read():
+    patterns = oracle_step_patterns()
+    assert len(patterns) >= 6
+    for name in ("_first_bigon", "_closure_walk", "kauffman_bracket", "_least_reading", "_crossing", "_unchecked"):
+        assert any(re.search(p, name) for p in patterns), name
+
+
+def test_oracles_use_no_name_the_independence_steps_forbid():
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    assert _forbidden(tree, oracle_step_patterns()) == []
+
+
+def test_forbidden_names_are_seen_through_every_form():
+    patterns = oracle_step_patterns()
+    for source in (
+        "from rollercoaster.braid import _first_bigon as f",
+        "import rollercoaster.braid as b\nb._remove_strand",
+        "from rollercoaster import codes\ngetattr(codes, '_unchecked')",
+        "from rollercoaster.embed import _crossing",
+    ):
+        assert _forbidden(ast.parse(source), patterns), source
+    assert _forbidden(ast.parse("from rollercoaster.embed import _crossing_sign, realize"), patterns) == []
