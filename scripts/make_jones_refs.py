@@ -18,6 +18,9 @@ table is only as trustworthy as the cross-checks below:
 The checks raise SystemExit, so they also run under ``python -O``.
 
 Run from the repository root:  python3 scripts/make_jones_refs.py
+
+``table_text()`` returns the table without writing it; a tier-1 test
+compares it byte for byte with the packaged file.
 """
 
 import pathlib
@@ -53,7 +56,9 @@ def torus_jones(p: int, q: int) -> Laurent:
     raise AssertionError(f"inexact division for T({p},{q})")
 
 
-def main() -> int:
+def table_text() -> str:
+    """The reference table, one row per catalog witness, after the checks
+    above pass."""
     entries = load_catalog()
     rows = []
     for entry in entries:
@@ -96,8 +101,14 @@ def main() -> int:
     for name, poly, size in rows:
         terms = " ".join(f"{e}:{c}" for e, c in sorted(poly.coeffs.items()))
         lines.append(f"{name}; {terms}; from {size}-crossing witness")
-    OUT.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(rows)} rows to {OUT}")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> int:
+    text = table_text()
+    OUT.write_text(text)
+    rows = sum(1 for line in text.split("\n") if line and not line.startswith("#"))
+    print(f"wrote {rows} rows to {OUT}")
     return 0
 
 

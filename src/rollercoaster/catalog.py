@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, fields
 
-from .codes import _BLANK, _INTEGER, DTCode, _read_text, dt_to_gauss, parse_dt
+from .codes import _BLANK, _INTEGER, DTCode, _read_lines, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
 from .invariants import AmbiguousMatch, BracketCapExceeded, identify
 from .warp import min_warp
@@ -157,7 +157,7 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
     """Parse the shipped table (or a file at ``path``, ``-`` for stdin)
     into validated entries."""
     entries = []
-    reader = csv.DictReader(_read_text(path, "catalog.csv").splitlines())
+    reader = csv.DictReader(_read_lines(path, "catalog.csv"))
     columns = [f.name for f in fields(CatalogEntry)]
     if sorted(reader.fieldnames or ()) != sorted(columns):
         raise CatalogError(f"header: expected {','.join(columns)}")

@@ -17,7 +17,8 @@ import sys
 from . import braid as braid_mod
 from .catalog import CatalogError, load_catalog, main_rows, summarize, verify_catalog
 from .codes import (
-    _read_text, _strip_comment, _unchecked, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt, parse_gauss,
+    _read_lines, _read_text, _strip_comment, _unchecked, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt,
+    parse_gauss,
 )
 from .invariants import load_jones_refs
 from .search import _check_crossings, conjecture_report, enumerate_alternating
@@ -38,7 +39,7 @@ def cmd_warp(args) -> int:
     if args.dt is not None:
         gauss = dt_to_gauss(parse_dt(_read_text(args.dt) if args.dt == "-" else args.dt))
     else:
-        lines = _read_text(args.gauss).splitlines()
+        lines = _read_lines(args.gauss)
         gauss = parse_gauss("\n".join(map(_strip_comment, lines)))
     if args.mirror:
         gauss = mirror(gauss)

@@ -167,6 +167,14 @@ def _read_text(path, packaged: str | None = None) -> str:
         return fh.read()
 
 
+def _read_lines(path, packaged: str | None = None) -> list[str]:
+    """The lines of one input, broken at ``\\r\\n``, ``\\r`` and ``\\n``
+    as a file opened in text mode is (stdin is not translated on POSIX),
+    and nowhere else: ``str.splitlines`` also breaks at ``\\x1c``-``\\x1e``,
+    ``\\x85``, ``\\u2028`` and ``\\u2029``, which a note or field may hold."""
+    return _read_text(path, packaged).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_dt(text: str) -> DTCode:
     """Parse a DT code from ``[4, 6, 2]`` or bare ``4 6 2`` form."""
     body = text.strip(_BLANK)

@@ -69,31 +69,36 @@ class PlanarDiagram:
         return len(self.crossings)
 
 
-def _twins(rotations) -> dict[tuple[int, int], tuple[int, int]]:
-    """The other end of each dart (crossing, slot) along its edge."""
-    ends: dict[int, list[tuple[int, int]]] = {}
-    for ci, rot in enumerate(rotations):
-        for slot, e in enumerate(rot):
-            ends.setdefault(e, []).append((ci, slot))
-    twin = {}
-    for a, b in ends.values():
-        twin[a] = b
-        twin[b] = a
+def _twins(rotations) -> list[int]:
+    """The other end of each dart along its edge, dart 4*ci + slot being
+    slot ``slot`` of crossing ci."""
+    twin = [0] * (4 * len(rotations))
+    first: dict[int, int] = {}  # edge id -> its dart met first
+    for dart, e in enumerate(e for rot in rotations for e in rot):
+        other = first.pop(e, None)
+        if other is None:
+            first[e] = dart
+        else:
+            twin[dart] = other
+            twin[other] = dart
     return twin
 
 
 def count_faces(rotations: list[tuple[int, int, int, int]]) -> int:
-    """Faces of the combinatorial map given by the rotation system."""
+    """Faces of the combinatorial map given by the rotation system: each
+    face leaves a dart's twin by the next slot counterclockwise."""
     twin = _twins(rotations)
-    unseen = set(twin)
+    seen = bytearray(len(twin))
     faces = 0
-    while unseen:
+    for start in range(len(twin)):
+        if seen[start]:
+            continue
         faces += 1
-        dart = next(iter(unseen))
-        while dart in unseen:
-            unseen.discard(dart)
-            ci, slot = twin[dart]
-            dart = (ci, (slot + 1) % 4)
+        dart = start
+        while not seen[dart]:
+            seen[dart] = 1
+            dart = twin[dart]
+            dart += -3 if dart & 3 == 3 else 1
     return faces
 
 
@@ -203,7 +208,7 @@ def extract_gauss(diagram: PlanarDiagram) -> GaussCode:
     for _ in range(2 * c):
         x = diagram.crossings[ci]
         passages.append((ci + 1, OVER if slot in x.over else UNDER))
-        ci, slot = twin[ci, (slot + 2) % 4]
+        ci, slot = divmod(twin[4 * ci + (slot + 2) % 4], 4)
     return GaussCode(tuple(passages))
 
 

@@ -13,16 +13,21 @@ restricted to the bracket): the placed crossings form a tangle whose
 state is a map from boundary matchings to Laurent coefficients, so the
 cost follows the number of matchings of the open edges rather than the
 2^c smoothings.  Crossings are placed greedily to keep that boundary
-short, and the widest boundary along that order is the one size limit,
-checked before any contraction.
+short: next comes the crossing with the most open edges, the lowest
+index on ties, taken from a heap of per-crossing open-edge counts in
+O(c log c).  The widest boundary along that order is the one size limit,
+checked before any contraction.  Every matching of one step has the same
+open edges, so it is keyed by their partners in one order per step, and
+the weights A^(+-1) * delta^k are built once, at import.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
 
-from .codes import _BLANK, _INTEGER, _read_text, _strip_comment
+from .codes import _BLANK, _INTEGER, _read_lines, _strip_comment
 from .embed import PlanarDiagram, writhe
 
 
@@ -121,6 +126,12 @@ class Laurent:
 
 _DELTA = Laurent({2: -1, -2: -1})
 ONE = Laurent({0: 1})
+# _WEIGHT[sign][k]: A^sign * delta^k as (exponent, coeff) pairs, k <= 2
+# loops closed per crossing
+_WEIGHT = {
+    sign: tuple(tuple(d.shift(sign).coeffs.items()) for d in (ONE, _DELTA, _DELTA * _DELTA))
+    for sign in (1, -1)
+}
 _MAX_FRONTIER = 16  # open edge ids; the contraction's cost follows their matchings
 
 
@@ -151,17 +162,41 @@ def _smoothing_arcs(crossing, use_a: bool):
 def _crossing_order(crossings) -> tuple[list[int], int]:
     """Greedy placement order and its frontier width: next comes the crossing
     sharing the most edge ids with the open ones (met once so far), the
-    lowest index on ties; the width is the most ids open at once."""
+    lowest index on ties; the width is the most ids open at once.
+
+    Each unplaced crossing keeps its count of open edge ids.  Placing a
+    crossing opens each of its edges not yet met and adds 1 to the count
+    at that edge's far end; the edges it closes join it to placed
+    crossings only, so no unplaced count ever falls.  A raised count is
+    pushed anew on a heap keyed (-count, index), so a crossing's newest
+    entry comes off first and its older ones come off once it is placed,
+    to be skipped: the order takes O(c log c).
+    """
+    far: dict[int, list[int]] = {}  # edge id -> the crossings at its two ends
+    for ci, x in enumerate(crossings):
+        for e in x.edges:
+            far.setdefault(e, []).append(ci)
+    count = [0] * len(crossings)
+    placed = bytearray(len(crossings))
+    heap = [(0, ci) for ci in range(len(crossings))]  # already a heap
     open_ids: set[int] = set()
-    remaining = list(range(len(crossings)))
     order = []
     width = 0
-    while remaining:
-        best = max(remaining, key=lambda ci: (len(open_ids.intersection(crossings[ci].edges)), -ci))
-        remaining.remove(best)
-        order.append(best)
-        for e in crossings[best].edges:  # a kink's edge id toggles twice here
-            open_ids ^= {e}
+    while heap:
+        ci = heapq.heappop(heap)[1]
+        if placed[ci]:
+            continue
+        placed[ci] = 1
+        order.append(ci)
+        for e in crossings[ci].edges:  # a kink's edge id toggles twice here
+            if e in open_ids:
+                open_ids.remove(e)
+            else:
+                open_ids.add(e)
+                a, b = far[e]
+                other = b if a == ci else a  # ci itself on a kink: a skipped entry
+                count[other] += 1
+                heapq.heappush(heap, (-count[other], other))
         width = max(width, len(open_ids))
     return order, width
 
@@ -169,37 +204,45 @@ def _crossing_order(crossings) -> tuple[list[int], int]:
 def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
     """Bracket by frontier contraction, one crossing at a time.
 
-    The state maps each boundary matching of the placed crossings (the
-    sorted items of its partner map, which sends each open edge id to the
-    other end of its strand) to the summed weight A^(a-b) * delta^(closed
-    loops) of its partial smoothings.  Placing a crossing glues its A-arcs
-    (weight A) or its B-arcs (weight A^-1) into every matching; the last
-    crossing leaves only the empty matching and counts one loop fewer,
-    giving A^(a-b) * delta^(loops-1) per state.  The matchings grow with
-    the frontier width, so an order opening more than _MAX_FRONTIER edges
-    at once is rejected before any contraction.
+    The state maps each boundary matching of the placed crossings to the
+    summed weight A^(a-b) * delta^(closed loops) of its partial
+    smoothings.  The open edge ids after a step are the same for every
+    matching, so a matching is keyed by the partner of each open id (the
+    other end of its strand), in one order fixed per step.  Placing a
+    crossing glues its A-arcs (weight A) or its B-arcs (weight A^-1) into
+    every matching; the last crossing leaves only the empty matching and
+    counts one loop fewer, giving A^(a-b) * delta^(loops-1) per state.
+    The matchings grow with the frontier width, so an order opening more
+    than _MAX_FRONTIER edges at once is rejected before any contraction.
     """
     c = diagram.size
     order, width = _crossing_order(diagram.crossings)
     if width > _MAX_FRONTIER:
         raise BracketCapExceeded(f"frontier of {width} open edges exceeds the limit of {_MAX_FRONTIER}")
 
-    # weight[sign][k]: A^sign * delta^k as {exponent: coeff}, k <= 2 loops per crossing
-    delta_pow = [ONE, _DELTA, _DELTA * _DELTA]
-    weight = {sign: [d.shift(sign).coeffs for d in delta_pow] for sign in (1, -1)}
     states: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    open_ids: dict[int, None] = {}  # insertion-ordered: the key order of every matching
     for step, ci in enumerate(order):
         x = diagram.crossings[ci]
-        last = step == c - 1
-        smoothings = [
-            (sign, [(x.edges[s1], x.edges[s2]) for s1, s2 in _smoothing_arcs(x, use_a)])
-            for use_a, sign in ((True, 1), (False, -1))
-        ]
+        loops0 = -1 if step == c - 1 else 0
+        edges = x.edges
+        smoothings = []  # per smoothing: its weights and its two arcs as edge ids
+        for use_a, sign in ((True, 1), (False, -1)):
+            (s1, s2), (s3, s4) = _smoothing_arcs(x, use_a)
+            smoothings.append((_WEIGHT[sign], ((edges[s1], edges[s2]), (edges[s3], edges[s4]))))
+        before = tuple(open_ids)
+        for e in edges:  # a kink's edge id toggles twice here
+            if e in open_ids:
+                del open_ids[e]
+            else:
+                open_ids[e] = None
+        after = tuple(open_ids)
         contracted: dict[tuple, dict[int, int]] = {}
         for matching, poly in states.items():
-            for sign, arcs in smoothings:
-                partner = dict(matching)
-                loops = -1 if last else 0
+            glued = dict(zip(before, matching))
+            for weight, arcs in smoothings:
+                partner = glued.copy()
+                loops = loops0
                 for u, v in arcs:
                     # an edge id met for the first time is its own far end
                     a = partner.pop(u, u)
@@ -211,8 +254,8 @@ def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
                     else:
                         partner[a] = b
                         partner[b] = a
-                target = contracted.setdefault(tuple(sorted(partner.items())), {})
-                for e, k in weight[sign][loops].items():
+                target = contracted.setdefault(tuple([partner[e] for e in after]), {})
+                for e, k in weight[loops]:
                     for e0, c0 in poly.items():
                         target[e0 + e] = target.get(e0 + e, 0) + c0 * k
         states = contracted
@@ -273,13 +316,13 @@ def parse_jones_refs(lines) -> dict[str, Laurent]:
 def load_jones_refs(path=None) -> dict[str, Laurent]:
     """Reference Jones polynomials from ``path`` (``-`` for stdin);
     defaults to the packaged table."""
-    return parse_jones_refs(_read_text(path, "jones_refs.dat").splitlines())
+    return parse_jones_refs(_read_lines(path, "jones_refs.dat"))
 
 
 def match_jones(poly: Laurent, refs: dict[str, Laurent]) -> list[str]:
     """Reference names whose polynomial equals poly up to t -> 1/t."""
-    mirrored = poly.mirror()
-    return sorted(name for name, ref in refs.items() if ref == poly or ref == mirrored)
+    coeffs, mirrored = poly.coeffs, poly.mirror().coeffs
+    return sorted(name for name, ref in refs.items() if ref.coeffs == coeffs or ref.coeffs == mirrored)
 
 
 def identify(diagram: PlanarDiagram, refs: dict[str, Laurent]) -> str | None:

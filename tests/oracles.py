@@ -3,17 +3,19 @@
 Nothing here shares computation strategy with the package: the bracket
 oracles resolve crossings recursively or sum all 2^c states (one
 union-find per state) instead of contracting a frontier, the
-realizability oracle tries every chirality assignment with its own
-face walker, the embedding oracle tries the orientation choices in
-order until one traces c+2 faces instead of colouring the
-interlacement graph (it still counts faces with the package's
-``count_faces``) and takes the mirror by flipping every choice when
-crossing 1 comes out negative, the relabelling oracle re-reads the Gauss
-sequence from every basepoint, the permutation-walk oracle (the
-earlier enumeration) tries all c! codes and builds each one's
-relabellings in full instead of cutting prefixes, the braid count
-oracle builds the closure's validated Gauss code from the
-round-by-round closure walk and the letter signs and reads its
+placement-order oracle takes a max over every remaining crossing at
+each step instead of keeping open-edge counts on a heap, the
+realizability oracle tries every chirality assignment, the embedding
+oracle tries the orientation choices in order until one traces c+2
+faces instead of colouring the interlacement graph and takes the
+mirror by flipping every choice when crossing 1 comes out negative
+(both trace faces with ``trace_faces``, on (crossing, slot) darts
+walked from a set, where the package numbers its darts), the
+relabelling oracle re-reads the Gauss sequence from every basepoint,
+the permutation-walk oracle (the earlier enumeration) tries all c!
+codes and builds each one's relabellings in full instead of cutting
+prefixes, the braid count oracle builds the closure's validated Gauss
+code from the round-by-round closure walk and the letter signs and reads its
 below-set with the based-traversal oracle instead of counting first
 visits on the closure walk, the orbit oracle partitions raw
 permutations into symmetry orbits by breadth-first closure, the warp
@@ -62,7 +64,6 @@ from rollercoaster.embed import (
     Crossing,
     NotRealizable,
     PlanarDiagram,
-    count_faces,
     is_realizable,
 )
 from rollercoaster.invariants import _smoothing_arcs
@@ -163,6 +164,25 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
     return total
 
 
+def greedy_order_by_intersection(crossings) -> tuple[list[int], int]:
+    """Greedy placement order and its frontier width by a max over every
+    remaining crossing at each step, O(c^2): next comes the crossing
+    sharing the most edge ids with the open ones, the lowest index on
+    ties; the width is the most ids open at once."""
+    open_ids: set[int] = set()
+    remaining = list(range(len(crossings)))
+    order = []
+    width = 0
+    while remaining:
+        best = max(remaining, key=lambda ci: (len(open_ids.intersection(crossings[ci].edges)), -ci))
+        remaining.remove(best)
+        order.append(best)
+        for e in crossings[best].edges:  # a kink's edge id toggles twice here
+            open_ids ^= {e}
+        width = max(width, len(open_ids))
+    return order, width
+
+
 def _passage_slot(rot, t, n):
     """Inbound rotation slot of the passage at time t: the slot carrying
     its in-edge with its out-edge opposite."""
@@ -199,7 +219,7 @@ def search_realize(code: DTCode) -> PlanarDiagram:
         return found
 
     choices = next((bits for bits in product((0,), *[(0, 1)] * (c - 1))
-                    if count_faces(rotations(bits)) == c + 2), None)
+                    if trace_faces(rotations(bits)) == c + 2), None)
     if choices is None:
         raise NotRealizable(f"{code} admits no planar embedding")
     found = rotations(choices)
@@ -250,10 +270,16 @@ def _face_count(gauss, occurrences, mask) -> int:
             rotations[ident] = (in1, in2, out1, out2)
         else:
             rotations[ident] = (in1, out2, out1, in2)
+    return trace_faces(list(rotations.values()))
+
+
+def trace_faces(rotations) -> int:
+    """Faces of the rotation system, darts being (crossing, slot) pairs
+    walked from a set; -1 when an edge id is not on exactly two darts."""
     darts = {}
-    for ident, rot in rotations.items():
+    for ci, rot in enumerate(rotations):
         for slot, edge in enumerate(rot):
-            darts.setdefault(edge, []).append((ident, slot))
+            darts.setdefault(edge, []).append((ci, slot))
     twins = {}
     for edge, pair in darts.items():
         if len(pair) != 2:
@@ -267,8 +293,8 @@ def _face_count(gauss, occurrences, mask) -> int:
         dart = next(iter(unvisited))
         while dart in unvisited:
             unvisited.remove(dart)
-            ident, slot = twins[dart]
-            dart = (ident, (slot + 1) % 4)
+            ci, slot = twins[dart]
+            dart = (ci, (slot + 1) % 4)
     return faces
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import re
 
@@ -195,6 +196,22 @@ def test_load_names_the_physical_line_after_a_blank_line(tmp_path):
     bad.write_text("\n".join(lines))
     with pytest.raises(CatalogError, match="^row 4: stored property"):
         load_catalog(bad)
+
+
+def test_load_catalog_breaks_lines_at_newlines_only(tmp_path, monkeypatch):
+    header, first, second = _read_catalog_lines()[:3]
+    path = tmp_path / "catalog.csv"
+    for ch in ("\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        bad = second.replace("[4, 6, 8, 2]", f"[4, 6,{ch} 8, 2]")
+        for end in ("\n", "\r\n", "\r"):
+            path.write_text(end.join([header, first, second, ""]), encoding="utf-8", newline="")
+            assert [e.name for e in load_catalog(path)] == ["3_1", "4_1"]
+            # stdin is not translated to "\n" as a file opened in text mode is
+            monkeypatch.setattr("sys.stdin", io.StringIO(end.join([header, first, second, ""])))
+            assert [e.name for e in load_catalog("-")] == ["3_1", "4_1"]
+            path.write_text(end.join([header, first, bad, second, ""]), encoding="utf-8", newline="")
+            with pytest.raises(CatalogError, match=f"^row 3: malformed DT token {re.escape(repr(ch))}$"):
+                load_catalog(path)
 
 
 def _read_catalog_lines():

@@ -79,6 +79,15 @@ def test_warp_gauss_file(tmp_path, capsys):
     assert out.splitlines()[0] == "min_warp: 1"
 
 
+def test_warp_gauss_file_breaks_lines_at_newlines_only(tmp_path, capsys):
+    path = tmp_path / "knot.gauss"
+    for ch in ("\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        for end in ("\n", "\r\n", "\r"):
+            path.write_text(f"# trefoil{ch}4 -5{end}1 -3 2 -1 3 -2{end}", encoding="utf-8", newline="")
+            code, out, _ = run(capsys, "warp", "--gauss", str(path))
+            assert (code, out.splitlines()[0]) == (0, "min_warp: 1")
+
+
 def test_braid_counts(capsys):
     code, out, _ = run(capsys, "braid", "--word", "1 1 1", "counts")
     assert code == 0

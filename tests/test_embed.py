@@ -27,7 +27,7 @@ from rollercoaster import (
 from rollercoaster import embed
 from rollercoaster.catalog import load_catalog
 
-from oracles import canonical_dt, exhaustive_realizable, rotate, search_realize
+from oracles import canonical_dt, exhaustive_realizable, rotate, search_realize, trace_faces
 
 TREFOIL = DTCode((4, 6, 2))
 
@@ -175,6 +175,27 @@ def test_realize_counts_faces_once(monkeypatch):
     monkeypatch.setattr(embed, "count_faces", lambda rotations: calls.append(rotations) or count_faces(rotations))
     realize(parse_dt("[14, -16, 20, 18, -2, 4, 6, 10, 8, 12]"))
     assert len(calls) == 1
+
+
+@st.composite
+def rotation_systems(draw):
+    """Any 4-valent map: each edge id on two of the 4c slots, kinks and
+    non-planar systems included."""
+    c = draw(st.integers(min_value=1, max_value=12))
+    slots = draw(st.permutations([e for e in range(2 * c) for _ in range(2)]))
+    return [tuple(slots[4 * ci:4 * ci + 4]) for ci in range(c)]
+
+
+@given(rotation_systems())
+@settings(max_examples=300, deadline=None)
+def test_count_faces_matches_the_face_tracing_oracle(rotations):
+    assert embed.count_faces(rotations) == trace_faces(rotations)
+
+
+def test_count_faces_matches_the_face_tracing_oracle_on_every_catalog_witness():
+    for entry in load_catalog():
+        rotations = [x.edges for x in realize(entry.dt).crossings]
+        assert embed.count_faces(rotations) == trace_faces(rotations) == len(rotations) + 2
 
 
 def test_realize_rejects_twenty_crossing_chain():

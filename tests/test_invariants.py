@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import pathlib
 import re
 from fractions import Fraction
@@ -27,7 +28,7 @@ from rollercoaster import invariants
 from rollercoaster.catalog import load_catalog
 from rollercoaster.invariants import BracketCapExceeded
 
-from oracles import skein_bracket, state_sum_bracket
+from oracles import greedy_order_by_intersection, skein_bracket, state_sum_bracket
 
 RIGHT_TREFOIL = Laurent({4: 1, 12: 1, 16: -1})  # t + t^3 - t^4
 
@@ -149,6 +150,37 @@ def test_contraction_matches_state_sum_on_every_catalog_witness():
         assert kauffman_bracket(diagram) == state_sum_bracket(diagram), entry.name
 
 
+def assert_order_matches_oracle(diagram):
+    found = invariants._crossing_order(diagram.crossings)
+    assert found == greedy_order_by_intersection(diagram.crossings)
+    return found
+
+
+@given(signed_knot_words())
+@settings(max_examples=150, deadline=None)
+def test_crossing_order_matches_the_intersection_oracle_on_braid_closures(word):
+    assume(closure_components(word) == 1)
+    assert_order_matches_oracle(pd_from_braid(word))
+
+
+def test_crossing_order_matches_the_intersection_oracle_on_every_catalog_witness():
+    for entry in load_catalog():
+        assert_order_matches_oracle(realize(entry.dt))
+
+
+def test_crossing_order_matches_the_intersection_oracle_on_two_strand_torus_knots():
+    for n in range(1, 202, 2):
+        order, width = assert_order_matches_oracle(pd_from_braid(parse_braid(f"s1^{n}")))
+        assert sorted(order) == list(range(n))
+        assert width == (0 if n == 1 else 4)  # s1 alone is a kink
+
+
+def test_crossing_order_matches_the_intersection_oracle_on_t9_10():
+    order, width = assert_order_matches_oracle(pd_from_braid(torus_braid(9, 10)))
+    assert sorted(order) == list(range(80))
+    assert width == 18
+
+
 def test_parse_jones_refs_format():
     refs = parse_jones_refs([
         "# comment",
@@ -187,6 +219,45 @@ def test_match_jones_finds_mirrors():
     assert match_jones(RIGHT_TREFOIL, refs) == ["3_1"]
     assert match_jones(RIGHT_TREFOIL.mirror(), refs) == ["3_1"]
     assert match_jones(Laurent({0: 1}), refs) == []
+
+
+def test_match_jones_equals_a_plain_comparison_loop():
+    refs = load_jones_refs()
+    doubled = dict(refs, fake=refs["3_1"])
+
+    def plain(poly, table):
+        return sorted(name for name, ref in table.items() if ref == poly or ref == poly.mirror())
+
+    for table in (refs, doubled):
+        for ref in refs.values():
+            for poly in (ref, ref.mirror()):
+                assert match_jones(poly, table) == plain(poly, table)
+                assert match_jones(poly, table)
+        nothing = Laurent({0: 2})
+        assert match_jones(nothing, table) == plain(nothing, table) == []
+    assert match_jones(refs["3_1"].mirror(), doubled) == ["3_1", "fake"]
+
+
+def test_packaged_refs_equal_what_the_script_builds():
+    assert make_jones_refs.table_text().encode("utf-8") == make_jones_refs.OUT.read_bytes()
+
+
+# line breaks that str.splitlines takes and the readers must not
+UNICODE_BREAKS = ("\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def test_load_jones_refs_breaks_lines_at_newlines_only(tmp_path, monkeypatch):
+    path = tmp_path / "refs.dat"
+    for ch in UNICODE_BREAKS:
+        good = f"# notes may hold {ch}\n3_1; 4:1 12:1 16:-1; right{ch}handed\n"
+        for text in (good, good.replace("\n", "\r\n"), good.replace("\n", "\r")):
+            path.write_text(text, encoding="utf-8", newline="")
+            assert load_jones_refs(path) == {"3_1": RIGHT_TREFOIL}
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert load_jones_refs("-") == {"3_1": RIGHT_TREFOIL}
+        path.write_text(good + "4_1; 0:1 x; bad\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 3: malformed term 'x'$"):
+            load_jones_refs(path)
 
 
 def test_identify_unique_none_and_ambiguous():

@@ -57,7 +57,9 @@ def test_no_assert_statements_in_src_or_scripts():
 def test_the_six_oracle_independence_steps_are_read():
     patterns = oracle_step_patterns()
     assert len(patterns) >= 6
-    for name in ("_first_bigon", "_closure_walk", "kauffman_bracket", "_least_reading", "_crossing", "_unchecked"):
+    for name in (
+        "_first_bigon", "_closure_walk", "kauffman_bracket", "_least_reading", "_crossing", "count_faces", "_unchecked",
+    ):
         assert any(re.search(p, name) for p in patterns), name
 
 
@@ -73,6 +75,7 @@ def test_forbidden_names_are_seen_through_every_form():
         "import rollercoaster.braid as b\nb._remove_strand",
         "from rollercoaster import codes\ngetattr(codes, '_unchecked')",
         "from rollercoaster.embed import _crossing",
+        "from rollercoaster import embed\nembed.count_faces",
     ):
         assert _forbidden(ast.parse(source), patterns), source
     assert _forbidden(ast.parse("from rollercoaster.embed import _crossing_sign, realize"), patterns) == []
