@@ -34,8 +34,11 @@ it: it snapshots one ``BraidWord`` per step, O(n^2) on long words.  The
 step records are named tuples.
 
 A word's closure facts, its knot order, passage walk and positivity,
-are computed once per word, on first use, and stored on the frozen word
-(``functools.cached_property``), so ``ab_counts``, ``closure_gauss``,
+are computed once per word, on first use, and stored in the frozen word's
+instance dict by ``_fact``, a non-data descriptor that the stored value
+shadows from then on, so later reads take no lock and run no Python code
+(``functools.cached_property`` takes a class-wide lock on every first
+read before Python 3.12).  So ``ab_counts``, ``closure_gauss``,
 ``positive_unknotting``, ``reduce_to_base``, ``closure_components`` and
 ``embed.pd_from_braid`` sweep a word's closure once between them.  The
 facts are not fields: equality, hashing and repr ignore them.  A link's
@@ -49,11 +52,25 @@ import random
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
 from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _unchecked
+
+
+class _fact:
+    """A closure fact of a word: computed on first read and written into
+    the instance dict, which shadows this non-data descriptor from then
+    on.  A fact that raises stores nothing."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, word, owner=None):
+        if word is None:
+            return self
+        value = word.__dict__[self.name] = self.compute(word)
+        return value
 
 
 @dataclass(frozen=True)
@@ -77,18 +94,18 @@ class BraidWord:
     # the closure facts (module docstring), stored in the instance dict
     # on first use; a fact that raises stores nothing
 
-    @cached_property
+    @_fact
     def _positive(self) -> bool:
         return all(s == 1 for _, s in self.letters)
 
-    @cached_property
+    @_fact
     def _order(self) -> tuple[int, ...]:
         """The knot order of the closure (``_knot_order``), after the
         strand-count bound.  Raises ValueError for a link."""
         _check_strand_count(self)
         return tuple(_knot_order(_permutation(self)))
 
-    @cached_property
+    @_fact
     def _walk(self) -> tuple[tuple[int, str], ...]:
         """The passages of the closure (``_closure_walk``)."""
         return tuple(_closure_walk(self))
@@ -123,7 +140,10 @@ class RemovalCertificate(NamedTuple):
 
 MAX_BRAID_LETTERS = 100_000
 
-_TOKEN = re.compile(rf"({_INTEGER.pattern})|s([0-9]+)(?:\^({_INTEGER.pattern}))?")
+# the generator form s<i>[^<p>]; a plain token, the form ``_INTEGER``
+# takes, is checked with string methods: ASCII, then digits, as
+# "²".isdigit() and "٣".isdigit() hold
+_TOKEN = re.compile(rf"s([0-9]+)(?:\^({_INTEGER.pattern}))?")
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
@@ -139,14 +159,15 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     for tok in _SPLIT.split(text):
         if not tok:
             continue
-        match = _TOKEN.fullmatch(tok)
-        if match is None:
-            raise ValueError(f"malformed braid token {tok!r}")
-        plain, idx, power = match.groups()
-        if plain is not None:
-            v = int(plain)
+        digits = tok[1:] if tok[0] == "-" else tok
+        if digits.isascii() and digits.isdigit():
+            v = int(tok)
             idx, power = abs(v), 1 if v > 0 else -1
         else:
+            match = _TOKEN.fullmatch(tok)
+            if match is None:
+                raise ValueError(f"malformed braid token {tok!r}")
+            idx, power = match.groups()
             idx = int(idx)
             power = int(power) if power else 1
         if idx == 0:
@@ -252,13 +273,12 @@ def _closure_walk(word: BraidWord) -> list[tuple[int, str]]:
     for slot, (idx, sign) in enumerate(word.letters, start=1):
         upper, lower = occupant[idx - 1], occupant[idx]
         occupant[idx - 1], occupant[idx] = lower, upper
-        if sign > 0:
-            visits[upper].append((slot, OVER))
-            visits[lower].append((slot, UNDER))
-        else:
-            visits[upper].append((slot, UNDER))
-            visits[lower].append((slot, OVER))
-    return [passage for start in order for passage in visits[start]]
+        visits[upper].append((slot, OVER if sign > 0 else UNDER))
+        visits[lower].append((slot, UNDER if sign > 0 else OVER))
+    walk: list[tuple[int, str]] = []
+    for start in order:
+        walk += visits[start]
+    return walk
 
 
 _TOP_LEFT = Basepoint(0, forward=True)

@@ -159,9 +159,13 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
     entries = []
     reader = csv.DictReader(_read_lines(path, "catalog.csv"))
     columns = [f.name for f in fields(CatalogEntry)]
-    if sorted(reader.fieldnames or ()) != sorted(columns):
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise CatalogError(f"header: {exc}") from exc
+    if sorted(header or ()) != sorted(columns):
         raise CatalogError(f"header: expected {','.join(columns)}")
-    for row in reader:
+    for row in _rows(reader):
         lineno = reader.line_num  # the row's physical line: DictReader skips blank lines
         # DictReader fills missing fields with None and files extra ones under None
         if None in row or None in row.values():
@@ -186,6 +190,17 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
             )
         entries.append(entry)
     return tuple(entries)
+
+
+def _rows(reader):
+    """The rows of ``reader``, with the csv module's own error on a row (a
+    field over its size limit, say) raised as a CatalogError naming the
+    line.  The size limit is process-wide, so it stays as it is."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        # a DictReader copies its line count only from a row it completes
+        raise CatalogError(f"row {reader.reader.line_num}: {exc}") from exc
 
 
 def main_rows(entries) -> tuple[CatalogEntry, ...]:

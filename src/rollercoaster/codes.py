@@ -22,10 +22,11 @@ positions 0..2c-1 (labels minus one): ``partner[p]`` is the other
 position of p's crossing and ``over[p]`` says whether the passage at p
 runs over.  ``_dt_chords`` and ``_gauss_chords`` build them;
 ``_interlacement`` turns ``partner`` into one bitmask per position of
-the chords interlaced with p's chord.  The conversions, the nugatory
-test and ``embed.realize`` all read these arrays, and the enumeration in
-``search`` builds them directly; ``DTCode`` and ``GaussCode`` stay the
-validated public form.
+the chords interlaced with p's chord.  ``dt_to_gauss``, the nugatory
+test and ``embed.realize`` read these arrays, and the enumeration in
+``search`` builds them directly; ``gauss_to_dt`` pairs the passages in
+its own single pass, writing each entry as its chord closes.
+``DTCode`` and ``GaussCode`` stay the validated public form.
 
 Input is checked once, where it enters: every public constructor
 (``DTCode``, ``GaussCode``, ``braid.BraidWord``) checks its fields, and so
@@ -42,7 +43,8 @@ words of ``braid.parse_braid`` (without ``strands``) and
 ``braid.reduce_to_base``, the results of ``dt_to_gauss``, ``mirror`` and
 ``warp.apply_roller_coaster`` (one over and one under passage per
 crossing), of ``gauss_to_dt`` once its framing check passes, the
-``WarpResult`` of ``warp.warp_from``, and the codes
+``WarpResult`` of ``warp.warp_from``, the ``Basepoint`` that
+``warp.min_warp`` picks (an edge index of the profile), and the codes
 ``search.enumerate_alternating`` yields.  Re-checking those cost a fifth
 of the time of a braid item.
 """
@@ -277,16 +279,29 @@ def gauss_to_dt(code: GaussCode) -> DTCode:
     shifts and reversal keep the parity of every label pair, so a
     sequence that fails here fails from every basepoint.
     """
-    partner, over = _gauss_chords(code.passages)
-    for p, q in enumerate(partner):
-        if p < q and (q - p) % 2 == 0:
-            ident = code.passages[p][0]
-            raise FramingError(f"crossing {ident} met at labels {p + 1} and {q + 1} of equal parity")
-    # every chord now joins an even position to an odd one, so the
-    # entries are the even labels 2..2c, each once
-    return _unchecked(DTCode, entries=tuple([
-        partner[p] + 1 if over[p] else -partner[p] - 1 for p in range(0, len(partner), 2)
-    ]))
+    passages = code.passages
+    entries = [0] * (len(passages) // 2)
+    first: dict[int, int] = {}
+    bad = None  # the equal-parity chord with the least first position
+    # one pass: at each crossing's second position q, its chord (p, q) is
+    # complete, and its entry goes at the chord's even position
+    for q, (ident, role) in enumerate(passages):
+        p = first.setdefault(ident, q)
+        if p == q:
+            continue
+        if (q - p) % 2 == 0:
+            if bad is None or p < bad[0]:
+                bad = (p, q)
+        elif q % 2:
+            entries[p // 2] = q + 1 if passages[p][1] == OVER else -q - 1
+        else:
+            entries[q // 2] = p + 1 if role == OVER else -p - 1
+    if bad is not None:
+        p, q = bad
+        raise FramingError(f"crossing {passages[p][0]} met at labels {p + 1} and {q + 1} of equal parity")
+    # every chord joins an even position to an odd one, so the entries are
+    # the even labels 2..2c, each once
+    return _unchecked(DTCode, entries=tuple(entries))
 
 
 def mirror(code: GaussCode) -> GaussCode:

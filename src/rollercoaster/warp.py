@@ -50,19 +50,15 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
     # leaves each crossing's first passage; read as is, its last, which is
     # the first passage backward from the edge
     first = dict(reversed(rotated) if base.forward else rotated)
-    below = frozenset(i for i, role in first.items() if role == UNDER)
+    below = frozenset([i for i, role in first.items() if role == UNDER])
     return _unchecked(WarpResult, base=base, below=below, above=frozenset(first.keys() - below))
 
 
 def warp_profile(code: GaussCode, forward: bool = True) -> list[int]:
     """Warping degree at every edge basepoint, one traversal direction."""
-    # edge 0 first: the crossings whose first passage runs under
-    seen: set[int] = set()
-    degree = 0
-    for ident, role in code.passages:
-        if ident not in seen:
-            seen.add(ident)
-            degree += role == UNDER
+    # edge 0 first: the crossings whose first passage runs under, read as
+    # warp_from reads them, off a dict of the reversed sequence
+    degree = [*dict(reversed(code.passages)).values()].count(UNDER)
     profile = []
     for _, role in code.passages:
         profile.append(degree)
@@ -83,7 +79,7 @@ def min_warp(code: GaussCode) -> WarpResult:
     n = len(profile)
     forward = profile.index(v) if lo == v else n
     backward = profile.index(c - v) if c - hi == v else n
-    return warp_from(code, Basepoint(min(forward, backward), forward <= backward))
+    return warp_from(code, _unchecked(Basepoint, edge=min(forward, backward), forward=forward <= backward))
 
 
 def apply_roller_coaster(code: GaussCode, base: Basepoint) -> GaussCode:

@@ -27,7 +27,11 @@ its first letter at every step instead of taking the counts from
 (c, n) and resuming one scan, the strand-removal oracle follows each
 strand through the whole word to find the first ascending one and the
 crossing to resolve, and the nugatory oracle counts the ids between
-each crossing's passages instead of reading interlacement masks.
+each crossing's passages instead of reading interlacement masks.  The
+DT oracle builds a partner array and checks the framing over it before
+reading any entry, where ``gauss_to_dt`` writes each entry as its chord
+closes, and the braid grammar oracle reads tokens with one regex written
+apart from the parser's.
 
 Beside them live the checked, whole-object forms of private engine
 cores, which the package itself no longer needs: ``rotate``,
@@ -39,6 +43,7 @@ where the search stops at the first differing entry, and
 at each step over the pairwise bigon oracle and their own strand walks.
 """
 
+import re
 from itertools import permutations, product
 
 from rollercoaster import (
@@ -58,7 +63,7 @@ from rollercoaster import (
     gauss_to_dt,
     is_reduced,
 )
-from rollercoaster.braid import ReductionStep
+from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep
 from rollercoaster.codes import _dt_chords
 from rollercoaster.embed import (
     Crossing,
@@ -313,6 +318,56 @@ def gauss_code_problem(passages):
         if sorted(rs) != ["O", "U"]:
             return f"crossing {ident} must occur exactly once over and once under"
     return None
+
+
+def dt_by_partner_array(code: GaussCode) -> DTCode:
+    """The DT code of a Gauss sequence in three passes: pair the positions
+    of each crossing, reject the equal-parity chord with the least first
+    position, then read the entry at each even position off its partner."""
+    where: dict[int, list[int]] = {}
+    for pos, (ident, _) in enumerate(code.passages):
+        where.setdefault(ident, []).append(pos)
+    partner = [0] * len(code.passages)
+    for p, q in where.values():
+        partner[p], partner[q] = q, p
+    for p, q in enumerate(partner):
+        if p < q and (q - p) % 2 == 0:
+            ident = code.passages[p][0]
+            raise FramingError(f"crossing {ident} met at labels {p + 1} and {q + 1} of equal parity")
+    return DTCode(tuple(
+        partner[p] + 1 if code.passages[p][1] == "O" else -partner[p] - 1 for p in range(0, len(partner), 2)
+    ))
+
+
+# the braid token grammar, apart from the parser's own patterns: a signed
+# integer, or s<index> with an optional signed power, all in ASCII digits;
+# tokens are separated by commas and ASCII whitespace
+BRAID_TOKEN = re.compile(r"(-?)([0-9]+)|s([0-9]+)(?:\^(-?[0-9]+))?")
+BRAID_SEPARATOR = re.compile(r"[, \t\n\r\x0b\x0c]+")
+
+
+def braid_by_grammar(text: str) -> BraidWord:
+    """The word ``parse_braid(text)`` reads, built checked, or the
+    ValueError it raises: a token outside ``BRAID_TOKEN`` or with index 0,
+    whichever comes first, then an expansion over MAX_BRAID_LETTERS."""
+    powers = []
+    for tok in BRAID_SEPARATOR.split(text):
+        if not tok:
+            continue
+        match = BRAID_TOKEN.fullmatch(tok)
+        if match is None:
+            raise ValueError(f"malformed braid token {tok!r}")
+        minus, plain, index, power = match.groups()
+        if plain is not None:
+            index, power = plain, "-1" if minus else "1"
+        if int(index) == 0:
+            raise ValueError("generator index 0 is not allowed")
+        powers.append((int(index), int(power or "1")))
+    length = sum(abs(power) for _, power in powers)
+    if length > MAX_BRAID_LETTERS:
+        raise ValueError(f"braid word expands to {length} letters, over the limit of {MAX_BRAID_LETTERS}")
+    letters = [(index, 1 if power > 0 else -1) for index, power in powers for _ in range(abs(power))]
+    return BraidWord(max((index for index, _ in powers), default=0) + 1, tuple(letters))
 
 
 def rotate(code: GaussCode, shift: int) -> GaussCode:

@@ -28,7 +28,9 @@ from rollercoaster import braid, codes, warp
 from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep, _closure_walk, _first_bigon, _reduction, permutation
 
 from oracles import (
+    BRAID_TOKEN,
     ab_counts_by_warp,
+    braid_by_grammar,
     closure_walk_by_rounds,
     find_innermost_bigon,
     innermost_bigons_pairwise,
@@ -89,6 +91,24 @@ def test_parse_braid_equals_its_checked_rebuild(case):
     text, strands, letters = case
     word = parse_braid(text)
     assert word == BraidWord(strands, letters) == BraidWord(word.strands, word.letters)
+
+
+# near-grammar tokens: grammar tokens, and strings over the grammar's
+# characters, "+", "_", non-ASCII digits and a tab, which splits a token
+NEAR_BRAID_TOKENS = st.one_of(
+    st.from_regex(BRAID_TOKEN, fullmatch=True),
+    st.text(alphabet="0123456789-+_s^\u00b2\u0663\t", min_size=1, max_size=6),
+)
+
+
+@given(st.lists(NEAR_BRAID_TOKENS, max_size=6))
+def test_parse_braid_accepts_exactly_the_token_grammar(tokens):
+    text = " ".join(tokens)
+    outcome = _outcome(parse_braid, text)
+    assert outcome == _outcome(braid_by_grammar, text)
+    if outcome[0] == "value":
+        word = outcome[1]
+        assert word == BraidWord(word.strands, word.letters)
 
 
 def test_parse_braid_strand_inference_and_validation():

@@ -164,6 +164,23 @@ def test_load_rejects_row_whose_field_count_differs_from_header(tmp_path, edit):
         load_catalog(bad)
 
 
+def test_load_names_the_row_of_a_field_over_the_csv_size_limit(tmp_path):
+    # the csv module raises its own error while reading such a row
+    lines = _read_catalog_lines()
+    lines[1] = lines[1].replace('"[4, 6, 2]"', '"[4, 6, 2' + ", 8" * 50_000 + ']"')
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines))
+    with pytest.raises(CatalogError, match=r"^row 2: field larger than field limit \(131072\)$"):
+        load_catalog(bad)
+
+
+def test_load_names_a_header_field_over_the_csv_size_limit(tmp_path):
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("name" * 40_000 + "\n")
+    with pytest.raises(CatalogError, match=r"^header: field larger than field limit \(131072\)$"):
+        load_catalog(bad)
+
+
 def test_load_header_only_gives_no_entries(tmp_path):
     only = tmp_path / "catalog.csv"
     only.write_text(_read_catalog_lines()[0] + "\n")

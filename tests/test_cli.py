@@ -11,9 +11,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollercoaster import DTCode, ab_counts, cli, parse_braid, reduce_to_base
+from rollercoaster import DTCode, ab_counts, cli, closure_gauss, gauss_to_dt, parse_braid, reduce_to_base
 from rollercoaster.braid import MAX_BRAID_LETTERS
 from rollercoaster.cli import main
+
+from oracles import dt_by_partner_array
 
 
 def run(capsys, *argv):
@@ -188,6 +190,12 @@ def benchmark_words(seed, count):
     return [text for _, text in module.braid_words(seed, count)]
 
 
+def test_closure_dt_of_the_benchmark_words_matches_the_partner_array_oracle():
+    for text in benchmark_words(1, 1000):
+        gauss, _ = closure_gauss(parse_braid(text))
+        assert gauss_to_dt(gauss) == dt_by_partner_array(gauss), text
+
+
 def reduce_outputs(text, strands=None):
     """Text and ``--json`` output of ``braid reduce``, built from the list API."""
     base, steps = reduce_to_base(parse_braid(text, strands))
@@ -335,6 +343,19 @@ def test_verify_catalog_short_row_exits_1_with_row_message(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "catalog verification failed: row 3: expected 8 fields as in the header\n"
+
+
+def test_verify_catalog_field_over_the_csv_size_limit_exits_1_with_row_message(capsys, tmp_path):
+    from importlib import resources
+
+    lines = resources.files("rollercoaster.data").joinpath("catalog.csv").read_text().splitlines()
+    lines[1] = lines[1].replace('"[4, 6, 2]"', '"[4, 6, 2' + ", 8" * 50_000 + ']"')
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines))
+    code, out, err = run(capsys, "verify-catalog", "--catalog", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == "catalog verification failed: row 2: field larger than field limit (131072)\n"
 
 
 @pytest.mark.parametrize("old, new, message", [

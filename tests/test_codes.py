@@ -19,6 +19,7 @@ from rollercoaster.codes import format_dt, format_gauss
 
 from oracles import (
     canonical_dt,
+    dt_by_partner_array,
     dt_relabellings,
     gauss_code_problem,
     gauss_variants,
@@ -99,6 +100,11 @@ def test_gauss_to_dt_rejects_same_parity_pairing():
     # same parity has no DT form
     bad = GaussCode(((1, "O"), (2, "O"), (1, "U"), (2, "U")))
     with pytest.raises(FramingError, match="^crossing 1 met at labels 1 and 3 of equal parity$"):
+        gauss_to_dt(bad)
+    # the message names the equal-parity chord that opens first: here
+    # crossing 1's (labels 1 and 5), though crossing 2's (2 and 4) closes first
+    bad = GaussCode(((1, "O"), (2, "O"), (3, "O"), (2, "U"), (1, "U"), (3, "U")))
+    with pytest.raises(FramingError, match="^crossing 1 met at labels 1 and 5 of equal parity$"):
         gauss_to_dt(bad)
 
 
@@ -264,6 +270,27 @@ def test_built_codes_equal_their_checked_rebuild(code):
         assert GaussCode(built.passages) == built
     dt = gauss_to_dt(gauss)
     assert DTCode(dt.entries) == dt == code
+
+
+@st.composite
+def framable_gauss(draw):
+    """The Gauss sequence of a signed DT code read from a drawn basepoint,
+    in a drawn direction."""
+    gauss = rotate(dt_to_gauss(draw(signed_dt())), draw(st.integers(min_value=0, max_value=15)))
+    return reverse(gauss) if draw(st.booleans()) else gauss
+
+
+def _dt_outcome(function, gauss):
+    try:
+        return "value", function(gauss)
+    except FramingError as exc:
+        return "error", str(exc)
+
+
+@given(st.one_of(abstract_gauss(), framable_gauss()))
+def test_gauss_to_dt_matches_the_partner_array_oracle(gauss):
+    # abstract pairings mostly carry several equal-parity chords
+    assert _dt_outcome(gauss_to_dt, gauss) == _dt_outcome(dt_by_partner_array, gauss)
 
 
 @given(abstract_gauss())

@@ -1,7 +1,10 @@
-"""Two source rules the CI grep steps also check, read with ``ast`` so that
-they hold in tier-1 as well: no ``assert`` statement in ``src/`` or
-``scripts/`` (``python -O`` strips them), and no engine name that an
-oracle-independence step forbids in ``tests/oracles.py``."""
+"""Three source rules the CI grep steps also check, read with ``ast`` so
+that they hold in tier-1 as well: no ``assert`` statement in ``src/`` or
+``scripts/`` (``python -O`` strips them), no engine name that an
+oracle-independence step forbids in ``tests/oracles.py``, and input read
+only through ``codes._read_text``: no ``open`` call, ``resources.files``
+or ``sys.stdin`` in ``catalog.py`` and ``invariants.py``, and no
+``sys.stdin`` or ``CliError`` in ``cli.py``."""
 
 import ast
 import pathlib
@@ -10,6 +13,7 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 ORACLES = ROOT / "tests" / "oracles.py"
+PACKAGE = ROOT / "src" / "rollercoaster"
 
 # a CI step that keeps the oracles apart from the engine:
 #     ! grep -nE '<pattern>' tests/oracles.py
@@ -42,6 +46,26 @@ def _names(tree):
 
 def _forbidden(tree, patterns):
     return sorted({f"line {line}: {name}" for name, line in _names(tree) for p in patterns if re.search(p, name)})
+
+
+def _own_reads(tree, *, files_too):
+    """Where a module reads input itself: ``sys.stdin`` in any form and,
+    with ``files_too``, a call to ``open`` (``io.open`` too) and
+    ``resources.files``, imported or reached as an attribute."""
+    hits = {f"line {line}: stdin" for name, line in _names(tree) if name == "stdin"}
+    if files_too:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "open":
+                    hits.add(f"line {node.lineno}: open")
+            elif isinstance(node, ast.Attribute) and node.attr == "files":
+                if isinstance(node.value, ast.Name) and node.value.id == "resources":
+                    hits.add(f"line {node.lineno}: resources.files")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("resources"):
+                if any(alias.name == "files" for alias in node.names):
+                    hits.add(f"line {node.lineno}: resources.files")
+    return sorted(hits)
 
 
 def oracle_step_patterns():
@@ -79,3 +103,27 @@ def test_forbidden_names_are_seen_through_every_form():
     ):
         assert _forbidden(ast.parse(source), patterns), source
     assert _forbidden(ast.parse("from rollercoaster.embed import _crossing_sign, realize"), patterns) == []
+
+
+def test_input_is_read_only_through_read_text():
+    for name in ("catalog.py", "invariants.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        assert _own_reads(tree, files_too=True) == [], name
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _own_reads(cli, files_too=False) == []
+    assert [line for name, line in _names(cli) if name == "CliError"] == []
+
+
+def test_own_reads_are_seen_through_every_form():
+    for source in (
+        "open(path)",
+        "import io\nio.open(path)",
+        "from importlib import resources\nresources.files('rollercoaster.data')",
+        "from importlib.resources import files",
+        "import sys\nsys.stdin.read()",
+        "from sys import stdin",
+    ):
+        assert _own_reads(ast.parse(source), files_too=True), source
+    assert _own_reads(ast.parse("import sys\nsys.stdin"), files_too=False)
+    assert _own_reads(ast.parse("open(path)"), files_too=False) == []
+    assert _own_reads(ast.parse("_read_text(path, 'catalog.csv').split()"), files_too=True) == []
