@@ -155,8 +155,8 @@ def classify(entry: CatalogEntry) -> PropertyClass:
 
 def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
     """Parse the shipped table (or a file at ``path``, ``-`` for stdin)
-    into validated entries."""
-    entries = []
+    into validated entries, each knot named once."""
+    entries: dict[str, CatalogEntry] = {}  # by name, in row order
     reader = csv.DictReader(_read_lines(path, "catalog.csv"))
     columns = [f.name for f in fields(CatalogEntry)]
     try:
@@ -183,13 +183,14 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
             )
         except (KeyError, ValueError) as exc:
             raise CatalogError(f"row {lineno}: {exc}") from exc
+        if entries.setdefault(entry.name, entry) is not entry:
+            raise CatalogError(f"row {lineno}: duplicate knot name {entry.name}")
         if classify(entry) is not entry.property:
             raise CatalogError(
                 f"row {lineno}: stored property {entry.property.value} but "
                 f"columns give {classify(entry).value}"
             )
-        entries.append(entry)
-    return tuple(entries)
+    return tuple(entries.values())
 
 
 def _rows(reader):

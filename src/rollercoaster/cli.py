@@ -65,7 +65,7 @@ def cmd_warp(args) -> int:
 def cmd_braid(args) -> int:
     # the library checks the knot closure, then positivity, before any
     # per-strand work; its ValueError exits 2
-    word = braid_mod.parse_braid(args.word, strands=args.strands)
+    word = braid_mod.parse_braid(args.word)
     op = args.operation
     if op == "counts":
         a, b = braid_mod.ab_counts(word)
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_braid = sub.add_parser("braid", help="positive braid closures and reductions")
     p_braid.add_argument("--word", required=True, help='letters like "1 2 -1" or "s1 s2^3"')
-    p_braid.add_argument("--strands", type=int)
     p_braid.add_argument("--json", action="store_true")
     p_braid.add_argument(
         "operation", choices=["counts", "unknotting", "closure-dt", "reduce"]

@@ -29,17 +29,18 @@ its own single pass, writing each entry as its chord closes.
 ``DTCode`` and ``GaussCode`` stay the validated public form.
 
 Input is checked once, where it enters: every public constructor
-(``DTCode``, ``GaussCode``, ``braid.BraidWord``) checks its fields, and so
-do the parsers ``parse_dt``, ``parse_gauss`` and ``braid.parse_braid``
-and ``embed.extract_gauss``, which reads a caller's planar diagram.  One
-integer-token rule, ASCII digits as in ``_INTEGER``, serves every reader
-of integers: the three parsers, the catalog's range, rc-crossing and
-knot-name columns, and the terms of the Jones reference table.  The same
-readers take only ASCII whitespace, ``_BLANK``, around and between
-tokens.  A value the package builds from checked values is valid by
-construction and is built with ``_unchecked``, which skips
-``__post_init__``: the closure sequence of ``braid.closure_gauss``, the
-words of ``braid.parse_braid`` (without ``strands``) and
+(``DTCode``, ``GaussCode``, ``braid.BraidWord``) checks its fields,
+refusing a float, string or bool where an ``int`` belongs rather than
+converting it, and so do the parsers ``parse_dt``, ``parse_gauss`` and
+``braid.parse_braid`` and ``embed.extract_gauss``, which reads a
+caller's planar diagram.  One integer-token rule, ASCII digits as in
+``_INTEGER``, serves every reader of integers: the three parsers, the
+catalog's range, rc-crossing and knot-name columns, and the terms of the
+Jones reference table.  The same readers take only ASCII whitespace,
+``_BLANK``, around and between tokens.  A value the package builds from
+checked values is valid by construction and is built with
+``_unchecked``, which skips ``__post_init__``: the closure sequence of
+``braid.closure_gauss``, the words of ``braid.parse_braid`` and
 ``braid.reduce_to_base``, the results of ``dt_to_gauss``, ``mirror`` and
 ``warp.apply_roller_coaster`` (one over and one under passage per
 crossing), of ``gauss_to_dt`` once its framing check passes, the
@@ -93,8 +94,8 @@ class DTCode:
         c = len(self.entries)
         seen = set()
         for e in self.entries:
-            if e == 0:
-                raise ValueError("DT entries must be nonzero even integers, got 0")
+            if type(e) is not int or e == 0:
+                raise ValueError(f"DT entries must be nonzero even integers, got {e!r}")
             if e % 2 != 0:
                 raise ValueError(f"odd entry {e}: DT entries must be even integers")
             if abs(e) in seen:
@@ -117,9 +118,11 @@ class GaussCode:
 
     def __post_init__(self):
         # a list, not a generator: tuple(<genexpr>) leaves more peak memory behind
-        passages = tuple([(int(i), r) for i, r in self.passages])
+        passages = tuple([(i, r) for i, r in self.passages])
         object.__setattr__(self, "passages", passages)
-        for _, role in passages:
+        for ident, role in passages:
+            if type(ident) is not int:
+                raise ValueError(f"crossing ids must be integers, got {ident!r}")
             if role not in (OVER, UNDER):
                 raise ValueError(f"bad strand role {role!r}")
         # with both roles valid, 2k distinct passages over k ids are one

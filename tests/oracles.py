@@ -30,8 +30,8 @@ crossing to resolve, and the nugatory oracle counts the ids between
 each crossing's passages instead of reading interlacement masks.  The
 DT oracle builds a partner array and checks the framing over it before
 reading any entry, where ``gauss_to_dt`` writes each entry as its chord
-closes, and the braid grammar oracle reads tokens with one regex written
-apart from the parser's.
+closes, and the braid, DT and Gauss grammar oracles read tokens with
+regexes written apart from the parsers'.
 
 Beside them live the checked, whole-object forms of private engine
 cores, which the package itself no longer needs: ``rotate``,
@@ -305,12 +305,14 @@ def trace_faces(rotations) -> int:
 
 def gauss_code_problem(passages):
     """The message ``GaussCode`` rejects ``passages`` with, or None when
-    it accepts them: ids are read as integers, the first role other than
-    "O" or "U" is named, and then the first crossing, in first-seen order,
-    whose roles are not exactly one over and one under.  Roles are
-    grouped per crossing, where the class compares set sizes."""
+    it accepts them: the first passage whose id is not an int, or whose
+    role is not "O" or "U", is named, and then the first crossing, in
+    first-seen order, whose roles are not exactly one over and one under.
+    Roles are grouped per crossing, where the class compares set sizes."""
     roles: dict[int, list[str]] = {}
-    for ident, role in [(int(i), r) for i, r in passages]:
+    for ident, role in passages:
+        if type(ident) is not int:
+            return f"crossing ids must be integers, got {ident!r}"
         if role not in ("O", "U"):
             return f"bad strand role {role!r}"
         roles.setdefault(ident, []).append(role)
@@ -339,11 +341,17 @@ def dt_by_partner_array(code: GaussCode) -> DTCode:
     ))
 
 
-# the braid token grammar, apart from the parser's own patterns: a signed
-# integer, or s<index> with an optional signed power, all in ASCII digits;
-# tokens are separated by commas and ASCII whitespace
+# the token grammars, apart from the parsers' own patterns.  Every reader
+# separates tokens by commas and ASCII whitespace.  A braid token is a
+# signed integer, or s<index> with an optional signed power; a DT entry and
+# a Gauss crossing id are signed integers; all digits are ASCII, with no
+# "+" or "_".  A DT code may sit in one pair of brackets, and ASCII
+# whitespace around it is dropped.
+TOKEN_SEPARATOR = re.compile(r"[, \t\n\r\x0b\x0c]+")
 BRAID_TOKEN = re.compile(r"(-?)([0-9]+)|s([0-9]+)(?:\^(-?[0-9]+))?")
-BRAID_SEPARATOR = re.compile(r"[, \t\n\r\x0b\x0c]+")
+DT_TOKEN = re.compile(r"-?[0-9]+")
+GAUSS_TOKEN = re.compile(r"-?[0-9]+")
+DT_TEXT = re.compile(r"[ \t\n\r\x0b\x0c]*(?:\[(.*)\]|(.*?))[ \t\n\r\x0b\x0c]*", re.DOTALL)
 
 
 def braid_by_grammar(text: str) -> BraidWord:
@@ -351,7 +359,7 @@ def braid_by_grammar(text: str) -> BraidWord:
     ValueError it raises: a token outside ``BRAID_TOKEN`` or with index 0,
     whichever comes first, then an expansion over MAX_BRAID_LETTERS."""
     powers = []
-    for tok in BRAID_SEPARATOR.split(text):
+    for tok in TOKEN_SEPARATOR.split(text):
         if not tok:
             continue
         match = BRAID_TOKEN.fullmatch(tok)
@@ -368,6 +376,37 @@ def braid_by_grammar(text: str) -> BraidWord:
         raise ValueError(f"braid word expands to {length} letters, over the limit of {MAX_BRAID_LETTERS}")
     letters = [(index, 1 if power > 0 else -1) for index, power in powers for _ in range(abs(power))]
     return BraidWord(max((index for index, _ in powers), default=0) + 1, tuple(letters))
+
+
+def dt_by_grammar(text: str) -> DTCode:
+    """The code ``parse_dt(text)`` reads, built checked, or the ValueError
+    it raises: the first token outside ``DT_TOKEN``, then what ``DTCode``
+    says of the entries."""
+    bracketed, bare = DT_TEXT.fullmatch(text).groups()
+    entries = []
+    for tok in TOKEN_SEPARATOR.split(bare if bracketed is None else bracketed):
+        if not tok:
+            continue
+        if DT_TOKEN.fullmatch(tok) is None:
+            raise ValueError(f"malformed DT token {tok!r}")
+        entries.append(int(tok))
+    return DTCode(tuple(entries))
+
+
+def gauss_by_grammar(text: str) -> GaussCode:
+    """The sequence ``parse_gauss(text)`` reads, built checked, or the
+    ValueError it raises: the first token outside ``GAUSS_TOKEN`` or equal
+    to zero, then what ``GaussCode`` says of the passages."""
+    passages = []
+    for tok in TOKEN_SEPARATOR.split(text):
+        if not tok:
+            continue
+        if GAUSS_TOKEN.fullmatch(tok) is None:
+            raise ValueError(f"malformed Gauss token {tok!r}")
+        if int(tok) == 0:
+            raise ValueError("crossing ids must be nonzero")
+        passages.append((abs(int(tok)), "U" if tok.startswith("-") else "O"))
+    return GaussCode(tuple(passages))
 
 
 def rotate(code: GaussCode, shift: int) -> GaussCode:

@@ -25,7 +25,7 @@ from rollercoaster import (
     reduce_to_base,
 )
 from rollercoaster import braid, codes, warp
-from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep, _closure_walk, _first_bigon, _reduction, permutation
+from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep, _closure_walk, _first_bigon, _permutation, _reduction
 
 from oracles import (
     BRAID_TOKEN,
@@ -44,7 +44,7 @@ def test_parse_braid_plain_and_generator_syntax():
     assert parse_braid("1 2 1").letters == ((1, 1), (2, 1), (1, 1))
     assert parse_braid("s1 s2^3").letters == ((1, 1), (2, 1), (2, 1), (2, 1))
     assert parse_braid("-1 2").letters == ((1, -1), (2, 1))
-    assert parse_braid("s1^-2", strands=2).letters == ((1, -1), (1, -1))
+    assert parse_braid("s1^-2").letters == ((1, -1), (1, -1))
 
 
 def test_default_strand_count_counts_zero_powers():
@@ -113,16 +113,33 @@ def test_parse_braid_accepts_exactly_the_token_grammar(tokens):
 
 def test_parse_braid_strand_inference_and_validation():
     assert parse_braid("1 2 1").strands == 3
-    assert parse_braid("1", strands=4).strands == 4
-    with pytest.raises(ValueError):
-        parse_braid("3", strands=3)
+    with pytest.raises(ValueError, match="^generator index 3 out of range for 3 strands$"):
+        BraidWord(3, ((3, 1),))
     with pytest.raises(ValueError):
         parse_braid("0")
 
 
+@pytest.mark.parametrize("strands, letters, message", [
+    (3, ((1.9, 1), (2, 1)), "generator index 1.9 out of range for 3 strands"),
+    (2, ((True, 1),), "generator index True out of range for 2 strands"),
+    (2, (("1", 1),), "generator index '1' out of range for 2 strands"),
+    (2, ((1, True),), "letter sign must be +1 or -1, got True"),
+    (2, ((1, 1.0),), "letter sign must be +1 or -1, got 1.0"),
+    (3.0, ((1, 1), (2, 1)), "strand count must be an integer, got 3.0"),
+    (True, (), "strand count must be an integer, got True"),
+])
+def test_braid_word_refuses_non_integer_fields(strands, letters, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BraidWord(strands, letters)
+
+
+def test_braid_word_turns_sequences_into_tuples():
+    assert BraidWord(3, [[1, 1], [2, -1]]).letters == ((1, 1), (2, -1))
+
+
 def test_permutation_and_components():
     word = parse_braid("1 1 1")
-    assert permutation(word) == {1: 2, 2: 1}
+    assert _permutation(word) == {1: 2, 2: 1}
     assert closure_components(word) == 1
     assert closure_components(parse_braid("1 1")) == 2
     assert closure_components(BraidWord(3, ())) == 3
@@ -532,7 +549,7 @@ def test_reduce_to_base_recounts_nothing_and_revalidates_no_word(monkeypatch):
 
 # the public readers of a word's closure facts: the knot order, the
 # passage walk and the positivity
-CLOSURE_READERS = (*KNOT_ENTRY_POINTS, closure_components, permutation, BraidWord.is_positive)
+CLOSURE_READERS = (*KNOT_ENTRY_POINTS, closure_components, _permutation, BraidWord.is_positive)
 
 
 def test_a_word_sweeps_its_closure_once(monkeypatch):
@@ -571,12 +588,12 @@ def _outcome(function, word):
 @settings(max_examples=150)
 def test_stored_closure_facts_change_no_result(word, first, second):
     # each reader, called twice in a drawn order on one shared word, gives
-    # what it gives on a fresh parse of the same text
-    text = " ".join(str(i * s) for i, s in word.letters)
-    shared = parse_braid(text, strands=word.strands)
+    # what it gives on a fresh copy of the word; a link word may have
+    # padding strands, which no parse gives, so the copies are built
+    shared = BraidWord(word.strands, word.letters)
     for function in (*first, *second):
-        assert _outcome(function, shared) == _outcome(function, parse_braid(text, strands=word.strands))
-    fresh = parse_braid(text, strands=word.strands)
+        assert _outcome(function, shared) == _outcome(function, BraidWord(word.strands, word.letters))
+    fresh = BraidWord(word.strands, word.letters)
     assert (shared, hash(shared), repr(shared)) == (fresh, hash(fresh), repr(fresh))
     if closure_components(word) == 1:
         assert list(vars(shared)["_walk"]) == roles_by_rounds(word)

@@ -181,6 +181,17 @@ def test_load_names_a_header_field_over_the_csv_size_limit(tmp_path):
         load_catalog(bad)
 
 
+def test_load_rejects_a_repeated_knot_name(tmp_path):
+    # two rows for one knot would count it twice in the census
+    lines = _read_catalog_lines()
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join([*lines[:3], lines[1]]))
+    with pytest.raises(CatalogError, match="^row 4: duplicate knot name 3_1$"):
+        load_catalog(bad)
+    names = [entry.name for entry in load_catalog()]
+    assert len(set(names)) == len(names) == 86
+
+
 def test_load_header_only_gives_no_entries(tmp_path):
     only = tmp_path / "catalog.csv"
     only.write_text(_read_catalog_lines()[0] + "\n")

@@ -112,7 +112,6 @@ def test_braid_link_closure_rejected(capsys):
     "argv, components",
     [
         (["--word", "s100000000"], 100000000),
-        (["--word", "1 1 1", "--strands", "300000000"], 299999997),
     ],
 )
 def test_braid_huge_strand_count_rejected_at_once(capsys, argv, components):
@@ -196,9 +195,9 @@ def test_closure_dt_of_the_benchmark_words_matches_the_partner_array_oracle():
         assert gauss_to_dt(gauss) == dt_by_partner_array(gauss), text
 
 
-def reduce_outputs(text, strands=None):
+def reduce_outputs(text):
     """Text and ``--json`` output of ``braid reduce``, built from the list API."""
-    base, steps = reduce_to_base(parse_braid(text, strands))
+    base, steps = reduce_to_base(parse_braid(text))
     a, b = ab_counts(base)
     lines = [f"{s.action} {s.detail}: counts {s.counts_before} -> {s.counts_after}\n" for s in steps]
     lines.append(f"base case: counts ({a}, {b}) on {base.strands} strands\n")
@@ -218,16 +217,14 @@ def reduce_outputs(text, strands=None):
     return "".join(lines), json.dumps(payload) + "\n"
 
 
-README_WORDS = [("1 1 1", None), ("1 2 1 2", None), ("2 1 3 2 1", 4), ("1 2 1 2 1 2 1 2", None), ("1", None)]
+README_WORDS = ["1 1 1", "1 2 1 2", "2 1 3 2 1", "1 2 1 2 1 2 1 2", "1"]
 
 
 def test_streamed_reduce_equals_the_list_api(capsys):
-    cases = README_WORDS + [("s1^1001", None)] + [(text, None) for text in benchmark_words(1, 50)]
-    for text, strands in cases:
-        argv = ["braid", "--word", text] + ([] if strands is None else ["--strands", str(strands)])
-        want_text, want_json = reduce_outputs(text, strands)
-        assert run(capsys, *argv, "reduce") == (0, want_text, ""), text
-        assert run(capsys, *argv, "--json", "reduce") == (0, want_json, ""), text
+    for text in README_WORDS + ["s1^1001"] + benchmark_words(1, 50):
+        want_text, want_json = reduce_outputs(text)
+        assert run(capsys, "braid", "--word", text, "reduce") == (0, want_text, ""), text
+        assert run(capsys, "braid", "--word", text, "--json", "reduce") == (0, want_json, ""), text
 
 
 @pytest.mark.parametrize("word, message", [("1 1", "closure has 2 components"), ("-1 -1 -1", "word is not positive")])
@@ -248,7 +245,7 @@ def test_rejected_reduce_prints_nothing(capsys, word, message, mode):
         ],
         "final": {"a": 2, "b": 0},
     }),
-    (["--word", "2 1 3 2 1", "--strands", "4"], {
+    (["--word", "2 1 3 2 1"], {
         "steps": [
             {"action": "remove", "detail": "RemovalCertificate(crossing=1, strand=3, m=1)",
              "counts_before": [4, 1], "counts_after": [2, 0], "word": "2 1"},
@@ -382,6 +379,16 @@ def test_verify_catalog_reads_only_ascii_integers(capsys, tmp_path, old, new, me
     assert (code, out, err) == (1, "", f"catalog verification failed: row 2: {message}\n")
 
 
+def test_verify_catalog_rejects_a_repeated_knot_name(capsys, tmp_path):
+    from importlib import resources
+
+    lines = resources.files("rollercoaster.data").joinpath("catalog.csv").read_text().splitlines()
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join([*lines[:3], lines[1]]), encoding="utf-8")
+    code, out, err = run(capsys, "verify-catalog", "--catalog", str(bad))
+    assert (code, out, err) == (1, "", "catalog verification failed: row 4: duplicate knot name 3_1\n")
+
+
 def test_verify_catalog_takes_only_ascii_blanks_in_reference_terms(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("3_1; 4:1\u200312:1 16:-1; x\n"))
     code, out, err = run(capsys, "verify-catalog", "--refs", "-")
@@ -493,6 +500,7 @@ def test_conjecture_rejects_max_outside_range(capsys, value):
 def test_cap_option_is_gone():
     assert fuzz_exit_code(["conjecture", "--max", "8", "--cap", "10"]) == 2
     assert fuzz_exit_code(["enumerate", "--crossings", "8", "--cap", "10"]) == 2
+    assert fuzz_exit_code(["braid", "--word", "1 1 1", "--strands", "2", "counts"]) == 2
 
 
 @pytest.mark.parametrize("value", ["11", "2"])
@@ -552,6 +560,11 @@ def test_c9_output_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (DATA / expected).read_text()
+
+
+def test_c10_enumeration_pinned(capsys):
+    # the class list the CI step diffs, in tier-1 too (about 1 s)
+    assert run(capsys, "enumerate", "--crossings", "10") == (0, (DATA / "enumerate_c10.txt").read_text(), "")
 
 
 # arbitrary text, and text over the characters codes are written in so

@@ -18,9 +18,13 @@ from rollercoaster import (
 from rollercoaster.codes import format_dt, format_gauss
 
 from oracles import (
+    DT_TOKEN,
+    GAUSS_TOKEN,
     canonical_dt,
+    dt_by_grammar,
     dt_by_partner_array,
     dt_relabellings,
+    gauss_by_grammar,
     gauss_code_problem,
     gauss_variants,
     reduced_by_counting,
@@ -45,6 +49,14 @@ def test_parse_dt_rejects_bad_entries():
         parse_dt("[4, 8, 2]")
     with pytest.raises(ValueError, match="duplicate"):
         parse_dt("[4, -4, 2]")
+
+
+@pytest.mark.parametrize("entries", [(4.0, 6, 2), ("4", 6, 2), (True, 4)])
+def test_dt_code_refuses_non_integer_entries(entries):
+    # refused, not converted: DTCode((4.0, 6, 2)) would print [4.0, 6, 2]
+    message = f"DT entries must be nonzero even integers, got {entries[0]!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DTCode(entries)
 
 
 @pytest.mark.parametrize("parse, text, message", [
@@ -180,7 +192,7 @@ def abstract_gauss(draw):
 def _assert_gauss_code_verdict(passages):
     expected = gauss_code_problem(passages)
     if expected is None:
-        assert GaussCode(passages).passages == tuple((int(i), r) for i, r in passages)
+        assert GaussCode(passages).passages == tuple((i, r) for i, r in passages)
     else:
         with pytest.raises(ValueError) as raised:
             GaussCode(passages)
@@ -190,7 +202,7 @@ def _assert_gauss_code_verdict(passages):
 @pytest.mark.parametrize("passages, message", [
     ((), None),
     (((1, "O"), (1, "U")), None),
-    ((("1", "O"), (1, "U")), None),
+    ([[1, "O"], [1, "U"]], None),
     (((1, "O"),), "crossing 1 must occur exactly once over and once under"),
     (((1, "O"), (1, "O")), "crossing 1 must occur exactly once over and once under"),
     (((1, "O"), (2, "U")), "crossing 1 must occur exactly once over and once under"),
@@ -202,6 +214,11 @@ def _assert_gauss_code_verdict(passages):
     (((1, "O"), (1, "O"), (2, "X")), "bad strand role 'X'"),
     (((1, "o"), (1, "U")), "bad strand role 'o'"),
     (((1, 1), (1, "U")), "bad strand role 1"),
+    # an id is refused, not converted, wherever it sits
+    ((("1", "O"), (1, "U")), "crossing ids must be integers, got '1'"),
+    # int(1.5) and int(1.7) would merge two crossings into one
+    (((1.5, "O"), (1.7, "U")), "crossing ids must be integers, got 1.5"),
+    (((1, "O"), (True, "X")), "crossing ids must be integers, got True"),
 ])
 def test_gauss_code_rejections_pinned(passages, message):
     assert gauss_code_problem(passages) == message
@@ -212,7 +229,7 @@ def test_gauss_code_rejections_pinned(passages, message):
 def mutated_gauss(draw):
     """A valid Gauss sequence after one to three edits: drop a passage,
     duplicate one, flip a role, set a role to "X", or spell an id as a
-    string."""
+    string, which is refused."""
     passages = list(draw(abstract_gauss()).passages)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         if not passages:
@@ -270,6 +287,50 @@ def test_built_codes_equal_their_checked_rebuild(code):
         assert GaussCode(built.passages) == built
     dt = gauss_to_dt(gauss)
     assert DTCode(dt.entries) == dt == code
+
+
+# near-grammar text: the grammars' characters, "+", "_", a superscript
+# digit, a non-ASCII decimal digit, a tab and a space
+NEAR_CODE_ALPHABET = "0123456789-+_[],\u00b2\u0663\t "
+
+
+@st.composite
+def near_code_texts(draw, token, codes):
+    """A string over NEAR_CODE_ALPHABET, or the tokens of a drawn valid
+    code with up to two of them swapped for ``token`` matches or short
+    near-grammar strings, joined by a drawn separator and maybe bracketed."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=NEAR_CODE_ALPHABET, max_size=20))
+    tokens = draw(codes)
+    near = st.one_of(st.from_regex(token, fullmatch=True), st.text(alphabet=NEAR_CODE_ALPHABET, min_size=1, max_size=4))
+    for k in draw(st.lists(st.integers(0, max(len(tokens) - 1, 0)), max_size=2 if tokens else 0)):
+        tokens[k] = draw(near)
+    text = draw(st.sampled_from([" ", ", ", ",", "\t"])).join(tokens)
+    return f"[{text}]" if draw(st.booleans()) else text
+
+
+def _read_outcome(reader, text):
+    try:
+        return "value", reader(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@given(near_code_texts(DT_TOKEN, signed_dt().map(lambda code: [str(e) for e in code.entries])))
+def test_parse_dt_accepts_exactly_the_token_grammar(text):
+    # the same code, or the same message for the same first bad token
+    outcome = _read_outcome(parse_dt, text)
+    assert outcome == _read_outcome(dt_by_grammar, text)
+    if outcome[0] == "value":
+        assert parse_dt(format_dt(outcome[1])) == outcome[1]
+
+
+@given(near_code_texts(GAUSS_TOKEN, abstract_gauss().map(lambda code: format_gauss(code).split())))
+def test_parse_gauss_accepts_exactly_the_token_grammar(text):
+    outcome = _read_outcome(parse_gauss, text)
+    assert outcome == _read_outcome(gauss_by_grammar, text)
+    if outcome[0] == "value":
+        assert parse_gauss(format_gauss(outcome[1])) == outcome[1]
 
 
 @st.composite

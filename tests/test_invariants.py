@@ -66,13 +66,13 @@ def test_laurent_str_uses_quarter_powers():
 
 
 def test_bracket_of_positive_kink():
-    diagram = pd_from_braid(parse_braid("1", strands=2))
+    diagram = pd_from_braid(parse_braid("1"))
     assert kauffman_bracket(diagram).coeffs == {3: -1}
 
 
 def test_jones_of_kinks_is_one():
     for word in ("1", "-1"):
-        diagram = pd_from_braid(parse_braid(word, strands=2))
+        diagram = pd_from_braid(parse_braid(word))
         assert jones(diagram) == Laurent({0: 1})
 
 
@@ -263,7 +263,7 @@ def test_load_jones_refs_breaks_lines_at_newlines_only(tmp_path, monkeypatch):
 def test_identify_unique_none_and_ambiguous():
     refs = load_jones_refs()
     assert identify(realize(DTCode((4, 6, 2))), refs) == "3_1"
-    assert identify(pd_from_braid(parse_braid("1", strands=2)), refs) is None
+    assert identify(pd_from_braid(parse_braid("1")), refs) is None
     doubled = dict(refs)
     doubled["fake"] = refs["3_1"]
     with pytest.raises(AmbiguousMatch) as exc:
