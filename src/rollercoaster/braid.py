@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _unchecked
+from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _check_int, _unchecked
 
 
 class _fact:
@@ -80,15 +80,17 @@ class BraidWord:
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple((i, s) for i, s in self.letters))
-        if type(self.strands) is not int:
-            raise ValueError(f"strand count must be an integer, got {self.strands!r}")
+        _check_int(self.strands, "strand count must be an integer, got {!r}")
         if self.strands < 1:
             raise ValueError("braid needs at least one strand")
+        index = f"generator index {{!r}} out of range for {self.strands} strands"
         for idx, sign in self.letters:
-            if type(idx) is not int or not 1 <= idx <= self.strands - 1:
-                raise ValueError(f"generator index {idx!r} out of range for {self.strands} strands")
-            if type(sign) is not int or sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+            _check_int(idx, index)
+            if not 1 <= idx <= self.strands - 1:
+                raise ValueError(index.format(idx))
+            _check_int(sign, "letter sign must be +1 or -1, got {!r}")
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
 
     def is_positive(self) -> bool:
         return self._positive

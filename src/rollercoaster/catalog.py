@@ -18,9 +18,10 @@ import csv
 import enum
 import json
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
-from .codes import _BLANK, _INTEGER, DTCode, _read_lines, dt_to_gauss, parse_dt
+from .codes import _BLANK, _INTEGER, DTCode, _check_int, _read_lines, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
 from .invariants import AmbiguousMatch, BracketCapExceeded, identify
 from .warp import min_warp
@@ -49,6 +50,8 @@ class Range:
     hi: int
 
     def __post_init__(self):
+        for bound in (self.lo, self.hi):
+            _check_int(bound, "range bounds must be integers, got {!r}")
         if self.lo < 0 or self.hi < 0:
             raise CatalogError(f"negative bound in range {self.lo}..{self.hi}")
         if self.lo > self.hi:
@@ -89,6 +92,11 @@ class RCCrossing:
     def __post_init__(self):
         if self.value is None and self.at_least is None:
             raise CatalogError("rc-crossing needs a value or a bound")
+        for size in (self.value, self.at_least):
+            if size is not None:
+                _check_int(size, "rc-crossing sizes must be integers, got {!r}")
+                if size < 0:
+                    raise CatalogError(f"negative rc-crossing size {size}")
 
     @classmethod
     def parse(cls, text: str) -> "RCCrossing":
@@ -218,15 +226,9 @@ class ClassCounts:
 
 
 def summarize(entries) -> ClassCounts:
-    counts = {cls: 0 for cls in PropertyClass}
-    for entry in entries:
-        counts[entry.property] += 1
-    return ClassCounts(
-        src=counts[PropertyClass.SRC],
-        rc=counts[PropertyClass.RC],
-        neither=counts[PropertyClass.NEITHER],
-        unknown=counts[PropertyClass.UNKNOWN],
-    )
+    counts = Counter(entry.property for entry in entries)
+    # the fields follow the order of PropertyClass
+    return ClassCounts(*[counts[cls] for cls in PropertyClass])
 
 
 @dataclass(frozen=True)

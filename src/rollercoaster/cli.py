@@ -17,7 +17,7 @@ import sys
 from . import braid as braid_mod
 from .catalog import CatalogError, load_catalog, main_rows, summarize, verify_catalog
 from .codes import (
-    _read_lines, _read_text, _strip_comment, _unchecked, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt,
+    _read_lines, _read_text, _strip_comment, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt,
     parse_gauss,
 )
 from .invariants import load_jones_refs
@@ -84,7 +84,7 @@ def cmd_braid(args) -> int:
     # word prints nothing; each step goes out as it comes, read off the
     # live letter list, and no word is copied
     steps = braid_mod._reduction(word)
-    strands, letters = word.strands, word.letters
+    strands, final = word.strands, None
     out = sys.stdout
     if args.json:
         out.write('{"steps": [')
@@ -102,7 +102,9 @@ def cmd_braid(args) -> int:
             sep = ", "
         else:
             print(f"{action} {detail}: counts {before} -> {after}")
-    a, b = braid_mod.ab_counts(_unchecked(braid_mod.BraidWord, strands=strands, letters=tuple(letters)))
+        final = after
+    # the last step's counts, or the word's own when it takes no step
+    a, b = final if final is not None else braid_mod.ab_counts(word)
     if args.json:
         out.write(f'], "final": {json.dumps({"a": a, "b": b})}}}\n')
     else:
@@ -141,29 +143,16 @@ def cmd_conjecture(args) -> int:
     _check_crossings(args.max, "--max")
     rows = conjecture_report(args.max)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "rows": [
-                        {
-                            "crossings": r.crossings,
-                            "computed": r.computed,
-                            "predicted": r.predicted,
-                            "match": r.matches,
-                            "witness": list(r.witness.entries),
-                        }
-                        for r in rows
-                    ]
-                }
-            )
-        )
+        print(json.dumps({"rows": [
+            {"crossings": r.crossings, "computed": r.computed, "predicted": r.predicted,
+             "match": r.matches, "witness": list(r.witness.entries)}
+            for r in rows
+        ]}))
     else:
         for r in rows:
             status = "match" if r.matches else "MISMATCH"
-            print(
-                f"c={r.crossings} computed={r.computed} predicted={r.predicted} "
-                f"{status} witness={format_dt(r.witness)}"
-            )
+            print(f"c={r.crossings} computed={r.computed} predicted={r.predicted} {status} "
+                  f"witness={format_dt(r.witness)}")
     return 0 if all(r.matches for r in rows) else 1
 
 

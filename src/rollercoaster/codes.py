@@ -29,10 +29,12 @@ its own single pass, writing each entry as its chord closes.
 ``DTCode`` and ``GaussCode`` stay the validated public form.
 
 Input is checked once, where it enters: every public constructor
-(``DTCode``, ``GaussCode``, ``braid.BraidWord``) checks its fields,
-refusing a float, string or bool where an ``int`` belongs rather than
-converting it, and so do the parsers ``parse_dt``, ``parse_gauss`` and
-``braid.parse_braid`` and ``embed.extract_gauss``, which reads a
+(``DTCode``, ``GaussCode``, ``Basepoint``, ``braid.BraidWord``,
+``catalog.Range`` and ``RCCrossing``, ``embed.Crossing``,
+``invariants.Laurent``) checks its fields, and ``search`` its crossing
+number, refusing a float, string or bool where an ``int`` belongs by the
+one rule ``_check_int``; so do the parsers ``parse_dt``, ``parse_gauss``
+and ``braid.parse_braid`` and ``embed.extract_gauss``, which reads a
 caller's planar diagram.  One integer-token rule, ASCII digits as in
 ``_INTEGER``, serves every reader of integers: the three parsers, the
 catalog's range, rc-crossing and knot-name columns, and the terms of the
@@ -45,7 +47,8 @@ checked values is valid by construction and is built with
 ``warp.apply_roller_coaster`` (one over and one under passage per
 crossing), of ``gauss_to_dt`` once its framing check passes, the
 ``WarpResult`` of ``warp.warp_from``, the ``Basepoint`` that
-``warp.min_warp`` picks (an edge index of the profile), and the codes
+``warp.min_warp`` picks (an edge index of the profile), the crossings of
+``embed.realize`` and ``embed.pd_from_braid``, and the codes
 ``search.enumerate_alternating`` yields.  Re-checking those cost a fifth
 of the time of a braid item.
 """
@@ -85,6 +88,14 @@ def _unchecked(cls, **fields):
     return value
 
 
+def _check_int(value, message: str) -> None:
+    """The integer-field rule of every checked constructor: a float, string
+    or bool ``value`` is refused, not converted, with ``message`` as the
+    ValueError, the value's repr put in for its ``{!r}``."""
+    if type(value) is not int:
+        raise ValueError(message.format(value))
+
+
 @dataclass(frozen=True)
 class DTCode:
     entries: tuple[int, ...]
@@ -94,8 +105,9 @@ class DTCode:
         c = len(self.entries)
         seen = set()
         for e in self.entries:
-            if type(e) is not int or e == 0:
-                raise ValueError(f"DT entries must be nonzero even integers, got {e!r}")
+            _check_int(e, "DT entries must be nonzero even integers, got {!r}")
+            if e == 0:
+                raise ValueError("DT entries must be nonzero even integers, got 0")
             if e % 2 != 0:
                 raise ValueError(f"odd entry {e}: DT entries must be even integers")
             if abs(e) in seen:
@@ -121,8 +133,7 @@ class GaussCode:
         passages = tuple([(i, r) for i, r in self.passages])
         object.__setattr__(self, "passages", passages)
         for ident, role in passages:
-            if type(ident) is not int:
-                raise ValueError(f"crossing ids must be integers, got {ident!r}")
+            _check_int(ident, "crossing ids must be integers, got {!r}")
             if role not in (OVER, UNDER):
                 raise ValueError(f"bad strand role {role!r}")
         # with both roles valid, 2k distinct passages over k ids are one
@@ -148,6 +159,9 @@ class GaussCode:
 class Basepoint:
     edge: int
     forward: bool = True
+
+    def __post_init__(self):
+        _check_int(self.edge, "basepoint edge must be an integer, got {!r}")
 
     def __str__(self) -> str:
         return f"edge {self.edge} {'forward' if self.forward else 'backward'}"

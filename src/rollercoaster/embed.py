@@ -31,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .codes import DTCode, GaussCode, OVER, UNDER, _dt_chords, _interlacement, gauss_to_dt
+from .codes import (
+    DTCode, GaussCode, OVER, UNDER, _check_int, _dt_chords, _interlacement, _unchecked, gauss_to_dt,
+)
 
 
 class NotRealizable(ValueError):
@@ -45,8 +47,13 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
+        for e in self.edges:
+            _check_int(e, "edge ids must be integers, got {!r}")
+        for slot in self.over:
+            _check_int(slot, "over-strand slots must be integers, got {!r}")
         if tuple(sorted(self.over)) not in ((0, 2), (1, 3)):
             raise ValueError("over-strand slots must be an opposite pair")
+        _check_int(self.sign, "crossing sign must be +1 or -1, got {!r}")
         if self.sign not in (1, -1):
             raise ValueError("crossing sign must be +1 or -1")
 
@@ -110,11 +117,9 @@ def _crossing(t1, t2, bit, first_over, n) -> Crossing:
     """The crossing passed at times t1 and t2, as edges in1, in2, out1,
     out2 round it; bit swaps in2 and out2, and first_over says whether
     the passage at t1 runs over."""
-    return Crossing(
-        (t1 % n, (t2 + bit) % n, (t1 + 1) % n, (t2 + 1 - bit) % n),
-        (0, 2) if first_over else (1, 3),
-        1 if first_over != bit else -1,
-    )
+    # integer times and a 0/1 bit give a valid crossing
+    return _unchecked(Crossing, edges=(t1 % n, (t2 + bit) % n, (t1 + 1) % n, (t2 + 1 - bit) % n),
+                      over=(0, 2) if first_over else (1, 3), sign=1 if first_over != bit else -1)
 
 
 def _orientation_bits(partner, masks) -> list[int] | None:

@@ -18,7 +18,9 @@ index on ties, taken from a heap of per-crossing open-edge counts in
 O(c log c).  The widest boundary along that order is the one size limit,
 checked before any contraction.  Every matching of one step has the same
 open edges, so it is keyed by their partners in one order per step, and
-the weights A^(+-1) * delta^k are built once, at import.
+the weights A^(+-1) * delta^k are built once, at import.  The
+contraction sums on plain coefficient dicts, so ``Laurent`` has products
+and no sums.
 """
 
 from __future__ import annotations
@@ -27,21 +29,24 @@ import heapq
 import re
 from fractions import Fraction
 
-from .codes import _BLANK, _INTEGER, _read_lines, _strip_comment
+from .codes import _BLANK, _INTEGER, _check_int, _read_lines, _strip_comment
 from .embed import PlanarDiagram, writhe
 
 
 class Laurent:
-    """Laurent polynomial with integer coefficients, no zeros stored."""
+    """Laurent polynomial with integer exponents and coefficients, no zeros
+    stored, with the operations the package uses: ``*``, unary ``-``,
+    ``shift``, ``mirror``, ``eval_at_unit``, ``span`` and ``==``; no sum,
+    difference or power.  Its ``coeffs`` dict is mutable: no hash."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def term(cls, coeff: int, exp: int) -> "Laurent":
-        return cls({exp: coeff})
+        coeffs = coeffs or {}
+        for e, c in coeffs.items():
+            _check_int(e, "exponents must be integers, got {!r}")
+            _check_int(c, "coefficients must be integers, got {!r}")
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -49,20 +54,8 @@ class Laurent:
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Laurent(out)
-
     def __neg__(self) -> "Laurent":
         return Laurent({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
         out: dict[int, int] = {}
@@ -71,14 +64,6 @@ class Laurent:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return Laurent(out)
-
-    def __pow__(self, k: int) -> "Laurent":
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        result = Laurent({0: 1})
-        for _ in range(k):
-            result = result * self
-        return result
 
     def shift(self, k: int) -> "Laurent":
         """Multiply by the variable to the k-th quarter power."""

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import DTCode, _interlacement, _unchecked, dt_to_gauss
+from .codes import DTCode, _check_int, _interlacement, _unchecked, dt_to_gauss
 from .embed import _orientation_bits
 from .warp import min_warp
 
@@ -44,7 +44,9 @@ MAX_CROSSINGS = 10  # c = 10 takes seconds, and each extra crossing costs about 
 
 
 def _check_crossings(c: int, name: str = "crossing number") -> None:
-    """Reject a crossing number outside 3..MAX_CROSSINGS before any search."""
+    """Reject a crossing number that is not an integer in
+    3..MAX_CROSSINGS before any search."""
+    _check_int(c, f"{name} must be an integer, got {{!r}}")
     if not 3 <= c <= MAX_CROSSINGS:
         raise ValueError(f"{name} {c} outside supported range 3..{MAX_CROSSINGS}")
 

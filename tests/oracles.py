@@ -78,20 +78,33 @@ DELTA = Laurent({2: -1, -2: -1})
 ONE = Laurent({0: 1})
 
 
+def _add_into(total: dict, poly: Laurent) -> None:
+    """Add ``poly``'s coefficients into the plain dict ``total``."""
+    for e, c in poly.coeffs.items():
+        total[e] = total.get(e, 0) + c
+
+
 def skein_bracket(diagram) -> Laurent:
     """Bracket by recursive smoothing of one crossing at a time."""
     crossings = [(cr.edges, cr.over[0]) for cr in diagram.crossings]
-    return _skein(crossings, [], 0)
+    total = {}
+    _skein(crossings, [], 0, total)
+    return Laurent(total)
 
 
-def _skein(crossings, arcs, exponent) -> Laurent:
+def _skein(crossings, arcs, exponent, total) -> None:
+    """Add the bracket terms of every smoothing of ``crossings`` into ``total``."""
     if not crossings:
-        loops = _count_loops(arcs)
-        return Laurent.term(1, exponent) * DELTA ** (loops - 1) if loops else Laurent.term(1, exponent)
+        term = ONE.shift(exponent)
+        for _ in range(_count_loops(arcs) - 1):
+            term = term * DELTA
+        _add_into(total, term)
+        return
     (edges, p), rest = crossings[0], crossings[1:]
     a_arcs = arcs + [(edges[p], edges[(p + 3) % 4]), (edges[(p + 2) % 4], edges[(p + 1) % 4])]
     b_arcs = arcs + [(edges[p], edges[(p + 1) % 4]), (edges[(p + 2) % 4], edges[(p + 3) % 4])]
-    return _skein(rest, a_arcs, exponent + 1) + _skein(rest, b_arcs, exponent - 1)
+    _skein(rest, a_arcs, exponent + 1, total)
+    _skein(rest, b_arcs, exponent - 1, total)
 
 
 def _count_loops(arcs) -> int:
@@ -141,7 +154,7 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
     for _ in range(2 * c):
         delta_pow.append(delta_pow[-1] * DELTA)
 
-    total = Laurent({})
+    total = {}
     for state in range(1 << c):
         parent = list(range(4 * c))
 
@@ -165,8 +178,8 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
             for s1, s2 in arcs[ci][0 if use_a else 1]:
                 union(index[(ci, s1)], index[(ci, s2)])
         loops = len({find(v) for v in range(4 * c)})
-        total = total + delta_pow[loops - 1].shift(a_count)
-    return total
+        _add_into(total, delta_pow[loops - 1].shift(a_count))
+    return Laurent(total)
 
 
 def greedy_order_by_intersection(crossings) -> tuple[list[int], int]:

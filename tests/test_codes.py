@@ -15,7 +15,12 @@ from rollercoaster import (
     parse_dt,
     parse_gauss,
 )
+from rollercoaster.catalog import CatalogError, Range, RCCrossing
 from rollercoaster.codes import format_dt, format_gauss
+from rollercoaster.embed import Crossing
+from rollercoaster.invariants import Laurent
+from rollercoaster.search import conjecture_report, enumerate_alternating
+from rollercoaster.warp import warp_from
 
 from oracles import (
     DT_TOKEN,
@@ -57,6 +62,38 @@ def test_dt_code_refuses_non_integer_entries(entries):
     message = f"DT entries must be nonzero even integers, got {entries[0]!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         DTCode(entries)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Range(1.5, 2), "range bounds must be integers, got 1.5"),
+    (lambda: Range(True, 2), "range bounds must be integers, got True"),
+    (lambda: Range(1, "2"), "range bounds must be integers, got '2'"),
+    (lambda: RCCrossing(3.5, None), "rc-crossing sizes must be integers, got 3.5"),
+    (lambda: RCCrossing(8, True), "rc-crossing sizes must be integers, got True"),
+    (lambda: Crossing((1, 2, 3, 4), (0, 2), True), "crossing sign must be +1 or -1, got True"),
+    (lambda: Crossing((1, 2.0, 3, 4), (0, 2), 1), "edge ids must be integers, got 2.0"),
+    (lambda: Crossing((1, 2, 3, 4), (0.0, 2), 1), "over-strand slots must be integers, got 0.0"),
+    (lambda: warp_from(parse_gauss("1 -2 3 -1 2 -3"), Basepoint(1.5)),
+     "basepoint edge must be an integer, got 1.5"),
+    (lambda: Basepoint(True), "basepoint edge must be an integer, got True"),
+    (lambda: list(enumerate_alternating(4.0)), "crossing number must be an integer, got 4.0"),
+    (lambda: conjecture_report(4.0), "crossing number must be an integer, got 4.0"),
+    # int() would store a zero coefficient, or move 0.9 to exponent 0
+    (lambda: Laurent({0: 0.4}), "coefficients must be integers, got 0.4"),
+    (lambda: Laurent({0.9: 1}), "exponents must be integers, got 0.9"),
+    (lambda: DTCode((4.0, 6, 2)), "DT entries must be nonzero even integers, got 4.0"),
+    (lambda: GaussCode((("1", "O"), (1, "U"))), "crossing ids must be integers, got '1'"),
+])
+def test_checked_constructors_refuse_non_integer_fields(build, message):
+    # one rule, codes._check_int: refused with the value named, never converted
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_rc_crossing_refuses_a_negative_size():
+    with pytest.raises(CatalogError, match=r"^negative rc-crossing size -1$"):
+        RCCrossing(None, -1)
 
 
 @pytest.mark.parametrize("parse, text, message", [

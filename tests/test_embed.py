@@ -260,6 +260,15 @@ def test_pd_from_braid_traces_the_closure_gauss_code(word):
     assert extract_gauss(pd_from_braid(word)) == closure_gauss(word)[0]
 
 
+@given(signed_dt(), signed_knot_braids())
+@settings(deadline=None)
+def test_built_crossings_equal_their_checked_rebuild(code, word):
+    # realize and pd_from_braid build their crossings unchecked
+    diagrams = [pd_from_braid(word)] + ([realize(code)] if is_realizable(code) else [])
+    for x in (x for diagram in diagrams for x in diagram.crossings):
+        assert Crossing(x.edges, x.over, x.sign) == x
+
+
 def seeded_signed_word(seed):
     rng = random.Random(seed)
     word = random_positive_braid_knot(6, 20, seed)

@@ -1,5 +1,7 @@
+import importlib
+import pkgutil
+
 import rollercoaster
-from rollercoaster import braid, codes
 
 PUBLIC = [
     "AmbiguousMatch",
@@ -62,5 +64,8 @@ TEST_ONLY = [
 def test_public_surface_is_pinned():
     assert sorted(rollercoaster.__all__) == PUBLIC
     assert all(hasattr(rollercoaster, name) for name in rollercoaster.__all__)
-    for module in (rollercoaster, codes, braid):
+    # every module of the package but __main__, which runs the CLI on import
+    names = sorted(m.name for m in pkgutil.iter_modules(rollercoaster.__path__) if m.name != "__main__")
+    assert names == ["braid", "catalog", "cli", "codes", "embed", "invariants", "search", "warp"]
+    for module in [rollercoaster] + [importlib.import_module(f"rollercoaster.{name}") for name in names]:
         assert [name for name in TEST_ONLY if hasattr(module, name)] == [], module.__name__
