@@ -139,9 +139,9 @@ class CatalogEntry:
             raise CatalogError(f"bad knot name {self.name!r}")
         if self.ascending.lo < self.unknotting.lo:
             raise CatalogError(f"{self.name}: ascending range below unknotting range")
-        if self.property is PropertyClass.SRC:
-            if self.rc_crossing.value != self.minimal_crossings or self.rc_crossing.at_least is not None:
-                raise CatalogError(f"{self.name}: SRC requires rc-crossing {self.minimal_crossings}")
+        columns = classify(self)
+        if columns is not self.property:
+            raise CatalogError(f"stored property {self.property.value} but columns give {columns.value}")
 
     @property
     def minimal_crossings(self) -> int:
@@ -193,11 +193,6 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
             raise CatalogError(f"row {lineno}: {exc}") from exc
         if entries.setdefault(entry.name, entry) is not entry:
             raise CatalogError(f"row {lineno}: duplicate knot name {entry.name}")
-        if classify(entry) is not entry.property:
-            raise CatalogError(
-                f"row {lineno}: stored property {entry.property.value} but "
-                f"columns give {classify(entry).value}"
-            )
     return tuple(entries.values())
 
 

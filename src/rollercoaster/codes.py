@@ -20,7 +20,7 @@ Conventions used throughout the package:
 Internally both formats decode once into chords over the passage
 positions 0..2c-1 (labels minus one): ``partner[p]`` is the other
 position of p's crossing and ``over[p]`` says whether the passage at p
-runs over.  ``_dt_chords`` and ``_gauss_chords`` build them;
+runs over.  ``_dt_chords`` builds both, ``_gauss_chords`` the pairing;
 ``_interlacement`` turns ``partner`` into one bitmask per position of
 the chords interlaced with p's chord.  ``dt_to_gauss``, the nugatory
 test and ``embed.realize`` read these arrays, and the enumeration in
@@ -47,8 +47,8 @@ checked values is valid by construction and is built with
 ``warp.apply_roller_coaster`` (one over and one under passage per
 crossing), of ``gauss_to_dt`` once its framing check passes, the
 ``WarpResult`` of ``warp.warp_from``, the ``Basepoint`` that
-``warp.min_warp`` picks (an edge index of the profile), the crossings of
-``embed.realize`` and ``embed.pd_from_braid``, and the codes
+``warp.min_warp`` picks (an edge index of the profile), the crossings and
+diagrams of ``embed.realize`` and ``embed.pd_from_braid``, and the codes
 ``search.enumerate_alternating`` yields.  Re-checking those cost a fifth
 of the time of a braid item.
 """
@@ -132,16 +132,11 @@ class GaussCode:
         # a list, not a generator: tuple(<genexpr>) leaves more peak memory behind
         passages = tuple([(i, r) for i, r in self.passages])
         object.__setattr__(self, "passages", passages)
+        roles: dict[int, list[str]] = {}
         for ident, role in passages:
             _check_int(ident, "crossing ids must be integers, got {!r}")
             if role not in (OVER, UNDER):
                 raise ValueError(f"bad strand role {role!r}")
-        # with both roles valid, 2k distinct passages over k ids are one
-        # over and one under per crossing
-        if len(set(passages)) == len(passages) == 2 * len({ident for ident, _ in passages}):
-            return
-        roles: dict[int, list[str]] = {}
-        for ident, role in passages:
             roles.setdefault(ident, []).append(role)
         for ident, rs in roles.items():
             if sorted(rs) != [OVER, UNDER]:
@@ -248,14 +243,14 @@ def _dt_chords(entries) -> tuple[list[int], list[bool]]:
     return partner, over
 
 
-def _gauss_chords(passages) -> tuple[list[int], list[bool]]:
-    """Passage pairing and over bits of a Gauss sequence."""
+def _gauss_chords(passages) -> list[int]:
+    """Passage pairing of a Gauss sequence."""
     partner = [0] * len(passages)
     first: dict[int, int] = {}
     for p, (ident, _) in enumerate(passages):
         q = first.setdefault(ident, p)
         partner[p], partner[q] = q, p
-    return partner, [role == OVER for _, role in passages]
+    return partner
 
 
 def _interlacement(partner) -> list[int]:
@@ -337,4 +332,4 @@ def is_reduced(code: GaussCode) -> bool:
     the passages strictly between its own two are closed under pairing,
     so removing it would disconnect the diagram there.
     """
-    return all(_interlacement(_gauss_chords(code.passages)[0]))
+    return all(_interlacement(_gauss_chords(code.passages)))

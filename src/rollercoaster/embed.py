@@ -47,6 +47,8 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
+        if len(self.edges) != 4:
+            raise ValueError(f"a crossing has four edge ids, got {len(self.edges)}")
         for e in self.edges:
             _check_int(e, "edge ids must be integers, got {!r}")
         for slot in self.over:
@@ -122,6 +124,15 @@ def _crossing(t1, t2, bit, first_over, n) -> Crossing:
                       over=(0, 2) if first_over else (1, 3), sign=1 if first_over != bit else -1)
 
 
+def _built(crossings) -> PlanarDiagram:
+    """The diagram of crossings ``_crossing`` built along one traversal,
+    which enters and leaves each edge id once, after one face count
+    confirms the c+2 faces of a sphere embedding."""
+    if crossings and count_faces([x.edges for x in crossings]) != len(crossings) + 2:
+        raise AssertionError("built rotation system is not planar")
+    return _unchecked(PlanarDiagram, crossings=tuple(crossings))
+
+
 def _orientation_bits(partner, masks) -> list[int] | None:
     """Per crossing, whether the second passage runs the other way round
     the first one (the bit ``_crossing`` swaps on); None if not planar.
@@ -173,19 +184,14 @@ def realize(code: DTCode) -> PlanarDiagram:
     The result round-trips: extract_dt(realize(code)) == code.
     """
     c = code.crossings
-    if c == 0:
-        return PlanarDiagram(())
     partner, over = _dt_chords(code.entries)
     bits = _orientation_bits(partner, _interlacement(partner))
     if bits is None:
         raise NotRealizable(f"{code} admits no planar embedding")
-    if not over[0]:
+    if c and not over[0]:
         # the mirror embedding, with crossing 1 positive
         bits = [bit ^ 1 for bit in bits]
-    crossings = [_crossing(2 * i, partner[2 * i], bit, over[2 * i], 2 * c) for i, bit in enumerate(bits)]
-    if count_faces([x.edges for x in crossings]) != c + 2:
-        raise AssertionError(f"interlacement colouring of {code} is not planar")
-    return PlanarDiagram(tuple(crossings))
+    return _built([_crossing(2 * i, partner[2 * i], bit, over[2 * i], 2 * c) for i, bit in enumerate(bits)])
 
 
 def is_realizable(code: DTCode) -> bool:
@@ -234,6 +240,4 @@ def pd_from_braid(word: BraidWord) -> PlanarDiagram:
         # the role of the passage entering at the upper position, then the lower
         upper, lower = (OVER, UNDER) if sign > 0 else (UNDER, OVER)
         crossings.append(_crossing(times[k, upper], times[k, lower], 0, sign > 0, len(walk)))
-    if crossings and count_faces([x.edges for x in crossings]) != len(crossings) + 2:
-        raise AssertionError("braid closure rotation system is not planar")
-    return PlanarDiagram(tuple(crossings))
+    return _built(crossings)

@@ -18,9 +18,9 @@ index on ties, taken from a heap of per-crossing open-edge counts in
 O(c log c).  The widest boundary along that order is the one size limit,
 checked before any contraction.  Every matching of one step has the same
 open edges, so it is keyed by their partners in one order per step, and
-the weights A^(+-1) * delta^k are built once, at import.  The
-contraction sums on plain coefficient dicts, so ``Laurent`` has products
-and no sums.
+the weights A^(+-1) * delta^k are a table written out once.  The
+contraction sums and multiplies on plain coefficient dicts, so
+``Laurent`` has neither sums nor products.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .embed import PlanarDiagram, writhe
 
 class Laurent:
     """Laurent polynomial with integer exponents and coefficients, no zeros
-    stored, with the operations the package uses: ``*``, unary ``-``,
-    ``shift``, ``mirror``, ``eval_at_unit``, ``span`` and ``==``; no sum,
-    difference or power.  Its ``coeffs`` dict is mutable: no hash."""
+    stored, with the operations the package uses: ``shift``, ``mirror``,
+    ``eval_at_unit``, ``span`` and ``==``; no sum, difference, product,
+    power or negation.  Its ``coeffs`` dict is mutable: no hash."""
 
     __slots__ = ("coeffs",)
 
@@ -53,17 +53,6 @@ class Laurent:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.coeffs == other.coeffs
-
-    def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return Laurent(out)
 
     def shift(self, k: int) -> "Laurent":
         """Multiply by the variable to the k-th quarter power."""
@@ -109,12 +98,10 @@ class Laurent:
         return f"Laurent({self.coeffs!r})"
 
 
-_DELTA = Laurent({2: -1, -2: -1})
-ONE = Laurent({0: 1})
-# _WEIGHT[sign][k]: A^sign * delta^k as (exponent, coeff) pairs, k <= 2
-# loops closed per crossing
+# _WEIGHT[sign][k]: A^sign * delta^k, delta = -A^2 - A^-2, as (exponent,
+# coeff) pairs, for the k <= 2 loops one crossing closes
 _WEIGHT = {
-    sign: tuple(tuple(d.shift(sign).coeffs.items()) for d in (ONE, _DELTA, _DELTA * _DELTA))
+    sign: (((sign, 1),), ((sign + 2, -1), (sign - 2, -1)), ((sign + 4, 1), (sign, 2), (sign - 4, 1)))
     for sign in (1, -1)
 }
 _MAX_FRONTIER = 16  # open edge ids; the contraction's cost follows their matchings
@@ -250,13 +237,12 @@ def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
 def jones(diagram: PlanarDiagram) -> Laurent:
     """Jones polynomial, normalized so the unknot gives 1.
 
-    Exponents are quarter powers of t; knots give integer powers.
+    Exponents are quarter powers of t; knots give integer powers.  A^e of
+    the bracket becomes (-1)^w t^((3w - e)/4), w being the writhe.
     """
     w = writhe(diagram)
-    f = kauffman_bracket(diagram).shift(-3 * w)
-    if w % 2:
-        f = -f
-    return f.mirror()
+    sign = -1 if w % 2 else 1
+    return Laurent({3 * w - e: sign * c for e, c in kauffman_bracket(diagram).coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

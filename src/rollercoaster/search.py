@@ -40,7 +40,7 @@ from .codes import DTCode, _check_int, _interlacement, _unchecked, dt_to_gauss
 from .embed import _orientation_bits
 from .warp import min_warp
 
-MAX_CROSSINGS = 10  # c = 10 takes seconds, and each extra crossing costs about 8-12x
+MAX_CROSSINGS = 10  # the walk at c = 10 takes about 1 s, and each extra crossing costs about 8-12x
 
 
 def _check_crossings(c: int, name: str = "crossing number") -> None:

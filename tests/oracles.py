@@ -2,7 +2,8 @@
 
 Nothing here shares computation strategy with the package: the bracket
 oracles resolve crossings recursively or sum all 2^c states (one
-union-find per state) instead of contracting a frontier, the
+union-find per state) instead of contracting a frontier, and sum and
+multiply on their own coefficient dicts, not the contraction's table, the
 placement-order oracle takes a max over every remaining crossing at
 each step instead of keeping open-edge counts on a heap, the
 realizability oracle tries every chirality assignment, the embedding
@@ -31,7 +32,9 @@ each crossing's passages instead of reading interlacement masks.  The
 DT oracle builds a partner array and checks the framing over it before
 reading any entry, where ``gauss_to_dt`` writes each entry as its chord
 closes, and the braid, DT and Gauss grammar oracles read tokens with
-regexes written apart from the parsers'.
+regexes written apart from the parsers'.  ``gauss_code_problem`` is the
+one exception: it groups roles per crossing as ``GaussCode`` does, a copy
+written apart that pins the class's rejection messages.
 
 Beside them live the checked, whole-object forms of private engine
 cores, which the package itself no longer needs: ``rotate``,
@@ -74,14 +77,22 @@ from rollercoaster.embed import (
 from rollercoaster.invariants import _smoothing_arcs
 from rollercoaster.search import _check_crossings
 
-DELTA = Laurent({2: -1, -2: -1})
-ONE = Laurent({0: 1})
+DELTA = {2: -1, -2: -1}  # -A^2 - A^-2, as a plain coefficient dict
 
 
-def _add_into(total: dict, poly: Laurent) -> None:
-    """Add ``poly``'s coefficients into the plain dict ``total``."""
-    for e, c in poly.coeffs.items():
+def _add_into(total: dict, poly: dict) -> None:
+    """Add the plain coefficient dict ``poly`` into ``total``."""
+    for e, c in poly.items():
         total[e] = total.get(e, 0) + c
+
+
+def _times(p: dict, q: dict) -> dict:
+    """The product of two plain coefficient dicts."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
 
 
 def skein_bracket(diagram) -> Laurent:
@@ -95,9 +106,9 @@ def skein_bracket(diagram) -> Laurent:
 def _skein(crossings, arcs, exponent, total) -> None:
     """Add the bracket terms of every smoothing of ``crossings`` into ``total``."""
     if not crossings:
-        term = ONE.shift(exponent)
+        term = {exponent: 1}
         for _ in range(_count_loops(arcs) - 1):
-            term = term * DELTA
+            term = _times(term, DELTA)
         _add_into(total, term)
         return
     (edges, p), rest = crossings[0], crossings[1:]
@@ -137,7 +148,7 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
     if c > cap:
         raise BracketCapExceeded(f"{c} crossings exceeds the cap of {cap}")
     if c == 0:
-        return ONE
+        return Laurent({0: 1})
 
     darts = [(ci, s) for ci in range(c) for s in range(4)]
     index = {d: i for i, d in enumerate(darts)}
@@ -150,9 +161,9 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
         for x in diagram.crossings
     ]
 
-    delta_pow = [ONE]
+    delta_pow = [{0: 1}]
     for _ in range(2 * c):
-        delta_pow.append(delta_pow[-1] * DELTA)
+        delta_pow.append(_times(delta_pow[-1], DELTA))
 
     total = {}
     for state in range(1 << c):
@@ -178,7 +189,7 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
             for s1, s2 in arcs[ci][0 if use_a else 1]:
                 union(index[(ci, s1)], index[(ci, s2)])
         loops = len({find(v) for v in range(4 * c)})
-        _add_into(total, delta_pow[loops - 1].shift(a_count))
+        _add_into(total, {e + a_count: k for e, k in delta_pow[loops - 1].items()})
     return Laurent(total)
 
 
@@ -321,7 +332,7 @@ def gauss_code_problem(passages):
     it accepts them: the first passage whose id is not an int, or whose
     role is not "O" or "U", is named, and then the first crossing, in
     first-seen order, whose roles are not exactly one over and one under.
-    Roles are grouped per crossing, where the class compares set sizes."""
+    Roles are grouped per crossing, as the class groups them."""
     roles: dict[int, list[str]] = {}
     for ident, role in passages:
         if type(ident) is not int:

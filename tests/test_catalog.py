@@ -130,6 +130,27 @@ def test_entry_invariants_reject_inconsistent_rows():
         )
 
 
+@pytest.mark.parametrize("unknotting, ascending, stored, rc, columns", [
+    (Range(1, 1), Range(1, 1), PropertyClass.SRC, RCCrossing(4, None), PropertyClass.RC),
+    (Range(1, 1), Range(1, 1), PropertyClass.RC, RCCrossing(3, None), PropertyClass.SRC),
+    (Range(1, 2), Range(1, 2), PropertyClass.NEITHER, RCCrossing(3, None), PropertyClass.UNKNOWN),
+    (Range(1, 1), Range(2, 2), PropertyClass.UNKNOWN, RCCrossing(None, 12), PropertyClass.NEITHER),
+])
+def test_a_built_entry_is_held_to_classify(unknotting, ascending, stored, rc, columns):
+    message = f"stored property {stored.value} but columns give {columns.value}"
+    with pytest.raises(CatalogError, match=f"^{message}$"):
+        CatalogEntry(
+            name="3_1",
+            alternating=True,
+            unknotting=unknotting,
+            ascending=ascending,
+            lower_bound=LowerBoundSource.UNKNOTTING_NUMBER,
+            property=stored,
+            dt=DTCode((4, 6, 2)),
+            rc_crossing=rc,
+        )
+
+
 def test_load_rejects_edited_ascending(tmp_path):
     lines = _read_catalog_lines()
     lines[1] = lines[1].replace("3_1,Y,1,1", "3_1,Y,1,2")

@@ -342,6 +342,19 @@ def test_verify_catalog_short_row_exits_1_with_row_message(capsys, tmp_path):
     assert err == "catalog verification failed: row 3: expected 8 fields as in the header\n"
 
 
+def test_verify_catalog_src_row_with_another_rc_crossing_exits_1_with_row_message(capsys, tmp_path):
+    from importlib import resources
+
+    lines = resources.files("rollercoaster.data").joinpath("catalog.csv").read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",4"  # 3_1 stored SRC at rc-crossing 4
+    bad = tmp_path / "catalog.csv"
+    bad.write_text("\n".join(lines))
+    code, out, err = run(capsys, "verify-catalog", "--catalog", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == "catalog verification failed: row 2: stored property SRC but columns give RC\n"
+
+
 def test_verify_catalog_field_over_the_csv_size_limit_exits_1_with_row_message(capsys, tmp_path):
     from importlib import resources
 

@@ -40,6 +40,13 @@ def test_crossing_validation():
         Crossing(edges=(0, 1, 2, 3), over=(0, 2), sign=2)
 
 
+@pytest.mark.parametrize("edges", [(0, 1, 0), (0, 1, 2, 3, 0)])
+def test_crossing_refuses_an_edges_tuple_not_of_four_ids(edges):
+    # a bracket over three ids would index past the tuple
+    with pytest.raises(ValueError, match=f"^a crossing has four edge ids, got {len(edges)}$"):
+        Crossing(edges, (0, 2), 1)
+
+
 def test_planar_diagram_validates_edge_degrees():
     with pytest.raises(ValueError):
         PlanarDiagram((Crossing(edges=(0, 1, 2, 0), over=(0, 2), sign=1),))
@@ -263,10 +270,12 @@ def test_pd_from_braid_traces_the_closure_gauss_code(word):
 @given(signed_dt(), signed_knot_braids())
 @settings(deadline=None)
 def test_built_crossings_equal_their_checked_rebuild(code, word):
-    # realize and pd_from_braid build their crossings unchecked
+    # realize and pd_from_braid build their crossings and diagrams unchecked
     diagrams = [pd_from_braid(word)] + ([realize(code)] if is_realizable(code) else [])
     for x in (x for diagram in diagrams for x in diagram.crossings):
         assert Crossing(x.edges, x.over, x.sign) == x
+    for diagram in diagrams:
+        assert PlanarDiagram(diagram.crossings) == diagram
 
 
 def seeded_signed_word(seed):

@@ -46,13 +46,16 @@ def torus_braid(p: int, q: int):
 def test_laurent_arithmetic():
     a = Laurent({0: 1, 4: 2})
     b = Laurent({-4: 3})
-    assert (a * b).coeffs == {-4: 3, 0: 6}
-    assert (-b).coeffs == {-4: -3}
     assert a.shift(4).coeffs == {4: 1, 8: 2}
     assert a.mirror().coeffs == {0: 1, -4: 2}
     # its coefficients are a mutable dict, so a polynomial is no dict key
     with pytest.raises(TypeError, match="unhashable"):
         hash(a)
+    # no product or negation: the bracket and jones work on coefficient dicts
+    with pytest.raises(TypeError):
+        a * b
+    with pytest.raises(TypeError):
+        -b
 
 
 def test_laurent_eval_and_span():

@@ -42,6 +42,7 @@ UNREACHED = {
     # library API: the inverse of realize and the cheap realizability test
     "braid.BraidWord.is_positive": "library API: a word's positivity",
     "embed.Crossing.__post_init__": "library API: checks a crossing a caller builds; the package's own are unchecked",
+    "embed.PlanarDiagram.__post_init__": "library API: checks a diagram a caller builds; the package's own are unchecked",
     "embed.extract_dt": "library API: the DT code of a planar diagram",
     "embed.extract_gauss": "library API: the Gauss code of a planar diagram",
     "embed.is_realizable": "library API: realize's colouring without the diagram",

@@ -4,7 +4,9 @@ that they hold in tier-1 as well: no ``assert`` statement in ``src/`` or
 oracle-independence step forbids in ``tests/oracles.py``, and input read
 only through ``codes._read_text``: no ``open`` call, ``resources.files``
 or ``sys.stdin`` in ``catalog.py`` and ``invariants.py``, and no
-``sys.stdin`` or ``CliError`` in ``cli.py``."""
+``sys.stdin`` or ``CliError`` in ``cli.py``.  Each name an
+oracle-independence step forbids must also be defined in ``src/``, so
+that no step guards a name the engine no longer has."""
 
 import ast
 import pathlib
@@ -90,6 +92,26 @@ def test_the_six_oracle_independence_steps_are_read():
 def test_oracles_use_no_name_the_independence_steps_forbid():
     tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
     assert _forbidden(tree, oracle_step_patterns()) == []
+
+
+def _defined(tree):
+    """Every function and class the module defines, nested ones too, and
+    every name its top level assigns."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+    for node in tree.body:
+        for target in getattr(node, "targets", [getattr(node, "target", None)]):
+            if isinstance(target, ast.Name):
+                yield target.id
+
+
+def test_every_name_an_oracle_step_forbids_is_defined_in_src():
+    defined = {name for path in PACKAGE.glob("*.py") for name in _defined(ast.parse(path.read_text(encoding="utf-8")))}
+    # the names a step's pattern alternates between, its \b anchors dropped
+    forbidden = {name for p in oracle_step_patterns() for name in re.findall(r"\w+", p.replace(r"\b", ""))}
+    assert "_WEIGHT" in forbidden and "_twins" in forbidden
+    assert sorted(forbidden - defined) == []
 
 
 def test_forbidden_names_are_seen_through_every_form():
