@@ -181,7 +181,13 @@ def _orientation_bits(partner, masks) -> list[int] | None:
 def realize(code: DTCode) -> PlanarDiagram:
     """Embed a DT code in the sphere, or raise NotRealizable.
 
-    The result round-trips: extract_dt(realize(code)) == code.
+    The result round-trips: extract_dt(realize(code)) == code.  Each
+    component of the interlacement graph is oriented on its own, so a
+    code whose graph is disconnected does not name one knot: the
+    diagram can differ from the one the code was read from, by mirror
+    image or otherwise.  The closure of the braid word ``2 4 3 1 2 2``
+    is the trefoil with Jones polynomial t + t^3 - t^4, and its closure
+    code [12, -10, 8, -6, -2, -4] realizes as the mirror trefoil.
     """
     c = code.crossings
     partner, over = _dt_chords(code.entries)

@@ -15,7 +15,9 @@ walked from a set, where the package numbers its darts), the
 relabelling oracle re-reads the Gauss sequence from every basepoint,
 the permutation-walk oracle (the earlier enumeration) tries all c!
 codes and builds each one's relabellings in full instead of cutting
-prefixes, the braid count oracle builds the closure's validated Gauss
+prefixes, the all-readings oracle (the earlier leaf test) compares a
+chord array with each of its 4c readings instead of only those tied
+with it at entry 0, the braid count oracle builds the closure's validated Gauss
 code from the round-by-round closure walk and the letter signs and reads its
 below-set with the based-traversal oracle instead of counting first
 visits on the closure walk, the orbit oracle partitions raw
@@ -684,6 +686,21 @@ def reduced_by_counting(code):
             counts[other] = counts.get(other, 0) + 1
         if all(v == 2 for v in counts.values()):
             return False
+    return True
+
+
+def least_over_every_reading(partner) -> bool:
+    """Whether the unsigned DT code of a chord array, entry i being
+    ``partner[2i] + 1``, is the least of the unsigned codes of all 4c
+    readings: for k in 0..2c-1, forward from passage k moves old position
+    p to p - k (s = 1, t = -k) and backward from passage k - 1 moves it
+    to k - 1 - p (s = -1, t = k - 1), both mod 2c."""
+    n = len(partner)
+    code = [partner[q] for q in range(0, n, 2)]
+    for k in range(n):
+        for s, t in ((1, -k), (-1, k - 1)):
+            if [(s * partner[s * (q - t) % n] + t) % n for q in range(0, n, 2)] < code:
+                return False
     return True
 
 

@@ -15,7 +15,9 @@ from rollercoaster import (
     dt_to_gauss,
     extract_dt,
     extract_gauss,
+    gauss_to_dt,
     is_realizable,
+    jones,
     parse_braid,
     parse_dt,
     pd_from_braid,
@@ -301,3 +303,14 @@ def test_pd_from_braid_numbers_edges_as_basepoints_on_seeded_signed_words():
         for t, (ident, _) in enumerate(extract_gauss(diagram).passages):
             edges = diagram.crossings[ident - 1].edges
             assert any(edges[s] == t and edges[(s + 2) % 4] == (t + 1) % n for s in range(4)), (seed, t)
+
+
+def test_a_disconnected_closure_code_realizes_as_the_mirror_trefoil():
+    # realize orients each interlacement component on its own, so this
+    # closure code does not name the closure's knot (README, closure-dt)
+    word = parse_braid("2 4 3 1 2 2")
+    code = gauss_to_dt(closure_gauss(word)[0])
+    assert code.entries == (12, -10, 8, -6, -2, -4)
+    closure = jones(pd_from_braid(word))
+    assert str(closure) == "t + t^3 - t^4"
+    assert jones(realize(code)) == closure.mirror() != closure

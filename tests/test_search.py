@@ -7,7 +7,7 @@ from rollercoaster import DTCode, dt_to_gauss, is_reduced, min_warp
 from rollercoaster import embed, search
 from rollercoaster.search import ConjectureRow, a_min_warp, conjecture_report, enumerate_alternating
 
-from oracles import enumerate_by_permutations, exhaustive_realizable, symmetry_orbits
+from oracles import enumerate_by_permutations, exhaustive_realizable, least_over_every_reading, symmetry_orbits
 
 
 def test_c3_is_exactly_the_trefoil():
@@ -37,16 +37,58 @@ def test_prefix_walk_matches_permutation_walk(c):
 
 
 def test_walk_reaches_far_fewer_leaves_than_permutations(monkeypatch):
-    leaves = []
-    interlacement = search._interlacement
+    # the least-reading test runs on every leaf, the interlacement only
+    # on the leaves it keeps
+    stages = {}
+    least_reading, interlacement, orientation_bits = (
+        search._least_reading, search._interlacement, search._orientation_bits
+    )
 
-    def counting(partner):
-        leaves.append(partner)
+    def counting_least(partner):
+        stages["leaves"] += 1
+        passed = least_reading(partner)
+        stages["least"] += passed
+        return passed
+
+    def counting_masks(partner):
+        stages["masks"] += 1
         return interlacement(partner)
 
-    monkeypatch.setattr(search, "_interlacement", counting)
-    assert len(list(enumerate_alternating(8))) == 34
-    assert len(leaves) == 852 < math.factorial(8) // 10
+    def counting_bits(partner, masks):
+        stages["reduced"] += 1
+        bits = orientation_bits(partner, masks)
+        stages["planar"] += bits is not None
+        return bits
+
+    monkeypatch.setattr(search, "_least_reading", counting_least)
+    monkeypatch.setattr(search, "_interlacement", counting_masks)
+    monkeypatch.setattr(search, "_orientation_bits", counting_bits)
+    # leaves, least readings, reduced, planar, classes
+    for c, counts in ((8, (852, 198, 195, 34, 34)), (10, (60138, 11612, 11531, 489, 489))):
+        stages.update(dict.fromkeys(["leaves", "least", "masks", "reduced", "planar"], 0))
+        classes = len(list(enumerate_alternating(c)))
+        assert (stages["leaves"], stages["least"], stages["reduced"], stages["planar"], classes) == counts
+        assert stages["masks"] == stages["least"]
+        assert stages["leaves"] < math.factorial(c) // 10
+
+
+def test_least_reading_equals_the_all_readings_oracle_on_every_leaf(monkeypatch):
+    leaves = []
+    least_reading = search._least_reading
+
+    def recording(partner):
+        passed = least_reading(partner)
+        leaves.append((tuple(partner), passed))
+        return passed
+
+    monkeypatch.setattr(search, "_least_reading", recording)
+    for c in range(3, 9):
+        list(enumerate_alternating(c))
+    assert len(leaves) == 1005
+    assert [passed for _, passed in leaves] == [least_over_every_reading(p) for p, _ in leaves]
+    # at odd c, e_0 = c + 1 makes chord 0 of length c: it ties the code both ways
+    for c in (5, 7):
+        assert any(len(p) == 2 * c and p[0] == c for p, _ in leaves)
 
 
 def test_cut_1_tries_only_unkinked_first_chords_no_longer_than_c():
