@@ -213,7 +213,12 @@ def closure_components(word: BraidWord) -> int:
     try:
         word._order
     except ValueError:
-        return _cycles(_permutation(word))
+        # a link word may pass the strand bound, so only the positions
+        # some letter moves are swept; each other strand closes on itself
+        occupant: dict[int, int] = {}
+        for idx, _ in word.letters:
+            occupant[idx], occupant[idx + 1] = occupant.get(idx + 1, idx + 1), occupant.get(idx, idx)
+        return word.strands - len(occupant) + _cycles({start: pos for pos, start in occupant.items()})
     return 1
 
 

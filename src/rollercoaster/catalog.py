@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .codes import _BLANK, _INTEGER, DTCode, _check_int, _read_lines, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
-from .invariants import AmbiguousMatch, BracketCapExceeded, identify
+from .invariants import BracketCapExceeded, jones, match_jones
 from .warp import min_warp
 
 
@@ -254,19 +254,21 @@ def verify_entry(entry: CatalogEntry, row: int = 0, *, refs) -> RowReport:
     Three checks: the minimum warping degree over all basepoints equals the
     top of the ascending range; the witness size matches the finite branch
     of the rc-crossing column; and the witness's polynomial identifies the
-    named knot among ``refs`` (mirror images share a name).  A witness
-    that cannot be embedded, or has a bracket frontier wider than 16 open
-    edges, fails the identification check instead of aborting the run.  An empty
-    witness is checked as a crossingless diagram of warping degree 0.
+    named knot among ``refs`` (mirror images share a name).  The row's
+    identification is the one matching name, ``none``, or ``ambiguous: ``
+    and the matching names.  A witness that cannot be embedded, or has a
+    bracket frontier wider than 16 open edges, fails the identification
+    check instead of aborting the run.  An empty witness is checked as a
+    crossingless diagram of warping degree 0.
     """
     # min_warp needs a basepoint, which a crossingless witness lacks
     degree = min_warp(dt_to_gauss(entry.dt)).degree if entry.dt.entries else 0
     size = len(entry.dt.entries)
     try:
-        found = identify(realize(entry.dt), refs)
-        identification = found if found is not None else "none"
-    except AmbiguousMatch as exc:
-        identification = "ambiguous: " + ", ".join(exc.names)
+        names = match_jones(jones(realize(entry.dt)), refs)
+        identification = ", ".join(names) or "none"
+        if len(names) > 1:
+            identification = "ambiguous: " + identification
     except NotRealizable as exc:
         identification = f"not realizable: {exc}"
     except BracketCapExceeded as exc:

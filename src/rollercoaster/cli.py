@@ -84,7 +84,7 @@ def cmd_braid(args) -> int:
     # word prints nothing; each step goes out as it comes, read off the
     # live letter list, and no word is copied
     steps = braid_mod._reduction(word)
-    strands, final = word.strands, None
+    strands = word.strands
     out = sys.stdout
     if args.json:
         out.write('{"steps": [')
@@ -102,9 +102,9 @@ def cmd_braid(args) -> int:
             sep = ", "
         else:
             print(f"{action} {detail}: counts {before} -> {after}")
-        final = after
-    # the last step's counts, or the word's own when it takes no step
-    a, b = final if final is not None else braid_mod.ab_counts(word)
+    # the reduction stops at strands - 1 letters, where its closed form
+    # (a, b) = ((c + n - 1)/2, (c - n + 1)/2) gives (strands - 1, 0)
+    a, b = strands - 1, 0
     if args.json:
         out.write(f'], "final": {json.dumps({"a": a, "b": b})}}}\n')
     else:

@@ -111,14 +111,6 @@ class BracketCapExceeded(ValueError):
     pass
 
 
-class AmbiguousMatch(Exception):
-    """Several reference knots share the computed Jones polynomial."""
-
-    def __init__(self, names):
-        self.names = tuple(names)
-        super().__init__("ambiguous identification: " + ", ".join(self.names))
-
-
 def _smoothing_arcs(crossing, use_a: bool):
     """Slot pairs joined by the A- or B-smoothing.
 
@@ -294,17 +286,3 @@ def match_jones(poly: Laurent, refs: dict[str, Laurent]) -> list[str]:
     """Reference names whose polynomial equals poly up to t -> 1/t."""
     coeffs, mirrored = poly.coeffs, poly.mirror().coeffs
     return sorted(name for name, ref in refs.items() if ref.coeffs == coeffs or ref.coeffs == mirrored)
-
-
-def identify(diagram: PlanarDiagram, refs: dict[str, Laurent]) -> str | None:
-    """Name the diagram's knot by Jones polynomial, up to mirror image.
-
-    Returns None when nothing matches and raises AmbiguousMatch when
-    several reference knots share the polynomial.
-    """
-    names = match_jones(jones(diagram), refs)
-    if not names:
-        return None
-    if len(names) > 1:
-        raise AmbiguousMatch(names)
-    return names[0]

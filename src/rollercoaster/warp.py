@@ -34,7 +34,6 @@ from .codes import Basepoint, GaussCode, OVER, UNDER, _unchecked
 class WarpResult:
     base: Basepoint
     below: frozenset[int]
-    above: frozenset[int]
 
     @property
     def degree(self) -> int:
@@ -51,7 +50,7 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
     # the first passage backward from the edge
     first = dict(reversed(rotated) if base.forward else rotated)
     below = frozenset([i for i, role in first.items() if role == UNDER])
-    return _unchecked(WarpResult, base=base, below=below, above=frozenset(first.keys() - below))
+    return _unchecked(WarpResult, base=base, below=below)
 
 
 def warp_profile(code: GaussCode, forward: bool = True) -> list[int]:

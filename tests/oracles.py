@@ -511,7 +511,7 @@ def symmetry_orbits(codes):
 
 
 def based_warp(gauss, base):
-    """Below- and above-sets read off the passages in traversal order from ``base``."""
+    """The below-set read off the passages in traversal order from ``base``."""
     passages, k = gauss.passages, base.edge
     if base.forward:
         order = passages[k:] + passages[:k]
@@ -521,7 +521,7 @@ def based_warp(gauss, base):
     for ident, role in order:
         if ident not in below and ident not in above:
             (below if role == "U" else above).add(ident)
-    return WarpResult(base, frozenset(below), frozenset(above))
+    return WarpResult(base, frozenset(below))
 
 
 def warp_profile_by_basepoint(gauss, forward=True):
@@ -542,7 +542,8 @@ def min_warp_by_basepoint(gauss):
 
 def ab_counts_by_warp(word):
     """(a, b) as the above- and below-set sizes of the based traversal
-    from edge 0 of the closure's Gauss sequence.  The sequence is built
+    from edge 0 of the closure's Gauss sequence, the above-set being every
+    crossing of the sequence outside the below-set.  The sequence is built
     from the round-by-round closure walk: on a positive letter the strand
     entering at the upper position passes over, on a negative letter the
     one entering at the lower position does."""
@@ -555,8 +556,8 @@ def ab_counts_by_warp(word):
     for slot, upper in closure_walk_by_rounds(word):
         over = upper if word.letters[slot - 1][1] == 1 else not upper
         passages.append((slot, "O" if over else "U"))
-    result = based_warp(GaussCode(tuple(passages)), Basepoint(0))
-    return (len(result.above), len(result.below))
+    below = based_warp(GaussCode(tuple(passages)), Basepoint(0)).below
+    return (len({slot for slot, _ in passages} - below), len(below))
 
 
 def closure_walk_by_rounds(word):

@@ -408,6 +408,18 @@ def signed_link_words(draw):
     return word
 
 
+@given(st.one_of(signed_knot_words(), signed_link_words()))
+@settings(max_examples=200)
+def test_closure_components_counts_the_cycles_of_the_whole_permutation(word):
+    perm, cycles = _permutation(word), 0
+    while perm:
+        cycles += 1
+        pos = next(iter(perm))
+        while pos in perm:
+            pos = perm.pop(pos)
+    assert closure_components(word) == cycles
+
+
 @given(signed_knot_words())
 def test_closure_walk_matches_oracle_on_signed_knot_words(word):
     assert _closure_walk(word) == roles_by_rounds(word)
@@ -429,16 +441,23 @@ def test_ab_counts_matches_warp_oracle_on_signed_knot_words(word):
 KNOT_ENTRY_POINTS = (ab_counts, closure_gauss, pd_from_braid, positive_unknotting, reduce_to_base)
 
 
-@pytest.mark.parametrize("function", KNOT_ENTRY_POINTS, ids=lambda f: f.__name__)
-def test_huge_strand_count_rejected_before_per_strand_work(function):
+@pytest.mark.parametrize(
+    "function, expected",
+    [*((f, ("error", "closure has at least 1000000 components")) for f in KNOT_ENTRY_POINTS),
+     (closure_components, ("value", 1000000))],
+    ids=[f.__name__ for f in (*KNOT_ENTRY_POINTS, closure_components)],
+)
+def test_huge_strand_count_rejected_before_per_strand_work(function, expected):
+    # the knot entry points reject the word and closure_components counts
+    # its components, none of them building a list of its strands
     word = parse_braid("s1000000")
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^closure has at least 1000000 components$"):
-            function(word)
+        outcome = _outcome(function, word)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert outcome == expected
     assert peak < 1 << 20
 
 

@@ -295,6 +295,17 @@ def test_verify_entry_examples():
     assert r52.computed_min_warp == 1 and r52.rc_crossing == "6" and r52.passed
 
 
+def test_verify_entry_identifies_unique_none_and_ambiguous():
+    trefoil = next(e for e in load_catalog() if e.name == "3_1")
+    refs = load_jones_refs()
+    without = {name: poly for name, poly in refs.items() if name != "3_1"}
+    doubled = {**refs, "fake": refs["3_1"]}
+    reports = [verify_entry(trefoil, refs=table) for table in (refs, without, doubled)]
+    assert [r.identification for r in reports] == ["3_1", "none", "ambiguous: 3_1, fake"]
+    assert [dict(r.checks)["identification"] for r in reports] == [True, False, False]
+    assert [r.passed for r in reports] == [True, False, False]
+
+
 def test_verify_entry_flags_wrong_expectation():
     entries = {e.name: e for e in load_catalog()}
     refs = load_jones_refs()

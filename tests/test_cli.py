@@ -440,6 +440,20 @@ def test_verify_catalog_without_header_exits_1(capsys, tmp_path, text):
     assert (code, out, err) == (1, "", _HEADER_MESSAGE)
 
 
+def test_verify_catalog_ambiguous_refs_is_a_fail_row(capsys, tmp_path):
+    # the trefoil polynomial twice: the 3_1 row names both and fails
+    text = (PACKAGED / "jones_refs.dat").read_text(encoding="utf-8")
+    trefoil = next(line for line in text.splitlines() if line.startswith("3_1;"))
+    refs = tmp_path / "refs.dat"
+    refs.write_text(text + trefoil.replace("3_1;", "3_1x;", 1) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify-catalog", "--refs", str(refs))
+    assert (code, err) == (1, "")
+    fails = [json.loads(line[len("FAIL "):]) for line in out.splitlines() if line.startswith("FAIL ")]
+    assert [(r["name"], r["identification"]) for r in fails] == [("3_1", "ambiguous: 3_1, 3_1x")]
+    assert {"name": "identification", "pass": False} in fails[0]["checks"]
+    assert "verified 86 rows, 1 failures\n" in out
+
+
 def test_verify_catalog_over_cap_witness_is_a_fail_row(capsys, tmp_path):
     from rollercoaster import extract_dt, parse_braid, pd_from_braid
     from rollercoaster.codes import format_dt

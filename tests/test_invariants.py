@@ -8,12 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rollercoaster import (
-    AmbiguousMatch,
     BraidWord,
     DTCode,
     Laurent,
     closure_components,
-    identify,
     jones,
     kauffman_bracket,
     load_jones_refs,
@@ -262,17 +260,6 @@ def test_load_jones_refs_breaks_lines_at_newlines_only(tmp_path, monkeypatch):
         path.write_text(good + "4_1; 0:1 x; bad\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^line 3: malformed term 'x'$"):
             load_jones_refs(path)
-
-
-def test_identify_unique_none_and_ambiguous():
-    refs = load_jones_refs()
-    assert identify(realize(DTCode((4, 6, 2))), refs) == "3_1"
-    assert identify(pd_from_braid(parse_braid("1")), refs) is None
-    doubled = dict(refs)
-    doubled["fake"] = refs["3_1"]
-    with pytest.raises(AmbiguousMatch) as exc:
-        identify(realize(DTCode((4, 6, 2))), doubled)
-    assert set(exc.value.names) == {"3_1", "fake"}
 
 
 def test_torus_knot_against_closed_form():

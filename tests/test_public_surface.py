@@ -1,10 +1,11 @@
+import dataclasses
 import importlib
 import pkgutil
 
 import rollercoaster
+from rollercoaster.braid import ReductionStep
 
 PUBLIC = [
-    "AmbiguousMatch",
     "Basepoint",
     "Bigon",
     "BracketCapExceeded",
@@ -26,7 +27,6 @@ PUBLIC = [
     "extract_dt",
     "extract_gauss",
     "gauss_to_dt",
-    "identify",
     "is_realizable",
     "is_reduced",
     "jones",
@@ -47,6 +47,20 @@ PUBLIC = [
     "warp_profile",
     "writhe",
 ]
+
+# the fields of the public dataclasses and named tuples, in order
+FIELDS = {
+    "Basepoint": ("edge", "forward"),
+    "Bigon": ("i", "j", "strands"),
+    "BraidWord": ("strands", "letters"),
+    "Crossing": ("edges", "over", "sign"),
+    "DTCode": ("entries",),
+    "GaussCode": ("passages",),
+    "PlanarDiagram": ("crossings",),
+    "ReductionStep": ("action", "detail", "counts_before", "counts_after", "word"),
+    "RemovalCertificate": ("crossing", "strand", "m"),
+    "WarpResult": ("base", "below"),
+}
 
 # the checked and brute-force helpers that live in tests/oracles.py (dt_mirror is gone)
 TEST_ONLY = [
@@ -69,3 +83,16 @@ def test_public_surface_is_pinned():
     assert names == ["braid", "catalog", "cli", "codes", "embed", "invariants", "search", "warp"]
     for module in [rollercoaster] + [importlib.import_module(f"rollercoaster.{name}") for name in names]:
         assert [name for name in TEST_ONLY if hasattr(module, name)] == [], module.__name__
+
+
+def _fields(cls):
+    if dataclasses.is_dataclass(cls):
+        return tuple(field.name for field in dataclasses.fields(cls))
+    return getattr(cls, "_fields", None)
+
+
+def test_public_record_fields_are_pinned():
+    public = {name: getattr(rollercoaster, name) for name in rollercoaster.__all__}
+    public["ReductionStep"] = ReductionStep
+    records = {name: _fields(cls) for name, cls in public.items() if isinstance(cls, type) and _fields(cls)}
+    assert records == FIELDS

@@ -1,6 +1,11 @@
 """Every ``$ rollercoaster ...`` example in README.md, replayed through
-``cli.main``: the printed output must match the README exactly."""
+``cli.main``: the printed output must match the README exactly.  The
+``## Library`` block is run too, each commented result checked."""
 
+import ast
+import contextlib
+import io
+import re
 import shlex
 from pathlib import Path
 
@@ -37,3 +42,28 @@ def test_readme_has_the_examples():
 def test_readme_example(capsys, command, expected):
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_example():
+    # a statement whose line ends in "# result" is checked: a print call
+    # prints the result, any other expression evaluates to its literal
+    text = README.read_text(encoding="utf-8")
+    source = re.search(r"^## Library\n\n```python\n(.*?)^```$", text, re.S | re.M).group(1)
+    lines, namespace, checked = source.splitlines(), {}, []
+    for statement in ast.parse(source).body:
+        code = ast.get_source_segment(source, statement)
+        comment = re.search(r"\s#\s(.+)$", lines[statement.end_lineno - 1])
+        if comment is None:
+            exec(code, namespace)
+            continue
+        expected = comment.group(1).strip()
+        call = statement.value
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "print":
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exec(code, namespace)
+            assert out.getvalue() == expected + "\n", code
+        else:
+            assert eval(code, namespace) == ast.literal_eval(expected), code
+        checked.append(expected)
+    assert checked == ["1", "t + t^3 - t^4", '["3_1"]']
