@@ -23,6 +23,7 @@ Run from the repository root:  python3 scripts/make_jones_refs.py
 compares it byte for byte with the packaged file.
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -41,9 +42,8 @@ FIG8 = Laurent({-8: 1, -4: -1, 0: 1, 4: -1, 8: 1})
 def torus_jones(p: int, q: int) -> Laurent:
     """Closed form for the (p, q) torus knot, in quarter powers of t."""
     shift = 4 * (p - 1) * (q - 1) // 2
-    num = Laurent({0: 1, 4 * (p + 1): -1, 4 * (q + 1): -1, 4 * (p + q): 1}).shift(shift)
+    rem = {shift: 1, shift + 4 * (p + 1): -1, shift + 4 * (q + 1): -1, shift + 4 * (p + q): 1}
     quotient: dict[int, int] = {}
-    rem = dict(num.coeffs)
     # long division by 1 - t^2 (t^2 is 8 in quarter powers), top down
     for _ in range(1000):
         if not rem:
@@ -105,6 +105,8 @@ def table_text() -> str:
 
 
 def main() -> int:
+    # no options: --help prints usage and any argument exits 2, both before writing
+    argparse.ArgumentParser(description=__doc__.partition("\n")[0]).parse_args()
     text = table_text()
     OUT.write_text(text)
     rows = sum(1 for line in text.split("\n") if line and not line.startswith("#"))

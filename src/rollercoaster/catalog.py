@@ -73,7 +73,8 @@ class Range:
         return str(self.lo) if self.is_point else f"{self.lo}..{self.hi}"
 
 
-_CONDITIONAL = re.compile(r"\{([0-9]+),[%s]*([0-9]+)\+\}" % _BLANK)
+# "9", "12+" or the conditional "{9, 12+}"
+_RC_CROSSING = re.compile(r"([0-9]+)(\+?)|\{([0-9]+),[%s]*([0-9]+)\+\}" % _BLANK)
 
 
 @dataclass(frozen=True)
@@ -101,16 +102,13 @@ class RCCrossing:
     @classmethod
     def parse(cls, text: str) -> "RCCrossing":
         text = text.strip(_BLANK)
-        m = _CONDITIONAL.fullmatch(text)
-        if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        m = re.fullmatch(r"([0-9]+)\+", text)
-        if m:
-            return cls(None, int(m.group(1)))
-        m = re.fullmatch(r"[0-9]+", text)
-        if m:
-            return cls(int(text), None)
-        raise CatalogError(f"bad rc-crossing {text!r}")
+        m = _RC_CROSSING.fullmatch(text)
+        if not m:
+            raise CatalogError(f"bad rc-crossing {text!r}")
+        size, plus, value, at_least = m.groups()
+        if size is None:
+            return cls(int(value), int(at_least))
+        return cls(None, int(size)) if plus else cls(int(size), None)
 
     def __str__(self):
         if self.value is not None and self.at_least is not None:

