@@ -31,7 +31,7 @@ letter list in place and hands that list out live at each step, so a
 caller that prints each step as it comes (``braid reduce``) holds O(n)
 memory on an n-letter word.  ``reduce_to_base`` is the list form over
 it: it snapshots one ``BraidWord`` per step, O(n^2) on long words.  The
-step records are named tuples.
+step records are named tuples, the word a frozen ``codes._Record``.
 
 A word's closure facts, its knot order, passage walk and positivity,
 are computed once per word, on first use, and stored in the frozen word's
@@ -48,14 +48,12 @@ reduction reads only the order and positivity, never the walk.
 
 from __future__ import annotations
 
-import random
 import re
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _check_int, _unchecked
+from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _Record, _check_int, _unchecked
 
 
 class _fact:
@@ -73,8 +71,7 @@ class _fact:
         return value
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Record):
     strands: int
     letters: tuple[tuple[int, int], ...]
 
@@ -460,6 +457,7 @@ def random_positive_braid_knot(n_max: int, c_max: int, seed: int) -> BraidWord:
         raise ValueError("need n_max >= 2")
     if c_max < n_max - 1:
         raise ValueError(f"c_max={c_max} cannot close a knot on up to {n_max} strands")
+    import random
     rng = random.Random(seed)
     while True:
         n = rng.randint(2, n_max)

@@ -19,9 +19,8 @@ import enum
 import json
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
 
-from .codes import _BLANK, _INTEGER, DTCode, _check_int, _read_lines, dt_to_gauss, parse_dt
+from .codes import _BLANK, _INTEGER, DTCode, _Record, _check_int, _read_lines, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
 from .invariants import BracketCapExceeded, jones, match_jones
 from .warp import min_warp
@@ -44,8 +43,7 @@ class PropertyClass(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(_Record):
     lo: int
     hi: int
 
@@ -77,8 +75,7 @@ class Range:
 _RC_CROSSING = re.compile(r"([0-9]+)(\+?)|\{([0-9]+),[%s]*([0-9]+)\+\}" % _BLANK)
 
 
-@dataclass(frozen=True)
-class RCCrossing:
+class RCCrossing(_Record):
     """Diagram size realizing the ascending number.
 
     ``value`` is the finite size when one is known, ``at_least`` a lower
@@ -121,8 +118,7 @@ class RCCrossing:
 _NAME = re.compile(r"([0-9]+)[a-z]?_[0-9]+")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     name: str
     alternating: bool
     unknotting: Range
@@ -164,7 +160,7 @@ def load_catalog(path=None) -> tuple[CatalogEntry, ...]:
     into validated entries, each knot named once."""
     entries: dict[str, CatalogEntry] = {}  # by name, in row order
     reader = csv.DictReader(_read_lines(path, "catalog.csv"))
-    columns = [f.name for f in fields(CatalogEntry)]
+    columns = CatalogEntry.__match_args__
     try:
         header = reader.fieldnames
     except csv.Error as exc:
@@ -210,8 +206,7 @@ def main_rows(entries) -> tuple[CatalogEntry, ...]:
     return tuple(e for e in entries if e.minimal_crossings <= 9)
 
 
-@dataclass(frozen=True)
-class ClassCounts:
+class ClassCounts(_Record):
     src: int
     rc: int
     neither: int
@@ -224,8 +219,7 @@ def summarize(entries) -> ClassCounts:
     return ClassCounts(*[counts[cls] for cls in PropertyClass])
 
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(_Record):
     row: int
     name: str
     computed_min_warp: int
@@ -240,7 +234,8 @@ class RowReport:
         return all(ok for _, ok in self.checks)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "checks": [{"name": n, "pass": ok} for n, ok in self.checks]}
+        fields = {name: getattr(self, name) for name in self.__match_args__}
+        return {**fields, "checks": [{"name": n, "pass": ok} for n, ok in self.checks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import sys
 
@@ -128,7 +127,7 @@ def cmd_verify_catalog(args) -> int:
         if out is not None:
             payload = {
                 "rows": [r.to_dict() for r in reports],
-                "counts": dataclasses.asdict(counts),
+                "counts": {name: getattr(counts, name) for name in counts.__match_args__},
                 "pass": not failures,
             }
             json.dump(payload, out, indent=2)

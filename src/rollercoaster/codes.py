@@ -57,8 +57,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from importlib import resources
 
 OVER = "O"
 UNDER = "U"
@@ -79,10 +77,49 @@ class FramingError(ValueError):
     """A Gauss sequence admits no odd/even crossing labelling."""
 
 
+class _Record:
+    """A frozen value: its fields are the names its class annotates, in
+    order, kept in ``__match_args__``, and a class attribute gives a
+    field's default.  The constructor takes them by position or by name and
+    runs ``__post_init__``.  Equality, hash and repr read the fields alone,
+    as a frozen dataclass's do, so what ``braid._fact`` caches stays unseen."""
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        given = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or kwargs.keys() - names[len(args):] or len(given) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(names)}")
+        self.__dict__.update(given)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """The subclass's checks and normalisations."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def _unchecked(cls, **fields):
-    """A frozen dataclass value built without running ``__post_init__``,
-    for values the package constructs valid from checked values.  The
-    fields must already have the types the checked constructor gives."""
+    """A record built without ``__post_init__``, for values the package builds
+    valid from checked values, with the field types the checks would give."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
@@ -96,8 +133,7 @@ def _check_int(value, message: str) -> None:
         raise ValueError(message.format(value))
 
 
-@dataclass(frozen=True)
-class DTCode:
+class DTCode(_Record):
     entries: tuple[int, ...]
 
     def __post_init__(self):
@@ -124,8 +160,7 @@ class DTCode:
         return format_dt(self)
 
 
-@dataclass(frozen=True)
-class GaussCode:
+class GaussCode(_Record):
     passages: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
@@ -150,8 +185,7 @@ class GaussCode:
         return format_gauss(self)
 
 
-@dataclass(frozen=True)
-class Basepoint:
+class Basepoint(_Record):
     edge: int
     forward: bool = True
 
@@ -174,6 +208,7 @@ def _read_text(path, packaged: str | None = None) -> str:
     """The text of one input: stdin for ``-``, the file at ``path``, or
     the packaged data file named ``packaged`` when ``path`` is None."""
     if path is None:
+        from importlib import resources
         return resources.files("rollercoaster.data").joinpath(packaged).read_text(encoding="utf-8")
     if path == "-":
         return sys.stdin.read()

@@ -28,11 +28,9 @@ Braid letters (i, +1) then produce positive crossings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braid import BraidWord
 from .codes import (
-    DTCode, GaussCode, OVER, UNDER, _check_int, _dt_chords, _interlacement, _unchecked, gauss_to_dt,
+    DTCode, GaussCode, OVER, UNDER, _Record, _check_int, _dt_chords, _interlacement, _unchecked, gauss_to_dt,
 )
 
 
@@ -40,8 +38,7 @@ class NotRealizable(ValueError):
     """The pairing admits no planar embedding."""
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(_Record):
     edges: tuple[int, int, int, int]
     over: tuple[int, int]
     sign: int
@@ -60,8 +57,7 @@ class Crossing:
             raise ValueError("crossing sign must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(_Record):
     crossings: tuple[Crossing, ...]
 
     def __post_init__(self):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from fractions import Fraction
 
 from .codes import _BLANK, _INTEGER, _check_int, _read_lines, _strip_comment
 from .embed import PlanarDiagram, _twins, writhe
@@ -72,6 +71,7 @@ class Laurent:
 
     def span(self) -> Fraction:
         """Difference of extreme t-exponents (0 for constants)."""
+        from fractions import Fraction
         if not self.coeffs:
             return Fraction(0)
         return Fraction(max(self.coeffs) - min(self.coeffs), 4)
@@ -79,6 +79,7 @@ class Laurent:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
+        from fractions import Fraction
         parts = []
         for e, c in sorted(self.coeffs.items()):
             if e == 0:

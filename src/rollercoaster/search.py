@@ -38,9 +38,8 @@ is the other passage position of p's crossing, so entry i is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .codes import DTCode, _check_int, _interlacement, _unchecked, dt_to_gauss
+from .codes import DTCode, _Record, _check_int, _interlacement, _unchecked, dt_to_gauss
 from .embed import _orientation_bits
 from .warp import min_warp
 
@@ -138,8 +137,7 @@ def a_min_warp(c: int) -> tuple[int, DTCode]:
     return min(degrees, key=lambda pair: pair[0])
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(_Record):
     crossings: int
     computed: int
     predicted: int

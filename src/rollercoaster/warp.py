@@ -25,13 +25,10 @@ forward wins a tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .codes import Basepoint, GaussCode, OVER, UNDER, _unchecked
+from .codes import Basepoint, GaussCode, OVER, UNDER, _Record, _unchecked
 
 
-@dataclass(frozen=True)
-class WarpResult:
+class WarpResult(_Record):
     base: Basepoint
     below: frozenset[int]
 

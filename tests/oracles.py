@@ -46,8 +46,14 @@ where the search stops at the first differing entry, and
 ``find_innermost_bigon``, ``smooth_bigon`` and
 ``remove_first_ascending_strand`` validate and rebuild a ``BraidWord``
 at each step over the pairwise bigon oracle and their own strand walks.
+
+``dataclass_twin`` rebuilds a record as the frozen dataclass it was
+before the records shared ``codes._Record``, with the same name, fields
+and defaults and no checks, so the record's value semantics can be held
+against the code the standard library generates.
 """
 
+import dataclasses
 import re
 from itertools import permutations, product
 
@@ -716,3 +722,12 @@ def enumerate_by_permutations(c: int):
         code = DTCode(perm)
         if is_reduced(dt_to_gauss(code)) and is_realizable(code):
             yield code
+
+
+def dataclass_twin(cls):
+    """A frozen dataclass with the name, fields and defaults of the
+    record ``cls`` and no ``__post_init__``."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (name, object, dataclasses.field(default=vars(cls)[name])) if name in vars(cls) else name
+        for name in cls.__match_args__
+    ], frozen=True)

@@ -1,9 +1,10 @@
-import dataclasses
 import importlib
 import pkgutil
 
 import rollercoaster
 from rollercoaster.braid import ReductionStep
+from rollercoaster.catalog import CatalogEntry, ClassCounts, RCCrossing, Range, RowReport
+from rollercoaster.search import ConjectureRow
 
 PUBLIC = [
     "Basepoint",
@@ -48,17 +49,29 @@ PUBLIC = [
     "writhe",
 ]
 
-# the fields of the public dataclasses and named tuples, in order
+# the fields of the public records and named tuples, in order; those of the
+# catalog and conjecture records are also the key order of their JSON output
 FIELDS = {
     "Basepoint": ("edge", "forward"),
     "Bigon": ("i", "j", "strands"),
     "BraidWord": ("strands", "letters"),
+    "CatalogEntry": (
+        "name", "alternating", "unknotting", "ascending", "lower_bound", "property", "dt", "rc_crossing",
+    ),
+    "ClassCounts": ("src", "rc", "neither", "unknown"),
+    "ConjectureRow": ("crossings", "computed", "predicted", "witness"),
     "Crossing": ("edges", "over", "sign"),
     "DTCode": ("entries",),
     "GaussCode": ("passages",),
     "PlanarDiagram": ("crossings",),
+    "RCCrossing": ("value", "at_least"),
+    "Range": ("lo", "hi"),
     "ReductionStep": ("action", "detail", "counts_before", "counts_after", "word"),
     "RemovalCertificate": ("crossing", "strand", "m"),
+    "RowReport": (
+        "row", "name", "computed_min_warp", "expected", "witness_crossings", "rc_crossing", "identification",
+        "checks",
+    ),
     "WarpResult": ("base", "below"),
 }
 
@@ -86,14 +99,14 @@ def test_public_surface_is_pinned():
 
 
 def _fields(cls):
-    if dataclasses.is_dataclass(cls):
-        return tuple(field.name for field in dataclasses.fields(cls))
-    return getattr(cls, "_fields", None)
+    # records and named tuples alike keep their field names here
+    return getattr(cls, "__match_args__", None)
 
 
 def test_public_record_fields_are_pinned():
     public = {name: getattr(rollercoaster, name) for name in rollercoaster.__all__}
-    public["ReductionStep"] = ReductionStep
+    for cls in (ReductionStep, CatalogEntry, ClassCounts, ConjectureRow, RCCrossing, Range, RowReport):
+        public[cls.__name__] = cls
     records = {name: _fields(cls) for name, cls in public.items() if isinstance(cls, type) and _fields(cls)}
     assert records == FIELDS
 

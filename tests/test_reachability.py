@@ -46,8 +46,14 @@ UNREACHED = {
     "embed.extract_dt": "library API: the DT code of a planar diagram",
     "embed.extract_gauss": "library API: the Gauss code of a planar diagram",
     "embed.is_realizable": "library API: realize's colouring without the diagram",
+    # the record base: what a caller does with a record that no CLI path does
+    "codes._Record.__eq__": "library API: records compare by their fields",
+    "codes._Record.__hash__": "library API: records hash by their fields, so a caller can key a set or dict on them",
+    "codes._Record._values": "library API: the field tuple that __eq__ and __hash__ read",
+    "codes._Record.__setattr__": "library API: records are frozen; the package fills its own through the instance dict",
     # display: what a caller prints or reprs in a session
     "catalog.Range.__str__": "display",
+    "codes._Record.__repr__": "display: the repr a frozen dataclass gave",
     "codes.GaussCode.__str__": "display",
     "codes.format_gauss": "display: the Gauss code as parse_gauss reads it",
     "invariants.Laurent.__repr__": "display",
