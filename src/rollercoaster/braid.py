@@ -12,8 +12,9 @@ Conventions:
   heading right.  Crossing ids in the closure Gauss sequence are the
   1-based letter positions of the word.
 
-The counts (a, b) are read off the closure walk: the traversal meets a
-crossings first from above and b first from below.  For a positive word
+The counts (a, b) are read off the closure's Gauss code: the traversal
+meets a crossings first from above and b first from below, the code's
+stored below-set (``GaussCode._below``).  For a positive word
 with c letters on n strands whose closure is a knot, every crossing is
 met first one way or the other, so a + b = c and a - b = n - 1, that is
 (a, b) = ((c + n - 1) / 2, (c - n + 1) / 2).  Smoothing an innermost
@@ -33,17 +34,16 @@ memory on an n-letter word.  ``reduce_to_base`` is the list form over
 it: it snapshots one ``BraidWord`` per step, O(n^2) on long words.  The
 step records are named tuples, the word a frozen ``codes._Record``.
 
-A word's closure facts, its knot order, passage walk and positivity,
-are computed once per word, on first use, and stored in the frozen word's
-instance dict by ``_fact``, a non-data descriptor that the stored value
-shadows from then on, so later reads take no lock and run no Python code
-(``functools.cached_property`` takes a class-wide lock on every first
-read before Python 3.12).  So ``ab_counts``, ``closure_gauss``,
-``positive_unknotting``, ``reduce_to_base``, ``closure_components`` and
-``embed.pd_from_braid`` sweep a word's closure once between them.  The
-facts are not fields: equality, hashing and repr ignore them.  A link's
-order raises, so a link stores nothing and raises on every call.  The
-reduction reads only the order and positivity, never the walk.
+A word's closure facts, its knot order, closure Gauss code and
+positivity, are computed once per word, on first use, and stored in the
+frozen word's instance dict by ``codes._fact``.  So ``ab_counts``,
+``closure_gauss``, ``positive_unknotting``, ``reduce_to_base``,
+``closure_components`` and ``embed.pd_from_braid`` sweep a word's closure
+once between them, and ``closure_gauss`` returns the one stored
+``GaussCode``, whose below-set ``ab_counts`` and ``warp`` then share.
+The facts are not fields: equality, hashing and repr ignore them.  A
+link's order raises, so a link stores nothing and raises on every call.
+The reduction reads only the order and positivity, never the closure.
 """
 
 from __future__ import annotations
@@ -53,22 +53,7 @@ from collections.abc import Iterator, Sequence
 from itertools import islice
 from typing import NamedTuple
 
-from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _Record, _check_int, _unchecked
-
-
-class _fact:
-    """A closure fact of a word: computed on first read and written into
-    the instance dict, which shadows this non-data descriptor from then
-    on.  A fact that raises stores nothing."""
-
-    def __init__(self, compute):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, word, owner=None):
-        if word is None:
-            return self
-        value = word.__dict__[self.name] = self.compute(word)
-        return value
+from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _Record, _check_int, _fact, _unchecked
 
 
 class BraidWord(_Record):
@@ -107,9 +92,10 @@ class BraidWord(_Record):
         return tuple(_knot_order(_permutation(self)))
 
     @_fact
-    def _walk(self) -> tuple[tuple[int, str], ...]:
-        """The passages of the closure (``_closure_walk``)."""
-        return tuple(_closure_walk(self))
+    def _closure(self) -> GaussCode:
+        """The Gauss code of the closure (``_closure_walk``)."""
+        # each letter is passed once from each position, one passage over
+        return _unchecked(GaussCode, passages=tuple(_closure_walk(self)))
 
     def __str__(self) -> str:
         return _format_letters(self.letters)
@@ -286,18 +272,16 @@ _TOP_LEFT = Basepoint(0, forward=True)
 
 def closure_gauss(word: BraidWord) -> tuple[GaussCode, Basepoint]:
     """Gauss sequence of the closure, traversed from the top-left corner."""
-    # each letter is passed once from each position, one passage over
-    return _unchecked(GaussCode, passages=word._walk), _TOP_LEFT
+    return word._closure, _TOP_LEFT
 
 
 def ab_counts(word: BraidWord) -> tuple[int, int]:
     """(a, b): the crossings the top-left traversal of the closure meets
-    first from above and first from below."""
-    # a dict keeps each key's last value, so the reversed walk leaves each
-    # crossing's first role
-    first = dict(reversed(word._walk))
-    a = [*first.values()].count(OVER)
-    return (a, len(first) - a)
+    first from above and first from below: the below-set of the closure's
+    Gauss code from edge 0 forward gives b."""
+    code = word._closure
+    b = len(code._below)
+    return (code.crossings - b, b)
 
 
 def positive_unknotting(word: BraidWord) -> int:

@@ -28,6 +28,12 @@ test and ``embed.realize`` read these arrays, and the enumeration in
 its own single pass, writing each entry as its chord closes.
 ``DTCode`` and ``GaussCode`` stay the validated public form.
 
+A record may also hold values derived from its fields, each computed on
+first read and stored in its instance dict by ``_fact``, outside
+equality, hash and repr: ``GaussCode._below``, the crossings whose first
+passage from edge 0 forward runs under, which ``braid.ab_counts`` and
+``warp`` read, and the closure facts of ``braid.BraidWord``.
+
 Input is checked once, where it enters: every public constructor
 (``DTCode``, ``GaussCode``, ``Basepoint``, ``braid.BraidWord``,
 ``catalog.Range`` and ``RCCrossing``, ``embed.Crossing``,
@@ -41,8 +47,8 @@ catalog's range, rc-crossing and knot-name columns, and the terms of the
 Jones reference table.  The same readers take only ASCII whitespace,
 ``_BLANK``, around and between tokens.  A value the package builds from
 checked values is valid by construction and is built with
-``_unchecked``, which skips ``__post_init__``: the closure sequence of
-``braid.closure_gauss``, the words of ``braid.parse_braid`` and
+``_unchecked``, which skips ``__post_init__``: the closure code that
+``braid.closure_gauss`` returns, the words of ``braid.parse_braid`` and
 ``braid.reduce_to_base``, the results of ``dt_to_gauss``, ``mirror`` and
 ``warp.apply_roller_coaster`` (one over and one under passage per
 crossing), of ``gauss_to_dt`` once its framing check passes, the
@@ -82,7 +88,7 @@ class _Record:
     order, kept in ``__match_args__``, and a class attribute gives a
     field's default.  The constructor takes them by position or by name and
     runs ``__post_init__``.  Equality, hash and repr read the fields alone,
-    as a frozen dataclass's do, so what ``braid._fact`` caches stays unseen."""
+    as a frozen dataclass's do, so what a ``_fact`` stores stays unseen."""
 
     def __init_subclass__(cls):
         cls.__match_args__ = names = tuple(cls.__annotations__)
@@ -115,6 +121,23 @@ class _Record:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+class _fact:
+    """A value derived from a record's fields: computed on first read and
+    written into the instance dict, which shadows this non-data descriptor
+    from then on, so later reads take no lock and run no Python code
+    (``functools.cached_property`` takes a class-wide lock on every first
+    read before Python 3.12).  A fact that raises stores nothing."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.compute(record)
+        return value
 
 
 def _unchecked(cls, **fields):
@@ -180,6 +203,14 @@ class GaussCode(_Record):
     @property
     def crossings(self) -> int:
         return len(self.passages) // 2
+
+    @_fact
+    def _below(self) -> frozenset[int]:
+        """The crossings whose first passage from edge 0 forward runs
+        under: the below-set of ``warp.warp_from`` there."""
+        # a dict keeps each key's last value, so the reversed sequence
+        # leaves each crossing's first role
+        return frozenset([i for i, role in dict(reversed(self.passages)).items() if role == UNDER])
 
     def __str__(self) -> str:
         return format_gauss(self)

@@ -234,7 +234,7 @@ def pd_from_braid(word: BraidWord) -> PlanarDiagram:
     top-left traversal.  The passage entering a letter at its upper
     position runs over exactly when the letter is positive, so the sign
     rule of ``_crossing`` makes writhe the signed letter sum."""
-    walk = word._walk
+    walk = word._closure.passages
     # time of each (letter position, role) passage
     times = {passage: t for t, passage in enumerate(walk)}
     crossings = []

@@ -21,6 +21,14 @@ where lo and hi are the least and greatest forward degrees.  ``min_warp``
 takes the first edge reaching it: the first forward degree equal to v,
 or the first equal to c - v, read backward.  The smaller edge wins, and
 forward wins a tie.
+
+The below-set from edge 0 forward is a stored fact of the code,
+``GaussCode._below``: ``warp_profile`` starts from its size, and
+``warp_from`` returns it at that basepoint.  ``min_warp`` picks that
+basepoint for every positive braid closure, whose top-left traversal has
+the least degree, so one braid item builds the set once for
+``braid.ab_counts``, ``warp_profile`` and ``warp_from``.  Any other
+basepoint reads its own rotated sequence.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
     n = len(code.passages)
     if not 0 <= base.edge < n:
         raise ValueError(f"basepoint edge {base.edge} out of range for {n} passages")
+    if base.edge == 0 and base.forward:
+        return _unchecked(WarpResult, base=base, below=code._below)
     rotated = code.passages[base.edge:] + code.passages[:base.edge]
     # a dict keeps each key's last value: read backward, the forward order
     # leaves each crossing's first passage; read as is, its last, which is
@@ -52,9 +62,8 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
 
 def warp_profile(code: GaussCode, forward: bool = True) -> list[int]:
     """Warping degree at every edge basepoint, one traversal direction."""
-    # edge 0 first: the crossings whose first passage runs under, read as
-    # warp_from reads them, off a dict of the reversed sequence
-    degree = [*dict(reversed(code.passages)).values()].count(UNDER)
+    # edge 0 first: the code's stored below-set there
+    degree = len(code._below)
     profile = []
     for _, role in code.passages:
         profile.append(degree)

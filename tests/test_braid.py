@@ -572,8 +572,9 @@ CLOSURE_READERS = (*KNOT_ENTRY_POINTS, closure_components, _permutation, BraidWo
 
 
 def test_a_word_sweeps_its_closure_once(monkeypatch):
-    calls = {"_closure_walk": 0, "_permutation": 0}
-    originals = {name: getattr(braid, name) for name in calls}
+    calls = {"_closure_walk": 0, "_permutation": 0, "_below": 0}
+    originals = {name: getattr(braid, name) for name in ("_closure_walk", "_permutation")}
+    originals["_below"] = GaussCode._below.compute
 
     def counted(name):
         def wrapper(*args):
@@ -581,15 +582,27 @@ def test_a_word_sweeps_its_closure_once(monkeypatch):
             return originals[name](*args)
         return wrapper
 
-    word = parse_braid(str(random_positive_braid_knot(6, 20, 5)))
-    for name in calls:
+    text = str(random_positive_braid_knot(6, 20, 5))
+    for name in ("_closure_walk", "_permutation"):
         monkeypatch.setattr(braid, name, counted(name))
+    monkeypatch.setattr(GaussCode._below, "compute", counted("_below"))
+    # one benchmark item, then every other reader of the word's closure
+    word = parse_braid(text)
+    ab_counts(word)
+    positive_unknotting(word)
+    gauss, _ = closure_gauss(word)
+    gauss_to_dt(gauss)
+    min_warp(gauss)
+    reduce_to_base(word)
     for function in (ab_counts, closure_gauss, positive_unknotting, reduce_to_base, closure_components, pd_from_braid):
         function(word)
-    assert calls == {"_closure_walk": 1, "_permutation": 1}
-    # the spies are live: another word sweeps its own closure
+    assert calls == {"_closure_walk": 1, "_permutation": 1, "_below": 1}
+    assert closure_gauss(word)[0] is closure_gauss(word)[0] is gauss
+    # the spies are live: another word sweeps its own closure, and a fresh
+    # copy of the code builds its own below-set
     ab_counts(parse_braid("1 1 1"))
-    assert calls == {"_closure_walk": 2, "_permutation": 2}
+    min_warp(GaussCode(gauss.passages))
+    assert calls == {"_closure_walk": 2, "_permutation": 2, "_below": 3}
 
 
 def _outcome(function, word):
@@ -615,8 +628,8 @@ def test_stored_closure_facts_change_no_result(word, first, second):
     fresh = BraidWord(word.strands, word.letters)
     assert (shared, hash(shared), repr(shared)) == (fresh, hash(fresh), repr(fresh))
     if closure_components(word) == 1:
-        assert list(vars(shared)["_walk"]) == roles_by_rounds(word)
+        assert list(vars(shared)["_closure"].passages) == roles_by_rounds(word)
     else:
-        # a link raises on every call and stores neither order nor walk
-        assert {"_order", "_walk"}.isdisjoint(vars(shared))
+        # a link raises on every call and stores neither order nor closure
+        assert {"_order", "_closure"}.isdisjoint(vars(shared))
         assert all(_outcome(f, shared)[0] == "error" for f in KNOT_ENTRY_POINTS)

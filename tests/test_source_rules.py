@@ -84,7 +84,8 @@ def test_the_six_oracle_independence_steps_are_read():
     patterns = oracle_step_patterns()
     assert len(patterns) >= 6
     for name in (
-        "_first_bigon", "_closure_walk", "kauffman_bracket", "_least_reading", "_crossing", "count_faces", "_unchecked",
+        "_first_bigon", "_closure_walk", "_closure", "_below", "kauffman_bracket", "_least_reading", "_crossing",
+        "count_faces", "_unchecked",
     ):
         assert any(re.search(p, name) for p in patterns), name
 
@@ -122,6 +123,7 @@ def test_forbidden_names_are_seen_through_every_form():
         "from rollercoaster import codes\ngetattr(codes, '_unchecked')",
         "from rollercoaster.embed import _crossing",
         "from rollercoaster import embed\nembed.count_faces",
+        "from rollercoaster import braid\nw = braid.parse_braid('1 1 1')\nw._closure._below",
     ):
         assert _forbidden(ast.parse(source), patterns), source
     assert _forbidden(ast.parse("from rollercoaster.embed import _crossing_sign, realize"), patterns) == []

@@ -1,10 +1,12 @@
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from rollercoaster import (
     Basepoint,
     DTCode,
     GaussCode,
+    ab_counts,
     apply_roller_coaster,
+    closure_gauss,
     dt_to_gauss,
     min_warp,
     mirror,
@@ -15,8 +17,9 @@ from rollercoaster import (
 )
 
 from rollercoaster import warp
-from oracles import min_warp_by_basepoint, warp_profile_by_basepoint
-from test_codes import abstract_gauss
+from oracles import ab_counts_by_warp, based_warp, min_warp_by_basepoint, warp_profile_by_basepoint
+from test_braid import positive_knot_words, signed_knot_words
+from test_codes import abstract_gauss, signed_dt
 
 TREFOIL = dt_to_gauss(DTCode((4, 6, 2)))
 FIG8 = dt_to_gauss(DTCode((4, 6, 8, 2)))
@@ -129,3 +132,64 @@ def test_min_warp_reads_one_based_traversal(monkeypatch):
     gauss = dt_to_gauss(parse_dt("[12,14,16,2,4,6,8,10]"))
     assert min_warp(gauss).degree == 2
     assert calls == [Basepoint(1, forward=False)]
+
+
+def _every_base(code):
+    return [Basepoint(edge, forward) for edge in range(len(code.passages)) for forward in (True, False)]
+
+
+def _flipped(code, below):
+    return GaussCode(tuple((i, ("U" if r == "O" else "O") if i in below else r) for i, r in code.passages))
+
+
+# the readers of a Gauss code's stored below-set, each with its oracle;
+# ab_counts reads it through the word whose closure the code is
+BELOW_READERS = {
+    "ab_counts": (ab_counts, ab_counts_by_warp),
+    "warp_profile forward": (lambda code: warp_profile(code, True), lambda code: warp_profile_by_basepoint(code, True)),
+    "warp_profile backward": (
+        lambda code: warp_profile(code, False), lambda code: warp_profile_by_basepoint(code, False),
+    ),
+    "warp_from": (
+        lambda code: [warp_from(code, base) for base in _every_base(code)],
+        lambda code: [based_warp(code, base) for base in _every_base(code)],
+    ),
+    "min_warp": (min_warp, min_warp_by_basepoint),
+    "apply_roller_coaster": (
+        lambda code: [apply_roller_coaster(code, base) for base in _every_base(code)],
+        lambda code: [_flipped(code, based_warp(code, base).below) for base in _every_base(code)],
+    ),
+}
+
+
+def _copy(record):
+    return type(record)(*[getattr(record, name) for name in record.__match_args__])
+
+
+# one shared code: a knot closure's stored Gauss code with its word, or a
+# code with no word, expanded from a signed DT code or parsed from text
+shared_codes = st.one_of(
+    st.one_of(positive_knot_words(), signed_knot_words()).map(lambda word: (closure_gauss(word)[0], word)),
+    signed_dt().map(lambda dt: (dt_to_gauss(dt), None)),
+    abstract_gauss().map(lambda gauss: (parse_gauss(str(gauss)), None)),
+)
+
+
+@given(shared_codes, st.permutations(sorted(BELOW_READERS)), st.permutations(sorted(BELOW_READERS)))
+@settings(max_examples=150, deadline=None)
+def test_stored_below_set_changes_no_result(shared, first, second):
+    # each reader, called twice in a drawn order on one shared code, gives
+    # what it gives on a fresh copy and what its oracle gives
+    code, word = shared
+    for name in (*first, *second):
+        subject = word if name == "ab_counts" else code
+        if subject is None:
+            continue
+        reader, oracle = BELOW_READERS[name]
+        assert reader(subject) == reader(_copy(subject)) == oracle(subject), name
+    assert vars(code)["_below"] == based_warp(code, Basepoint(0)).below
+    if word is not None:
+        assert closure_gauss(word)[0] is code is vars(word)["_closure"]
+    fresh = GaussCode(code.passages)
+    assert (code, hash(code), repr(code)) == (fresh, hash(fresh), repr(fresh))
+    assert "_below" not in vars(fresh)
