@@ -37,13 +37,16 @@ step records are named tuples, the word a frozen ``codes._Record``.
 A word's closure facts, its knot order, closure Gauss code and
 positivity, are computed once per word, on first use, and stored in the
 frozen word's instance dict by ``codes._fact``.  So ``ab_counts``,
-``closure_gauss``, ``positive_unknotting``, ``reduce_to_base``,
-``closure_components`` and ``embed.pd_from_braid`` sweep a word's closure
-once between them, and ``closure_gauss`` returns the one stored
-``GaussCode``, whose below-set ``ab_counts`` and ``warp`` then share.
-The facts are not fields: equality, hashing and repr ignore them.  A
-link's order raises, so a link stores nothing and raises on every call.
-The reduction reads only the order and positivity, never the closure.
+``closure_gauss``, ``positive_unknotting``, ``reduce_to_base`` and
+``embed.pd_from_braid`` sweep a word's closure once between them, and
+``closure_gauss`` returns the one stored ``GaussCode``, whose below-set
+``ab_counts`` and ``warp`` then share.  The facts are not fields:
+equality, hashing and repr ignore them.  The knot order is the one knot
+gate: it checks the strand-count bound, walks the closure from position
+1, and names a link's components by ``closure_components``, the one
+component count.  A link's order raises, so a link stores nothing and
+raises on every call.  The reduction reads only the order and
+positivity, never the closure.
 """
 
 from __future__ import annotations
@@ -86,10 +89,17 @@ class BraidWord(_Record):
 
     @_fact
     def _order(self) -> tuple[int, ...]:
-        """The knot order of the closure (``_knot_order``), after the
-        strand-count bound.  Raises ValueError for a link."""
-        _check_strand_count(self)
-        return tuple(_knot_order(_permutation(self)))
+        """The knot order of the closure (``_knot_order``), the one knot
+        gate.  Each letter changes the number of permutation cycles by one,
+        so n strands and c letters close into at least n - c components;
+        that bound is checked before any per-strand work.  Raises
+        ValueError for a link."""
+        if self.strands > len(self.letters) + 1:
+            raise ValueError(f"closure has at least {self.strands - len(self.letters)} components")
+        order = _knot_order(_permutation(self))
+        if len(order) != self.strands:
+            raise ValueError(f"closure has {closure_components(self)} components")
+        return tuple(order)
 
     @_fact
     def _closure(self) -> GaussCode:
@@ -178,8 +188,8 @@ def parse_braid(text: str) -> BraidWord:
 
 def _permutation(word: BraidWord) -> dict[int, int]:
     """Left-edge position -> right-edge position of the same strand."""
-    # the sweep the knot gate runs; private, as the engine's helpers are,
-    # so the benchmark's tracer counts it in its caller
+    # the knot gate's dense sweep, run past the strand bound; private, as
+    # the engine's helpers are, so the benchmark's tracer counts it in its caller
     occupant = list(range(1, word.strands + 1))
     for idx, _ in word.letters:
         occupant[idx - 1], occupant[idx] = occupant[idx], occupant[idx - 1]
@@ -193,49 +203,31 @@ def _right_edge(occupant: list[int]) -> dict[int, int]:
 
 
 def closure_components(word: BraidWord) -> int:
-    try:
-        word._order
-    except ValueError:
-        # a link word may pass the strand bound, so only the positions
-        # some letter moves are swept; each other strand closes on itself
-        occupant: dict[int, int] = {}
-        for idx, _ in word.letters:
-            occupant[idx], occupant[idx + 1] = occupant.get(idx + 1, idx + 1), occupant.get(idx, idx)
-        return word.strands - len(occupant) + _cycles({start: pos for pos, start in occupant.items()})
-    return 1
-
-
-def _cycles(perm: dict[int, int]) -> int:
-    seen: set[int] = set()
-    cycles = 0
-    for start in perm:
-        if start in seen:
-            continue
-        cycles += 1
-        pos = start
-        while pos not in seen:
-            seen.add(pos)
-            pos = perm[pos]
-    return cycles
-
-
-def _check_strand_count(word: BraidWord) -> None:
-    """Each letter changes the number of permutation cycles by one, so n
-    strands and c letters close into at least n - c components; this
-    bound is checked before any per-strand work."""
-    if word.strands > len(word.letters) + 1:
-        raise ValueError(f"closure has at least {word.strands - len(word.letters)} components")
+    """The number of closure components, the one count: the cycles of the
+    closure permutation.  A word may have far more strands than letters,
+    so only the positions some letter moves are swept; each other strand
+    closes on itself."""
+    # position -> the strand there on the right edge: the permutation's
+    # inverse, which has its cycles
+    moved: dict[int, int] = {}
+    for idx, _ in word.letters:
+        moved[idx], moved[idx + 1] = moved.get(idx + 1, idx + 1), moved.get(idx, idx)
+    components, seen = word.strands - len(moved), set()
+    for pos in moved:
+        if pos not in seen:
+            components += 1
+            while pos not in seen:
+                seen.add(pos)
+                pos = moved[pos]
+    return components
 
 
 def _knot_order(perm: dict[int, int]) -> list[int]:
     """Strands in the order the closure traversal from position 1 meets
-    them, up to its return to position 1.  Raises ValueError naming the
-    components when that cycle misses a strand."""
+    them, up to its return to position 1."""
     order = [1]
     while perm[order[-1]] != 1:
         order.append(perm[order[-1]])
-    if len(order) != len(perm):
-        raise ValueError(f"closure has {_cycles(perm)} components")
     return order
 
 
@@ -251,7 +243,7 @@ def _closure_walk(word: BraidWord) -> list[tuple[int, str]]:
     """Passages of the closure traversal from the top-left corner, as
     (1-based letter position, OVER/UNDER) pairs.  The strand entering a
     letter at its upper position runs over exactly when the letter is
-    positive.  Raises ValueError, as the knot order does, when the
+    positive.  Raises ValueError, as the knot gate does, when the
     closure is not a knot."""
     order = word._order
     occupant = list(range(1, word.strands + 1))

@@ -31,8 +31,9 @@ its own single pass, writing each entry as its chord closes.
 A record may also hold values derived from its fields, each computed on
 first read and stored in its instance dict by ``_fact``, outside
 equality, hash and repr: ``GaussCode._below``, the crossings whose first
-passage from edge 0 forward runs under, which ``braid.ab_counts`` and
-``warp`` read, and the closure facts of ``braid.BraidWord``.
+passage from edge 0 forward runs under, the one first-passage reading,
+which ``braid.ab_counts`` and ``warp`` read, and ``braid.BraidWord``'s
+closure facts.
 
 Input is checked once, where it enters: every public constructor
 (``DTCode``, ``GaussCode``, ``Basepoint``, ``braid.BraidWord``,
@@ -51,11 +52,12 @@ checked values is valid by construction and is built with
 ``braid.closure_gauss`` returns, the words of ``braid.parse_braid`` and
 ``braid.reduce_to_base``, the results of ``dt_to_gauss``, ``mirror`` and
 ``warp.apply_roller_coaster`` (one over and one under passage per
-crossing), of ``gauss_to_dt`` once its framing check passes, the
-``WarpResult`` of ``warp.warp_from``, the ``Basepoint`` that
-``warp.min_warp`` picks (an edge index of the profile), the crossings and
-diagrams of ``embed.realize`` and ``embed.pd_from_braid``, and the codes
-``search.enumerate_alternating`` yields.  Re-checking those cost a fifth
+crossing), of ``gauss_to_dt`` once its framing check passes, the code
+``warp.warp_from`` reads from its basepoint and its ``WarpResult``, the
+``Basepoint`` that ``warp.min_warp`` picks (an edge index of the
+profile), the crossings and diagrams of ``embed.realize`` and
+``embed.pd_from_braid``, and the codes ``search.enumerate_alternating``
+yields.  Re-checking those cost a fifth
 of the time of a braid item.
 """
 
@@ -207,7 +209,7 @@ class GaussCode(_Record):
     @_fact
     def _below(self) -> frozenset[int]:
         """The crossings whose first passage from edge 0 forward runs
-        under: the below-set of ``warp.warp_from`` there."""
+        under: the one first-passage reading (``warp.warp_from``)."""
         # a dict keeps each key's last value, so the reversed sequence
         # leaves each crossing's first role
         return frozenset([i for i, role in dict(reversed(self.passages)).items() if role == UNDER])

@@ -28,7 +28,7 @@ Braid letters (i, +1) then produce positive crossings.
 
 from __future__ import annotations
 
-from .braid import BraidWord
+from .braid import BraidWord, closure_gauss
 from .codes import (
     DTCode, GaussCode, OVER, UNDER, _Record, _check_int, _dt_chords, _interlacement, _unchecked, gauss_to_dt,
 )
@@ -234,7 +234,7 @@ def pd_from_braid(word: BraidWord) -> PlanarDiagram:
     top-left traversal.  The passage entering a letter at its upper
     position runs over exactly when the letter is positive, so the sign
     rule of ``_crossing`` makes writhe the signed letter sum."""
-    walk = word._closure.passages
+    walk = closure_gauss(word)[0].passages
     # time of each (letter position, role) passage
     times = {passage: t for t, passage in enumerate(walk)}
     crossings = []

@@ -23,12 +23,16 @@ or the first equal to c - v, read backward.  The smaller edge wins, and
 forward wins a tie.
 
 The below-set from edge 0 forward is a stored fact of the code,
-``GaussCode._below``: ``warp_profile`` starts from its size, and
-``warp_from`` returns it at that basepoint.  ``min_warp`` picks that
-basepoint for every positive braid closure, whose top-left traversal has
-the least degree, so one braid item builds the set once for
-``braid.ab_counts``, ``warp_profile`` and ``warp_from``.  Any other
-basepoint reads its own rotated sequence.
+``GaussCode._below``, the one first-passage reading.  ``warp_from``
+reads the code from its basepoint, rotated to start at edge k and
+reversed when backward (backward from edge k meets passage k - 1
+first), and takes that reading's set.  At edge 0 forward the reading is
+the code itself, so the stored set comes back; ``warp_profile`` starts
+from its size.
+``min_warp`` picks that basepoint for every positive braid closure,
+whose top-left traversal has the least degree, so one braid item builds
+the set once for ``braid.ab_counts``, ``warp_profile`` and
+``warp_from``.
 """
 
 from __future__ import annotations
@@ -49,15 +53,11 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
     n = len(code.passages)
     if not 0 <= base.edge < n:
         raise ValueError(f"basepoint edge {base.edge} out of range for {n} passages")
-    if base.edge == 0 and base.forward:
-        return _unchecked(WarpResult, base=base, below=code._below)
-    rotated = code.passages[base.edge:] + code.passages[:base.edge]
-    # a dict keeps each key's last value: read backward, the forward order
-    # leaves each crossing's first passage; read as is, its last, which is
-    # the first passage backward from the edge
-    first = dict(reversed(rotated) if base.forward else rotated)
-    below = frozenset([i for i, role in first.items() if role == UNDER])
-    return _unchecked(WarpResult, base=base, below=below)
+    reading = code
+    if base.edge or not base.forward:
+        rotated = code.passages[base.edge:] + code.passages[:base.edge]
+        reading = _unchecked(GaussCode, passages=rotated if base.forward else rotated[::-1])
+    return _unchecked(WarpResult, base=base, below=reading._below)
 
 
 def warp_profile(code: GaussCode, forward: bool = True) -> list[int]:

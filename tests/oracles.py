@@ -24,7 +24,9 @@ visits on the closure walk, the orbit oracle partitions raw
 permutations into symmetry orbits by breadth-first closure, the warp
 oracles read the below-set afresh at each of the 4c based traversals,
 the closure-walk oracle follows position 1 through the whole word once
-per strand, the bigon oracle compares every pair of candidate bigons,
+per strand, the component oracle so follows every strand where the
+package sweeps the word once, the bigon oracle compares every pair of
+candidate bigons,
 the reduction oracle recounts the closure and rescans the word from
 its first letter at every step instead of taking the counts from
 (c, n) and resuming one scan, the strand-removal oracle follows each
@@ -69,7 +71,6 @@ from rollercoaster import (
     RemovalCertificate,
     WarpResult,
     ab_counts,
-    closure_components,
     dt_to_gauss,
     gauss_to_dt,
     is_reduced,
@@ -555,7 +556,7 @@ def ab_counts_by_warp(word):
     one entering at the lower position does."""
     if word.strands > len(word.letters) + 1:
         raise ValueError(f"closure has at least {word.strands - len(word.letters)} components")
-    components = closure_components(word)
+    components = components_by_rounds(word)
     if components != 1:
         raise ValueError(f"closure has {components} components")
     passages = []
@@ -564,6 +565,26 @@ def ab_counts_by_warp(word):
         passages.append((slot, "O" if over else "U"))
     below = based_warp(GaussCode(tuple(passages)), Basepoint(0)).below
     return (len({slot for slot, _ in passages} - below), len(below))
+
+
+def components_by_rounds(word):
+    """The number of closure components: each strand not yet met is
+    followed through the whole word, round after round, until it is back
+    where it started."""
+    met, components = set(), 0
+    for start in range(1, word.strands + 1):
+        if start in met:
+            continue
+        components += 1
+        pos = start
+        while pos not in met:
+            met.add(pos)
+            for idx, _ in word.letters:
+                if pos == idx:
+                    pos = idx + 1
+                elif pos == idx + 1:
+                    pos = idx
+    return components
 
 
 def closure_walk_by_rounds(word):

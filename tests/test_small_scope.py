@@ -13,6 +13,10 @@ test checks each equality the paper's induction rests on:
   (m + 1, m) per strand removal, and ends at strands - 1 letters with
   counts (strands - 1, 0).
 
+Over every such word of the same ranges, of any length, that closes to a
+link instead, ``closure_components`` equals this file's own cycle count
+N, and ``ab_counts`` raises ``closure has N components``.
+
 On the words whose closure DT code has a connected interlacement graph,
 it also checks the two routes to the closure diagram and the catalog:
 
@@ -25,11 +29,12 @@ it also checks the two routes to the closure diagram and the catalog:
   unknotting and ascending ranges containing (c - n + 1) / 2.
 
 Words are drawn as necklaces, each the least rotation of its class, and
-the knot and connectivity tests are this file's own permutation walk and
-chord check, so a fault in the package's closure code cannot shrink the
-set of words checked; both numbers of words are pinned.  Tier-1 runs
-``SMALL``; run this file as a script for ``FULL``, 12 221 words of which
-5 625 are connected:
+the knot, component and connectivity tests are this file's own
+permutation walk and chord check, so a fault in the package's closure
+code cannot shrink the set of words checked; all three numbers of words
+are pinned.  Tier-1 runs ``SMALL``; run this file as a script for
+``FULL``, 12 221 knot words of which 5 625 are connected, and 62 666
+link words:
 
     PYTHONPATH=src python3 tests/test_small_scope.py
 """
@@ -38,8 +43,8 @@ import itertools
 import sys
 
 from rollercoaster import (
-    BraidWord, ab_counts, closure_gauss, gauss_to_dt, jones, load_jones_refs, match_jones, min_warp, pd_from_braid,
-    positive_unknotting, realize, reduce_to_base,
+    BraidWord, ab_counts, closure_components, closure_gauss, gauss_to_dt, jones, load_jones_refs, match_jones,
+    min_warp, pd_from_braid, positive_unknotting, realize, reduce_to_base,
 )
 from rollercoaster.catalog import load_catalog
 
@@ -48,6 +53,8 @@ SMALL = ({2: 15, 3: 13, 4: 9, 5: 8, 6: 7}, 4134)
 FULL = ({3: 15, 4: 11, 5: 9, 6: 8}, 12221)
 # the number of those words whose closure DT code is connected
 SMALL_CONNECTED, FULL_CONNECTED = 691, 5625
+# the number of words of the same ranges, of any length, whose closure is a link
+SMALL_LINKS, FULL_LINKS = 9769, 62666
 # the packaged knots the connected closures identify, in either range
 IDENTIFIED = {"3_1", "5_1", "7_1", "8_19", "9_1"}
 SHARED = "a Jones polynomial shared by two knots may be the cause, as the table holds only 86 knots"
@@ -68,28 +75,38 @@ def necklaces(k: int, length: int):
             w.pop()
 
 
-def _closes_to_a_knot(strands: int, letters) -> bool:
-    """Whether the strand that starts at the top returns there only after
-    passing every position."""
+def _components(strands: int, letters) -> int:
+    """The number of cycles of the permutation the letters make of the
+    strand positions: the components of the closure."""
     perm = list(range(strands))
     for idx in letters:
         perm[idx - 1], perm[idx] = perm[idx], perm[idx - 1]
-    pos, cycle = perm[0], 1
-    while pos != 0:
-        pos, cycle = perm[pos], cycle + 1
-    return cycle == strands
+    seen, cycles = set(), 0
+    for start in range(strands):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return cycles
+
+
+def positive_words(ranges, step: int = 1):
+    """(word, closure components) for the positive words on each strand
+    count n of ``ranges`` with n - 1, n - 1 + step, ... up to ``ranges[n]``
+    letters, every generator used, one per rotation class."""
+    for n, c_max in sorted(ranges.items()):
+        for c in range(n - 1, c_max + 1, step):
+            for digits in necklaces(n - 1, c):
+                letters = [d + 1 for d in digits]
+                if len(set(letters)) == n - 1:
+                    yield BraidWord(n, tuple((idx, 1) for idx in letters)), _components(n, letters)
 
 
 def knot_words(ranges):
-    """Positive knot words on each strand count n of ``ranges`` with at
-    most ``ranges[n]`` letters, every generator used, one per rotation
-    class."""
-    for n, c_max in sorted(ranges.items()):
-        for c in range(n - 1, c_max + 1, 2):  # a knot has c - n + 1 even
-            for digits in necklaces(n - 1, c):
-                letters = [d + 1 for d in digits]
-                if len(set(letters)) == n - 1 and _closes_to_a_knot(n, letters):
-                    yield BraidWord(n, tuple((idx, 1) for idx in letters))
+    """The positive words of ``positive_words`` whose closure is a knot."""
+    # a knot has c - n + 1 even
+    return (word for word, components in positive_words(ranges, 2) if components == 1)
 
 
 def problem(word: BraidWord) -> str | None:
@@ -171,6 +188,29 @@ def check_connected(ranges, expected: int) -> list[str]:
     return found[:10]
 
 
+def check_links(ranges, expected: int) -> list[str]:
+    """The first ten problems over the words of ``ranges``, of any length,
+    whose closure is a link: a component count other than this file's,
+    an ``ab_counts`` that does not raise that count, or a wrong number of
+    words."""
+    found, words = [], 0
+    for word, components in positive_words(ranges):
+        if components == 1:
+            continue
+        words += 1
+        if closure_components(word) != components:
+            found.append(f"{word}: closure_components {closure_components(word)}, want {components}")
+        try:
+            message = f"returned {ab_counts(word)}"
+        except ValueError as exc:
+            message = str(exc)
+        if message != f"closure has {components} components":
+            found.append(f"{word} on {word.strands} strands: ab_counts {message}, want {components} components")
+    if words != expected:
+        found.append(f"{words} link words checked, {expected} expected")
+    return found[:10]
+
+
 def test_necklaces_are_the_least_rotations():
     words = [tuple(w) for w in necklaces(3, 4)]
     brute = sorted({min(w[i:] + w[:i] for i in range(4)) for w in itertools.product(range(3), repeat=4)})
@@ -192,10 +232,15 @@ def test_both_closure_diagrams_and_the_catalog_on_every_small_connected_word():
     assert check_connected(SMALL[0], SMALL_CONNECTED) == []
 
 
+def test_the_component_count_and_link_message_on_every_small_link_word():
+    assert check_links(SMALL[0], SMALL_LINKS) == []
+
+
 if __name__ == "__main__":
     ranges, expected = FULL
-    failures = check(ranges, expected) + check_connected(ranges, FULL_CONNECTED)
-    print(f"{expected} words ({FULL_CONNECTED} connected) over {ranges}: {len(failures)} problems")
+    failures = check(ranges, expected) + check_connected(ranges, FULL_CONNECTED) + check_links(ranges, FULL_LINKS)
+    print(f"{expected} knot words ({FULL_CONNECTED} connected) and {FULL_LINKS} link words over {ranges}: "
+          f"{len(failures)} problems")
     for failure in failures:
         print(failure)
     sys.exit(bool(failures))

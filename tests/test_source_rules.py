@@ -84,8 +84,8 @@ def test_the_six_oracle_independence_steps_are_read():
     patterns = oracle_step_patterns()
     assert len(patterns) >= 6
     for name in (
-        "_first_bigon", "_closure_walk", "_closure", "_below", "kauffman_bracket", "_least_reading", "_crossing",
-        "count_faces", "_unchecked",
+        "_first_bigon", "_closure_walk", "_closure", "_below", "closure_components", "kauffman_bracket",
+        "_least_reading", "_crossing", "count_faces", "_unchecked",
     ):
         assert any(re.search(p, name) for p in patterns), name
 
