@@ -20,7 +20,7 @@ import json
 import re
 from collections import Counter
 
-from .codes import _BLANK, _INTEGER, DTCode, _Record, _check_int, _read_lines, dt_to_gauss, parse_dt
+from .codes import _BLANK, _INTEGER, DTCode, _Record, _check_int, _read_lines, _unchecked, dt_to_gauss, parse_dt
 from .embed import NotRealizable, realize
 from .invariants import BracketCapExceeded, jones, match_jones
 from .warp import min_warp
@@ -271,16 +271,10 @@ def verify_entry(entry: CatalogEntry, row: int = 0, *, refs) -> RowReport:
         ("witness_size", entry.rc_crossing.value is None or size == entry.rc_crossing.value),
         ("identification", identification == entry.name),
     )
-    return RowReport(
-        row=row,
-        name=entry.name,
-        computed_min_warp=degree,
-        expected=entry.ascending.hi,
-        witness_crossings=size,
-        rc_crossing=str(entry.rc_crossing),
-        identification=identification,
-        checks=checks,
-    )
+    # every field is computed here: RowReport has no checks to skip
+    return _unchecked(RowReport, row=row, name=entry.name, computed_min_warp=degree, expected=entry.ascending.hi,
+                      witness_crossings=size, rc_crossing=str(entry.rc_crossing), identification=identification,
+                      checks=checks)
 
 
 def verify_catalog(entries, refs) -> list[RowReport]:

@@ -31,9 +31,9 @@ its own single pass, writing each entry as its chord closes.
 A record may also hold values derived from its fields, each computed on
 first read and stored in its instance dict by ``_fact``, outside
 equality, hash and repr: ``GaussCode._below``, the crossings whose first
-passage from edge 0 forward runs under, the one first-passage reading,
-which ``braid.ab_counts`` and ``warp`` read, and ``braid.BraidWord``'s
-closure facts.
+passage from edge 0 forward runs under, which ``braid.ab_counts`` and
+``warp`` read, ``braid.BraidWord``'s closure facts and
+``embed.PlanarDiagram._twin``, a diagram's dart table.
 
 Input is checked once, where it enters: every public constructor
 (``DTCode``, ``GaussCode``, ``Basepoint``, ``braid.BraidWord``,
@@ -56,9 +56,9 @@ crossing), of ``gauss_to_dt`` once its framing check passes, the code
 ``warp.warp_from`` reads from its basepoint and its ``WarpResult``, the
 ``Basepoint`` that ``warp.min_warp`` picks (an edge index of the
 profile), the crossings and diagrams of ``embed.realize`` and
-``embed.pd_from_braid``, and the codes ``search.enumerate_alternating``
-yields.  Re-checking those cost a fifth
-of the time of a braid item.
+``embed.pd_from_braid``, the codes ``search.enumerate_alternating``
+yields and the ``catalog.RowReport``s; ``invariants._laurent`` so builds
+the package's polynomials.  Re-checking cost a fifth of a braid item.
 """
 
 from __future__ import annotations

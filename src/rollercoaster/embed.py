@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, closure_gauss
 from .codes import (
-    DTCode, GaussCode, OVER, UNDER, _Record, _check_int, _dt_chords, _interlacement, _unchecked, gauss_to_dt,
+    DTCode, GaussCode, OVER, UNDER, _Record, _check_int, _dt_chords, _fact, _interlacement, _unchecked, gauss_to_dt,
 )
 
 
@@ -73,6 +73,11 @@ class PlanarDiagram(_Record):
     def size(self) -> int:
         return len(self.crossings)
 
+    @_fact
+    def _twin(self) -> list[int]:
+        """The diagram's one dart table: its face count, traversal and bracket read it."""
+        return _twins([x.edges for x in self.crossings])
+
 
 def _twins(rotations) -> list[int]:
     """The other end of each dart along its edge, dart 4*ci + slot being
@@ -90,9 +95,12 @@ def _twins(rotations) -> list[int]:
 
 
 def count_faces(rotations: list[tuple[int, int, int, int]]) -> int:
-    """Faces of the combinatorial map given by the rotation system: each
-    face leaves a dart's twin by the next slot counterclockwise."""
-    twin = _twins(rotations)
+    """Faces of the combinatorial map given by the rotation system."""
+    return _faces(_twins(rotations))
+
+
+def _faces(twin: list[int]) -> int:
+    """Faces of the map with dart table ``twin``, each left by the next slot counterclockwise."""
     seen = bytearray(len(twin))
     faces = 0
     for start in range(len(twin)):
@@ -124,9 +132,10 @@ def _built(crossings) -> PlanarDiagram:
     """The diagram of crossings ``_crossing`` built along one traversal,
     which enters and leaves each edge id once, after one face count
     confirms the c+2 faces of a sphere embedding."""
-    if crossings and count_faces([x.edges for x in crossings]) != len(crossings) + 2:
+    diagram = _unchecked(PlanarDiagram, crossings=tuple(crossings))
+    if crossings and _faces(diagram._twin) != len(crossings) + 2:
         raise AssertionError("built rotation system is not planar")
-    return _unchecked(PlanarDiagram, crossings=tuple(crossings))
+    return diagram
 
 
 def _orientation_bits(partner, masks) -> list[int] | None:
@@ -215,7 +224,7 @@ def extract_gauss(diagram: PlanarDiagram) -> GaussCode:
                   if x.edges[slot] == 0 and x.edges[(slot + 2) % 4] == 1), None)
     if start is None:
         raise ValueError("no traversal start: diagram edges are not labelled 0..2c-1")
-    twin = _twins([x.edges for x in diagram.crossings])
+    twin = diagram._twin
     passages = []
     ci, slot = start
     for _ in range(2 * c):

@@ -17,20 +17,21 @@ short: next comes the crossing with the most open edges, the lowest
 index on ties, taken from a heap of per-crossing open-edge counts in
 O(c log c).  That placement is the one walk of the frontier: it records
 the open edges after each step, the widest of which is the one size
-limit, checked before any contraction.  Every matching of one step has
-the same open edges, so it is keyed by their partners in the order the
-walk recorded, and the weights A^(+-1) * delta^k are a table written out
-once.  The contraction sums and multiplies on plain coefficient dicts,
-so ``Laurent`` has neither sums nor products.
+limit, checked before any contraction.  A state is a matching's partner
+map with its polynomial, keyed by the partners of the open edges, read
+with one ``itemgetter`` in the order the walk recorded.  The weights
+A^(+-1) * delta^k are a table written out once, and sums and products
+run on plain coefficient dicts, so ``Laurent`` has neither.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
+from operator import itemgetter
 
 from .codes import _BLANK, _INTEGER, _check_int, _read_lines, _strip_comment
-from .embed import PlanarDiagram, _twins, writhe
+from .embed import PlanarDiagram, writhe
 
 
 class Laurent:
@@ -56,7 +57,7 @@ class Laurent:
 
     def mirror(self) -> "Laurent":
         """Substitute t -> 1/t (negate every exponent)."""
-        return Laurent({-e: c for e, c in self.coeffs.items()})
+        return _laurent({-e: c for e, c in self.coeffs.items()})
 
     def eval_at_unit(self, u: int) -> int:
         """Value at t = u for u in {1, -1}; needs integer t-powers."""
@@ -96,6 +97,13 @@ class Laurent:
         return f"Laurent({self.coeffs!r})"
 
 
+def _laurent(coeffs: dict[int, int]) -> Laurent:
+    """A ``Laurent`` of nonzero integer terms the package computed, unchecked."""
+    poly = object.__new__(Laurent)
+    poly.coeffs = coeffs
+    return poly
+
+
 # _WEIGHT[sign][k]: A^sign * delta^k, delta = -A^2 - A^-2, as (exponent,
 # coeff) pairs, for the k <= 2 loops one crossing closes
 _WEIGHT = {
@@ -121,7 +129,7 @@ def _smoothing_arcs(crossing, use_a: bool):
     return ((p, (p + 1) % 4), ((p + 2) % 4, (p + 3) % 4))
 
 
-def _crossing_order(crossings) -> tuple[list[int], list[tuple[int, ...]]]:
+def _crossing_order(diagram: PlanarDiagram) -> tuple[list[int], list[tuple[int, ...]]]:
     """Greedy placement order and the frontier after each placement: next
     comes the crossing sharing the most edge ids with the open ones (met
     once so far), the lowest index on ties; ``frontiers[k]`` holds the ids
@@ -136,7 +144,7 @@ def _crossing_order(crossings) -> tuple[list[int], list[tuple[int, ...]]]:
     so a crossing's newest entry comes off first and its older ones come
     off once it is placed, to be skipped: the order takes O(c log c).
     """
-    twin = _twins([x.edges for x in crossings])
+    crossings, twin = diagram.crossings, diagram._twin
     count = [0] * len(crossings)
     placed = bytearray(len(crossings))
     heap = [(0, ci) for ci in range(len(crossings))]  # already a heap
@@ -164,36 +172,34 @@ def _crossing_order(crossings) -> tuple[list[int], list[tuple[int, ...]]]:
 def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
     """Bracket by frontier contraction, one crossing at a time.
 
-    The state maps each boundary matching of the placed crossings to the
+    A state is a boundary matching of the placed crossings, as its partner
+    map (each open edge id to the other end of its strand), with the
     summed weight A^(a-b) * delta^(closed loops) of its partial
-    smoothings.  The open edge ids after a step are the same for every
-    matching, so a matching is keyed by the partner of each open id (the
-    other end of its strand), in the order of that step's frontier as
-    ``_crossing_order`` walked it, the frontier's one walk.  Placing a
-    crossing glues its A-arcs (weight A) or its B-arcs (weight A^-1) into
-    every matching; the last crossing leaves only the empty matching and
-    counts one loop fewer, giving A^(a-b) * delta^(loops-1) per state.
+    smoothings.  Every matching of a step has the same open edge ids, so a
+    state is keyed by its partners, read with one ``itemgetter`` over the
+    frontier ``_crossing_order`` walked; maps of one key agree, and the
+    first is kept.  Placing a crossing glues its A-arcs (weight A) or
+    B-arcs (weight A^-1) into a copy of every map; the last leaves the
+    empty map and counts one loop fewer: A^(a-b) * delta^(loops-1).
     The matchings grow with the frontier width, so an order opening more
     than _MAX_FRONTIER edges at once is rejected before any contraction.
     """
     c = diagram.size
-    order, frontiers = _crossing_order(diagram.crossings)
+    order, frontiers = _crossing_order(diagram)
     width = max(map(len, frontiers), default=0)
     if width > _MAX_FRONTIER:
         raise BracketCapExceeded(f"frontier of {width} open edges exceeds the limit of {_MAX_FRONTIER}")
 
-    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    for step, (ci, before, after) in enumerate(zip(order, [()] + frontiers, frontiers)):
+    states: dict = {(): ({}, {0: 1})}  # key -> (partner map, polynomial)
+    for step, (ci, after) in enumerate(zip(order, frontiers)):
         x = diagram.crossings[ci]
         loops0 = -1 if step == c - 1 else 0
-        edges = x.edges
-        smoothings = []  # per smoothing: its weights and its two arcs as edge ids
-        for use_a, sign in ((True, 1), (False, -1)):
-            (s1, s2), (s3, s4) = _smoothing_arcs(x, use_a)
-            smoothings.append((_WEIGHT[sign], ((edges[s1], edges[s2]), (edges[s3], edges[s4]))))
-        contracted: dict[tuple, dict[int, int]] = {}
-        for matching, poly in states.items():
-            glued = dict(zip(before, matching))
+        # per smoothing: its weights and its two arcs as edge ids
+        smoothings = [(_WEIGHT[sign], [(x.edges[s], x.edges[t]) for s, t in _smoothing_arcs(x, use_a)])
+                      for use_a, sign in ((True, 1), (False, -1))]
+        key = itemgetter(*after) if after else lambda partner: ()
+        contracted: dict = {}
+        for glued, poly in states.values():
             for weight, arcs in smoothings:
                 partner = glued.copy()
                 loops = loops0
@@ -208,12 +214,12 @@ def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
                     else:
                         partner[a] = b
                         partner[b] = a
-                target = contracted.setdefault(tuple([partner[e] for e in after]), {})
+                target = contracted.setdefault(key(partner), (partner, {}))[1]
                 for e, k in weight[loops]:
                     for e0, c0 in poly.items():
                         target[e0 + e] = target.get(e0 + e, 0) + c0 * k
         states = contracted
-    return Laurent(states[()])
+    return _laurent({e: k for e, k in states[()][1].items() if k})
 
 
 def jones(diagram: PlanarDiagram) -> Laurent:
@@ -224,7 +230,7 @@ def jones(diagram: PlanarDiagram) -> Laurent:
     """
     w = writhe(diagram)
     sign = -1 if w % 2 else 1
-    return Laurent({3 * w - e: sign * c for e, c in kauffman_bracket(diagram).coeffs.items()})
+    return _laurent({3 * w - e: sign * c for e, c in kauffman_bracket(diagram).coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Nothing here shares computation strategy with the package: the bracket
 oracles resolve crossings recursively or sum all 2^c states (one
-union-find per state) instead of contracting a frontier, and sum and
-multiply on their own coefficient dicts, not the contraction's table, the
-placement-order oracle takes a max over every remaining crossing at
-each step instead of keeping open-edge counts on a heap, the
+union-find per state) instead of contracting a frontier, each with its
+own smoothing rule, and sum and multiply on their own coefficient dicts,
+not the contraction's table, the placement-order oracle takes a max over
+every remaining crossing at each step instead of keeping open-edge
+counts on a heap, the
 realizability oracle tries every chirality assignment, the embedding
 oracle tries the orientation choices in order until one traces c+2
 faces instead of colouring the interlacement graph and takes the
@@ -83,7 +84,6 @@ from rollercoaster.embed import (
     PlanarDiagram,
     is_realizable,
 )
-from rollercoaster.invariants import _smoothing_arcs
 from rollercoaster.search import _check_crossings
 
 DELTA = {2: -1, -2: -1}  # -A^2 - A^-2, as a plain coefficient dict
@@ -150,6 +150,14 @@ def _count_loops(arcs) -> int:
     return loops
 
 
+def _state_arcs(crossing, use_a: bool) -> list[tuple[int, int]]:
+    """The slot pairs one smoothing joins: of the four pairs (q, q + 1) of
+    slots next to each other counterclockwise, the A-smoothing takes the
+    two that end on the over-strand, the B-smoothing the two that start
+    on it.  A positive kink then gives -A^3."""
+    return [(q, (q + 1) % 4) for q in range(4) if (q + 1 if use_a else q) % 4 in crossing.over]
+
+
 def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
     """State-sum bracket: sum over all 2^c smoothings of
     A^(a-b) * delta^(loops-1)."""
@@ -165,10 +173,7 @@ def state_sum_bracket(diagram, cap: int = 16) -> Laurent:
     for ci, x in enumerate(diagram.crossings):
         for s, e in enumerate(x.edges):
             ends.setdefault(e, []).append(index[(ci, s)])
-    arcs = [
-        (_smoothing_arcs(x, True), _smoothing_arcs(x, False))
-        for x in diagram.crossings
-    ]
+    arcs = [(_state_arcs(x, True), _state_arcs(x, False)) for x in diagram.crossings]
 
     delta_pow = [{0: 1}]
     for _ in range(2 * c):

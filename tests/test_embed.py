@@ -179,11 +179,17 @@ def test_realize_numbers_edges_as_basepoints(code):
 
 
 def test_realize_counts_faces_once(monkeypatch):
-    count_faces = embed.count_faces
-    calls = []
-    monkeypatch.setattr(embed, "count_faces", lambda rotations: calls.append(rotations) or count_faces(rotations))
-    realize(parse_dt("[14, -16, 20, 18, -2, 4, 6, 10, 8, 12]"))
-    assert len(calls) == 1
+    """One face count and one dart table per diagram: the traversal and
+    the bracket's placement order read the table the face count built."""
+    faces, twins = embed._faces, embed._twins
+    counted, tabled = [], []
+    monkeypatch.setattr(embed, "_faces", lambda twin: counted.append(twin) or faces(twin))
+    monkeypatch.setattr(embed, "_twins", lambda rotations: tabled.append(rotations) or twins(rotations))
+    diagram = realize(parse_dt("[14, -16, 20, 18, -2, 4, 6, 10, 8, 12]"))
+    assert (len(counted), len(tabled)) == (1, 1)
+    jones(diagram)
+    extract_gauss(diagram)
+    assert (len(counted), len(tabled)) == (1, 1)
 
 
 @st.composite

@@ -26,7 +26,9 @@ from rollercoaster import (
 )
 from rollercoaster import invariants
 from rollercoaster.catalog import load_catalog
+from rollercoaster.embed import Crossing, PlanarDiagram
 from rollercoaster.invariants import BracketCapExceeded
+from rollercoaster.search import enumerate_alternating
 
 from oracles import greedy_order_by_intersection, skein_bracket, state_sum_bracket
 
@@ -153,10 +155,44 @@ def test_contraction_matches_state_sum_on_every_catalog_witness():
         assert kauffman_bracket(diagram) == state_sum_bracket(diagram), entry.name
 
 
+def test_contraction_matches_state_sum_on_every_alternating_class_up_to_eight():
+    diagrams = [realize(code) for c in range(3, 9) for code in enumerate_alternating(c)]
+    assert len(diagrams) == 54
+    for diagram in diagrams:
+        assert kauffman_bracket(diagram) == state_sum_bracket(diagram), diagram
+
+
+_SMALL_WITNESSES = [realize(entry.dt) for entry in load_catalog() if len(entry.dt.entries) <= 9]
+
+
+@given(
+    st.one_of(
+        st.sampled_from(_SMALL_WITNESSES),
+        signed_knot_words().filter(lambda word: closure_components(word) == 1).map(pd_from_braid),
+    ),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_contraction_is_unchanged_by_relabelling(diagram, data):
+    """Permuting the crossings and renaming the edge ids by a bijection,
+    each crossing keeping its rotation, over-slots and sign, moves the
+    placement order and its ties, and so which matching's partner map
+    reaches a shared key first; the bracket must not move."""
+    c = diagram.size
+    order = data.draw(st.permutations(range(c)))
+    names = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=2 * c, max_size=2 * c, unique=True))
+    rename = dict(zip(sorted({e for x in diagram.crossings for e in x.edges}), names))
+    moved = [diagram.crossings[ci] for ci in order]
+    relabelled = PlanarDiagram(tuple(Crossing(tuple(rename[e] for e in x.edges), x.over, x.sign) for x in moved))
+    bracket = kauffman_bracket(relabelled)
+    assert bracket == kauffman_bracket(diagram)
+    assert bracket == state_sum_bracket(relabelled)
+
+
 def assert_order_matches_oracle(diagram):
     """The order and each frontier, as a set, equal the oracle's; no
     frontier repeats an id.  Returns the order and the widest frontier."""
-    order, frontiers = invariants._crossing_order(diagram.crossings)
+    order, frontiers = invariants._crossing_order(diagram)
     assert (order, [set(f) for f in frontiers]) == greedy_order_by_intersection(diagram.crossings)
     assert all(len(set(f)) == len(f) for f in frontiers)
     return order, max(map(len, frontiers), default=0)

@@ -43,6 +43,7 @@ UNREACHED = {
     "braid.BraidWord.is_positive": "library API: a word's positivity",
     "embed.Crossing.__post_init__": "library API: checks a crossing a caller builds; the package's own are unchecked",
     "embed.PlanarDiagram.__post_init__": "library API: checks a diagram a caller builds; the package's own are unchecked",
+    "embed.count_faces": "library API: the faces of any rotation system; a diagram counts its own from its dart table",
     "embed.extract_dt": "library API: the DT code of a planar diagram",
     "embed.extract_gauss": "library API: the Gauss code of a planar diagram",
     "embed.is_realizable": "library API: realize's colouring without the diagram",
