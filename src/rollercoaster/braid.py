@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator, Sequence
-from itertools import islice
 from typing import NamedTuple
 
 from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _Record, _check_int, _fact, _unchecked
@@ -137,9 +136,13 @@ class RemovalCertificate(NamedTuple):
 
 MAX_BRAID_LETTERS = 100_000
 
-# the generator form s<i>[^<p>]; a plain token, the form ``_INTEGER``
-# takes, is checked with string methods: ASCII, then digits, as
-# "²".isdigit() and "٣".isdigit() hold
+# every plain token of a generator below 100, "3" or "-3", and its letter;
+# ``parse_braid`` looks each token up here first
+_PLAIN_LETTERS = {str(i * s): (i, s) for i in range(1, 100) for s in (1, -1)}
+
+# any other token: a plain one, the form ``_INTEGER`` takes, is checked
+# with string methods, ASCII, then digits, as "²".isdigit() and
+# "٣".isdigit() hold; the generator form s<i>[^<p>] with this regex
 _TOKEN = re.compile(rf"s([0-9]+)(?:\^({_INTEGER.pattern}))?")
 
 
@@ -151,9 +154,15 @@ def parse_braid(text: str) -> BraidWord:
     Words that expand to more than MAX_BRAID_LETTERS letters are rejected
     before any power is expanded.
     """
-    powers: list[tuple[tuple[int, int], int]] = []  # (letter, repeat count)
-    length = top = 0
+    letters: list[tuple[int, int]] = []  # one per token of nonzero power
+    runs: list[tuple[int, int]] = []  # (place in letters, count) of each power over 1
+    top = 0  # the largest index of a token outside the table
+    plain = _PLAIN_LETTERS.get
     for tok in _SPLIT.split(text):
+        letter = plain(tok)
+        if letter is not None:
+            letters.append(letter)
+            continue
         if not tok:
             continue
         digits = tok[1:] if tok[0] == "-" else tok
@@ -171,14 +180,25 @@ def parse_braid(text: str) -> BraidWord:
             raise ValueError("generator index 0 is not allowed")
         if idx > top:
             top = idx
-        count = abs(power)
-        length += count
-        powers.append(((idx, 1 if power > 0 else -1), count))
+        if power:
+            count = abs(power)
+            if count > 1:
+                runs.append((len(letters), count))
+            letters.append((idx, 1 if power > 0 else -1))
+    # the table's tokens name their indices here, where no power is expanded yet
+    if letters:
+        top = max(top, max(letters)[0])
+    length = len(letters) + sum(count - 1 for _, count in runs)
     if length > MAX_BRAID_LETTERS:
         raise ValueError(f"braid word expands to {length} letters, over the limit of {MAX_BRAID_LETTERS}")
-    letters: list[tuple[int, int]] = []
-    for letter, count in powers:
-        letters += [letter] * count
+    if runs:
+        expanded, done = [], 0
+        for at, count in runs:
+            expanded += letters[done:at]
+            expanded += [letters[at]] * count
+            done = at + 1
+        expanded += letters[done:]
+        letters = expanded
     # every index lies in 1..top and every sign is +1 or -1
     return _unchecked(BraidWord, strands=top + 1, letters=tuple(letters))
 
@@ -302,13 +322,14 @@ def _first_bigon(
     leaves out of ``last``.  While every pair seen so far is distinct,
     the first repeated pair joins two letters with no bigon between
     them, so that bigon is innermost."""
-    for j, (idx, _) in enumerate(islice(letters, start, None), start):
+    for j in range(start, len(letters)):
+        idx = letters[j][0]
         upper, lower = occupant[idx - 1], occupant[idx]
         occupant[idx - 1], occupant[idx] = lower, upper
         key = (upper, lower) if upper < lower else (lower, upper)
-        if key in last:
-            return Bigon(last[key], j, key)
-        last[key] = j
+        i = last.setdefault(key, j)
+        if i != j:
+            return Bigon(i, j, key)
     return None
 
 
@@ -418,7 +439,10 @@ def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
     positive."""
     current, steps = word, []
     for action, detail, before, after, n, letters in _reduction(word):
-        current = _unchecked(BraidWord, strands=n, letters=tuple(letters))
+        # built as ``codes._unchecked`` builds it, without its keyword call
+        current = object.__new__(BraidWord)
+        fields = current.__dict__
+        fields["strands"], fields["letters"] = n, tuple(letters)
         steps.append(ReductionStep(action, detail, before, after, current))
     return current, steps
 

@@ -61,6 +61,11 @@ def test_parse_braid_caps_expanded_length():
                  f"s1^{MAX_BRAID_LETTERS // 2} s2^{MAX_BRAID_LETTERS // 2} s1"):
         with pytest.raises(ValueError, match="over the limit"):
             parse_braid(text)
+    with pytest.raises(ValueError, match=f"^braid word expands to {MAX_BRAID_LETTERS + 1} letters, over the limit"):
+        parse_braid(" ".join(["1"] * (MAX_BRAID_LETTERS + 1)))
+    # a bad token after an over-limit power is still the error reported
+    with pytest.raises(ValueError, match="^malformed braid token '1x'$"):
+        parse_braid(f"s1^{MAX_BRAID_LETTERS + 1} 2 1x")
 
 
 @pytest.mark.parametrize("token", ["+1", "1_0", "\u0663", "s\u0663", "s1^\u0662", "s1^+2",
@@ -75,7 +80,8 @@ def braid_texts(draw):
     """Braid text in plain and generator syntax, zero and negative powers
     included, with the strand count and letters it spells."""
     tokens, letters, top = [], [], 0
-    for idx, power, plain in draw(st.lists(st.tuples(st.integers(1, 9), st.integers(-3, 3), st.booleans()),
+    # indices on both sides of the parser's plain-token table, 1..99
+    for idx, power, plain in draw(st.lists(st.tuples(st.integers(1, 120), st.integers(-3, 3), st.booleans()),
                                            max_size=12)):
         if plain and power in (1, -1):
             tokens.append(str(idx * power))
@@ -110,6 +116,16 @@ def test_parse_braid_accepts_exactly_the_token_grammar(tokens):
     if outcome[0] == "value":
         word = outcome[1]
         assert word == BraidWord(word.strands, word.letters)
+
+
+@pytest.mark.parametrize("text", [
+    "01", "007", "-0", "0", "99", "-99", "100", "-100", "99 -100 s100 s99^2 007 -01",
+    " ".join(["1"] * (MAX_BRAID_LETTERS + 1)),
+    f"s1^{MAX_BRAID_LETTERS + 1} 2 1x",
+    f"s1^{MAX_BRAID_LETTERS + 1} 2 0",
+])
+def test_parse_braid_matches_the_grammar_on_both_sides_of_the_token_table(text):
+    assert _outcome(parse_braid, text) == _outcome(braid_by_grammar, text)
 
 
 def test_parse_braid_strand_inference_and_validation():
@@ -198,10 +214,19 @@ def test_innermost_bigon_scan_builds_pairs_only_up_to_the_bigon():
     read = []
 
     class CountedLetters(tuple):
+        # a scan may read the letters by iteration or by index
         def __iter__(self):
             for letter in tuple.__iter__(self):
                 read.append(letter)
                 yield letter
+
+        def __getitem__(self, key):
+            got = tuple.__getitem__(self, key)
+            if isinstance(key, slice):
+                read.extend(got)
+            else:
+                read.append(got)
+            return got
 
     word = parse_braid("s1^200")
     object.__setattr__(word, "letters", CountedLetters(word.letters))

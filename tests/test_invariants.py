@@ -162,6 +162,16 @@ def test_contraction_matches_state_sum_on_every_alternating_class_up_to_eight():
         assert kauffman_bracket(diagram) == state_sum_bracket(diagram), diagram
 
 
+def test_contraction_matches_state_sum_past_frontier_width_six():
+    # up to width 6 the partners of every other open edge fix the
+    # matching, so only a wider frontier tests that a state's key reads
+    # every partner; this 12-crossing closure opens 8 edges at once
+    diagram = pd_from_braid(parse_braid("-3 3 -3 3 -2 -4 -3 4 2 3 1 -4"))
+    _, width = assert_order_matches_oracle(diagram)
+    assert (diagram.size, width) == (12, 8)
+    assert kauffman_bracket(diagram) == state_sum_bracket(diagram)
+
+
 _SMALL_WITNESSES = [realize(entry.dt) for entry in load_catalog() if len(entry.dt.entries) <= 9]
 
 
