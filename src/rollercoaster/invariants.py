@@ -17,11 +17,14 @@ short: next comes the crossing with the most open edges, the lowest
 index on ties, taken from a heap of per-crossing open-edge counts in
 O(c log c).  That placement is the one walk of the frontier: it records
 the open edges after each step, the widest of which is the one size
-limit, checked before any contraction.  A state is a matching's partner
-map with its polynomial, keyed by the partners of the open edges, read
-with one ``itemgetter`` in the order the walk recorded.  The weights
-A^(+-1) * delta^k are a table written out once, and sums and products
-run on plain coefficient dicts, so ``Laurent`` has neither.
+limit, checked before any contraction, and hands each edge a small
+integer slot while it is open, at most the widest frontier plus four of
+them in all.  A state is a matching's partner list over those slots with
+its polynomial, keyed by the partners of the open slots, read with one
+``itemgetter`` in the order the walk recorded; gluing an arc is a few
+list reads and writes.  The weights A^(+-1) * delta^k are a table
+written out once, and sums and products run on plain coefficient dicts,
+so ``Laurent`` has neither.
 """
 
 from __future__ import annotations
@@ -117,24 +120,37 @@ class BracketCapExceeded(ValueError):
     pass
 
 
-def _smoothing_arcs(crossing, use_a: bool):
-    """Slot pairs joined by the A- or B-smoothing.
+def _smoothing_arcs(crossing, slots):
+    """Both smoothings of the crossing whose rotation slots hold the
+    frontier slots ``slots``: the A-smoothing, then the B-smoothing, each
+    as its weights (A^(+-1) * delta^k, indexed by k) and the two slot
+    pairs it joins.
 
     The A-smoothing joins each over-strand slot to its clockwise
     neighbour; this yields -A^3 for the positive kink.
     """
     p = crossing.over[0]
-    if use_a:
-        return ((p, (p + 3) % 4), ((p + 2) % 4, (p + 1) % 4))
-    return ((p, (p + 1) % 4), ((p + 2) % 4, (p + 3) % 4))
+    s0, s1, s2, s3 = slots[p], slots[(p + 1) % 4], slots[(p + 2) % 4], slots[(p + 3) % 4]
+    return (_WEIGHT[1], ((s0, s3), (s2, s1))), (_WEIGHT[-1], ((s0, s1), (s2, s3)))
 
 
-def _crossing_order(diagram: PlanarDiagram) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Greedy placement order and the frontier after each placement: next
-    comes the crossing sharing the most edge ids with the open ones (met
-    once so far), the lowest index on ties; ``frontiers[k]`` holds the ids
-    open once ``order[k]`` is placed, in the order they opened.  This is
-    the one walk of the frontier; the bracket keys its states on it.
+def _crossing_order(diagram: PlanarDiagram):
+    """Greedy placement order, the frontier after each placement and the
+    slots of that frontier: next comes the crossing sharing the most edge
+    ids with the open ones (met once so far), the lowest index on ties;
+    ``frontiers[k]`` holds the ids open once ``order[k]`` is placed, in
+    the order they opened.  This is the one walk of the frontier; the
+    bracket keys its states on it.
+
+    Each edge gets a small integer slot when it opens and gives it back
+    once the crossing that closes it is placed, so a slot freed at a
+    crossing is not handed out again at that crossing, and a kink's edge,
+    which opens and closes there, keeps one slot for the whole step.  At
+    most the widest frontier plus the four ends of one crossing are in
+    use at once, and that bounds ``size``, the number of slots handed
+    out.  ``steps[k]`` holds the frontier slots at ``order[k]``'s four
+    rotation slots, the frontier slots that open at that step, and the
+    frontier's slots in frontier order.
 
     Each unplaced crossing keeps its count of open edge ids.  Placing a
     crossing opens each of its edges not yet met and adds 1 to the count
@@ -148,70 +164,81 @@ def _crossing_order(diagram: PlanarDiagram) -> tuple[list[int], list[tuple[int, 
     count = [0] * len(crossings)
     placed = bytearray(len(crossings))
     heap = [(0, ci) for ci in range(len(crossings))]  # already a heap
-    open_ids: dict[int, None] = {}  # insertion-ordered
-    order = []
-    frontiers = []
+    open_slots: dict[int, int] = {}  # open edge id -> its slot, insertion-ordered
+    free: list[int] = []  # slots given back at earlier steps
+    size = 0
+    order, frontiers, steps = [], [], []
     while heap:
         ci = heapq.heappop(heap)[1]
         if placed[ci]:
             continue
         placed[ci] = 1
         order.append(ci)
+        at, opened, closed = [], [], []
         for dart, e in enumerate(crossings[ci].edges, 4 * ci):  # a kink's edge id toggles twice here
-            if e in open_ids:
-                del open_ids[e]
-            else:
-                open_ids[e] = None
+            slot = open_slots.pop(e, None)
+            if slot is None:
+                if free:
+                    slot = free.pop()
+                else:
+                    slot, size = size, size + 1
+                open_slots[e] = slot
+                opened.append(slot)
                 other = twin[dart] >> 2  # ci itself on a kink: a skipped entry
                 count[other] += 1
                 heapq.heappush(heap, (-count[other], other))
-        frontiers.append(tuple(open_ids))
-    return order, frontiers
+            else:
+                closed.append(slot)
+            at.append(slot)
+        free += closed
+        frontiers.append(tuple(open_slots))
+        steps.append((at, opened, tuple(open_slots.values())))
+    return order, frontiers, steps, size
 
 
 def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
     """Bracket by frontier contraction, one crossing at a time.
 
-    A state is a boundary matching of the placed crossings, as its partner
-    map (each open edge id to the other end of its strand), with the
-    summed weight A^(a-b) * delta^(closed loops) of its partial
-    smoothings.  Every matching of a step has the same open edge ids, so a
-    state is keyed by its partners, read with one ``itemgetter`` over the
-    frontier ``_crossing_order`` walked; maps of one key agree, and the
-    first is kept.  Placing a crossing glues its A-arcs (weight A) or
-    B-arcs (weight A^-1) into a copy of every map; the last leaves the
-    empty map and counts one loop fewer: A^(a-b) * delta^(loops-1).
-    The matchings grow with the frontier width, so an order opening more
-    than _MAX_FRONTIER edges at once is rejected before any contraction.
+    A state is a boundary matching of the placed crossings, as a partner
+    list over the slots ``_crossing_order`` hands out (each open edge's
+    slot holds the slot at the other end of its strand; the other entries
+    are stale), with the summed weight A^(a-b) * delta^(closed loops) of
+    its partial smoothings.  Every matching of a step has the same open
+    slots, so a state is keyed by its partners, read with one
+    ``itemgetter`` over the frontier's slots; lists of one key agree on
+    every open slot, and the first is kept.  Placing a crossing sets each slot that opens there
+    to itself, then glues its A-arcs (weight A) or B-arcs (weight A^-1)
+    into a copy of every list: an arc (u, v) closes a loop when u's
+    partner is v, and otherwise joins the partners of u and v.  The last
+    step leaves no open slot and counts one loop fewer:
+    A^(a-b) * delta^(loops-1).  The matchings grow with the frontier
+    width, so an order opening more than _MAX_FRONTIER edges at once is
+    rejected before any contraction.
     """
     c = diagram.size
-    order, frontiers = _crossing_order(diagram)
+    order, frontiers, steps, size = _crossing_order(diagram)
     width = max(map(len, frontiers), default=0)
     if width > _MAX_FRONTIER:
         raise BracketCapExceeded(f"frontier of {width} open edges exceeds the limit of {_MAX_FRONTIER}")
 
-    states: dict = {(): ({}, {0: 1})}  # key -> (partner map, polynomial)
-    for step, (ci, after) in enumerate(zip(order, frontiers)):
-        x = diagram.crossings[ci]
+    states: dict = {(): ([0] * size, {0: 1})}  # key -> (partner list, polynomial)
+    for step, (ci, (at, opened, after)) in enumerate(zip(order, steps)):
         loops0 = -1 if step == c - 1 else 0
-        # per smoothing: its weights and its two arcs as edge ids
-        smoothings = [(_WEIGHT[sign], [(x.edges[s], x.edges[t]) for s, t in _smoothing_arcs(x, use_a)])
-                      for use_a, sign in ((True, 1), (False, -1))]
+        smoothings = _smoothing_arcs(diagram.crossings[ci], at)
         key = itemgetter(*after) if after else lambda partner: ()
         contracted: dict = {}
         for glued, poly in states.values():
+            for s in opened:  # a reused slot may still hold a closed edge's partner
+                glued[s] = s
             for weight, arcs in smoothings:
                 partner = glued.copy()
                 loops = loops0
                 for u, v in arcs:
-                    # an edge id met for the first time is its own far end
-                    a = partner.pop(u, u)
-                    partner.pop(a, None)
-                    b = partner.pop(v, v)
-                    partner.pop(b, None)
-                    if a == b:
+                    a = partner[u]
+                    if a == v:
                         loops += 1
                     else:
+                        b = partner[v]
                         partner[a] = b
                         partner[b] = a
                 target = contracted.setdefault(key(partner), (partner, {}))[1]

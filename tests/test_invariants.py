@@ -186,7 +186,7 @@ _SMALL_WITNESSES = [realize(entry.dt) for entry in load_catalog() if len(entry.d
 def test_contraction_is_unchanged_by_relabelling(diagram, data):
     """Permuting the crossings and renaming the edge ids by a bijection,
     each crossing keeping its rotation, over-slots and sign, moves the
-    placement order and its ties, and so which matching's partner map
+    placement order and its ties, and so which matching's partner list
     reaches a shared key first; the bracket must not move."""
     c = diagram.size
     order = data.draw(st.permutations(range(c)))
@@ -201,11 +201,41 @@ def test_contraction_is_unchanged_by_relabelling(diagram, data):
 
 def assert_order_matches_oracle(diagram):
     """The order and each frontier, as a set, equal the oracle's; no
-    frontier repeats an id.  Returns the order and the widest frontier."""
-    order, frontiers = invariants._crossing_order(diagram)
+    frontier repeats an id.  The walk's slots: an edge keeps the slot it
+    opens with until the crossing that closes it; the slots that open at a
+    step are exactly those of the edges that open there; no two edges open
+    during one step, the frontier before it or the edges it opens, share a
+    slot, so each frontier's slots are distinct and no slot is handed out
+    at the crossing that frees it; and no more slots are handed out than
+    the widest frontier plus four.  Returns the order and the widest
+    frontier."""
+    order, frontiers, steps, size = invariants._crossing_order(diagram)
     assert (order, [set(f) for f in frontiers]) == greedy_order_by_intersection(diagram.crossings)
     assert all(len(set(f)) == len(f) for f in frontiers)
-    return order, max(map(len, frontiers), default=0)
+    width = max(map(len, frontiers), default=0)
+    assert len(steps) == len(order)
+    slot_of: dict[int, int] = {}  # open edge id -> the slot it opened with
+    for ci, after, (at, opened, after_slots) in zip(order, frontiers, steps):
+        edges = diagram.crossings[ci].edges
+        live = set(slot_of.values())
+        assert len(live) == len(slot_of)
+        new = {}  # edge id opening at this step -> its slot
+        for e, slot in zip(edges, at):
+            if e in slot_of:
+                assert slot == slot_of[e], (e, slot)
+            else:
+                new.setdefault(e, slot)  # a kink's edge: both its rotation slots hold one slot
+                assert slot == new[e], (e, slot)
+        assert sorted(opened) == sorted(new.values())
+        assert len(set(new.values())) == len(new) and not live & set(new.values())
+        slot_of.update(new)
+        for e in set(edges) - set(after):
+            del slot_of[e]
+        assert tuple(after_slots) == tuple(slot_of[e] for e in after)
+        assert set(slot_of) == set(after)
+    assert {s for at, _, _ in steps for s in at} <= set(range(size))
+    assert size <= width + 4
+    return order, width
 
 
 @given(signed_knot_words())
