@@ -26,13 +26,14 @@ form and finds each bigon by resuming one left-to-right scan where the
 last smoothing left it, so it walks neither the closure nor the whole
 word again per step.
 
-The reduction is one generator of steps, which ``_reduction`` returns
-once the word passes the knot and positivity checks.  It edits a single
-letter list in place and hands that list out live at each step, so a
-caller that prints each step as it comes (``braid reduce``) holds O(n)
-memory on an n-letter word.  ``reduce_to_base`` is the list form over
-it: it snapshots one ``BraidWord`` per step, O(n^2) on long words.  The
-step records are named tuples, the word a frozen ``codes._Record``.
+The reduction is one loop, ``_reduce``, which checks the word for a
+positive knot closure before any step.  It edits a single letter list in
+place.  ``reduce_to_base`` records each step with its own copy of the
+word, O(n^2) on long words; ``braid reduce`` passes a sink that prints
+each step off the live list as it comes, so it holds O(n) memory on an
+n-letter word.  The step records are named tuples, the word a frozen
+``codes._Record``; the loop and the bigon scan build them valid, as
+``codes._unchecked`` builds records, without their constructors.
 
 A word's closure facts, its knot order, closure Gauss code and
 positivity, are computed once per word, on first use, and stored in the
@@ -41,18 +42,22 @@ frozen word's instance dict by ``codes._fact``.  So ``ab_counts``,
 ``embed.pd_from_braid`` sweep a word's closure once between them, and
 ``closure_gauss`` returns the one stored ``GaussCode``, whose below-set
 ``ab_counts`` and ``warp`` then share.  The facts are not fields:
-equality, hashing and repr ignore them.  The knot order is the one knot
-gate: it checks the strand-count bound, walks the closure from position
-1, and names a link's components by ``closure_components``, the one
-component count.  A link's order raises, so a link stores nothing and
-raises on every call.  The reduction reads only the order and
+equality, hashing and repr ignore them.  The knot order passes the one
+knot gate, ``_knot_gate``: it checks the strand-count bound, walks the
+closure from position 1, and names a link's components by
+``closure_components``, the one component count.  A link's order raises,
+so a link stores nothing and raises on every call.  When the closure is
+read first, its walk sweeps the letters once for its passages and for
+the permutation the gate reads, and stores the order from that; the
+dense sweep ``_permutation`` runs only for a word whose first reader
+needs the order alone.  The reduction reads only the order and
 positivity, never the closure.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _Record, _check_int, _fact, _unchecked
@@ -88,17 +93,11 @@ class BraidWord(_Record):
 
     @_fact
     def _order(self) -> tuple[int, ...]:
-        """The knot order of the closure (``_knot_order``), the one knot
-        gate.  Each letter changes the number of permutation cycles by one,
-        so n strands and c letters close into at least n - c components;
-        that bound is checked before any per-strand work.  Raises
-        ValueError for a link."""
-        if self.strands > len(self.letters) + 1:
-            raise ValueError(f"closure has at least {self.strands - len(self.letters)} components")
-        order = _knot_order(_permutation(self))
-        if len(order) != self.strands:
-            raise ValueError(f"closure has {closure_components(self)} components")
-        return tuple(order)
+        """The knot order of the closure, through the knot gate
+        (``_knot_gate``) over the dense sweep ``_permutation``; when the
+        closure is read first, its walk stores the order from its own
+        sweep instead.  Raises ValueError for a link."""
+        return _knot_gate(self, _permutation)
 
     @_fact
     def _closure(self) -> GaussCode:
@@ -251,6 +250,20 @@ def _knot_order(perm: dict[int, int]) -> list[int]:
     return order
 
 
+def _knot_gate(word: BraidWord, sweep: Callable[[BraidWord], dict[int, int]]) -> tuple[int, ...]:
+    """The knot order of the closure (``_knot_order``), the one knot gate.
+    Each letter changes the number of permutation cycles by one, so n
+    strands and c letters close into at least n - c components; that bound
+    is checked before ``sweep(word)`` does any per-strand work and returns
+    the closure permutation.  Raises ValueError for a link."""
+    if word.strands > len(word.letters) + 1:
+        raise ValueError(f"closure has at least {word.strands - len(word.letters)} components")
+    order = _knot_order(sweep(word))
+    if len(order) != word.strands:
+        raise ValueError(f"closure has {closure_components(word)} components")
+    return tuple(order)
+
+
 def _check_positive_knot(word: BraidWord) -> None:
     """The gate of the entry points that need a positive knot word and
     no passages: the knot order, then the positivity."""
@@ -264,15 +277,28 @@ def _closure_walk(word: BraidWord) -> list[tuple[int, str]]:
     (1-based letter position, OVER/UNDER) pairs.  The strand entering a
     letter at its upper position runs over exactly when the letter is
     positive.  Raises ValueError, as the knot gate does, when the
-    closure is not a knot."""
-    order = word._order
-    occupant = list(range(1, word.strands + 1))
-    visits: list[list[tuple[int, str]]] = [[] for _ in range(word.strands + 1)]
-    for slot, (idx, sign) in enumerate(word.letters, start=1):
-        upper, lower = occupant[idx - 1], occupant[idx]
-        occupant[idx - 1], occupant[idx] = lower, upper
-        visits[upper].append((slot, OVER if sign > 0 else UNDER))
-        visits[lower].append((slot, UNDER if sign > 0 else OVER))
+    closure is not a knot.  One sweep of the letters gives the passages
+    and, when the knot order is not stored yet, the permutation the gate
+    reads, so the order is stored from it."""
+    visits: list[list[tuple[int, str]]] = []
+
+    def sweep(word: BraidWord) -> dict[int, int]:
+        occupant = list(range(1, word.strands + 1))
+        visits.extend([] for _ in range(word.strands + 1))
+        for slot, (idx, sign) in enumerate(word.letters, start=1):
+            upper, lower = occupant[idx - 1], occupant[idx]
+            occupant[idx - 1], occupant[idx] = lower, upper
+            visits[upper].append((slot, OVER if sign > 0 else UNDER))
+            visits[lower].append((slot, UNDER if sign > 0 else OVER))
+        return _right_edge(occupant)
+
+    fields = word.__dict__
+    order = fields.get("_order")
+    if order is None:
+        # stored as ``codes._fact`` stores it: only once the gate passes
+        order = fields["_order"] = _knot_gate(word, sweep)
+    else:
+        sweep(word)
     walk: list[tuple[int, str]] = []
     for start in order:
         walk += visits[start]
@@ -329,7 +355,7 @@ def _first_bigon(
         key = (upper, lower) if upper < lower else (lower, upper)
         i = last.setdefault(key, j)
         if i != j:
-            return Bigon(i, j, key)
+            return tuple.__new__(Bigon, (i, j, key))
     return None
 
 
@@ -390,22 +416,22 @@ class ReductionStep(NamedTuple):
     word: BraidWord
 
 
-def _reduction(word: BraidWord) -> Iterator[tuple]:
-    """The steps that smooth bigons and remove ascending strands until
-    n-1 letters remain, where b = 0 and a = n - 1.  Raises ValueError when
-    called, before any step, on a word that closes to a link or is not
-    positive; otherwise returns the generator of the steps."""
+def _reduce(word: BraidWord, emit: Callable[..., object] | None = None) -> tuple[BraidWord, list[ReductionStep]]:
+    """The reduction: smooth bigons and remove ascending strands until n-1
+    letters remain, where b = 0 and a = n - 1.  Raises ValueError, before
+    any step, on a word that closes to a link or is not positive.
+
+    With no ``emit``, each step is recorded with its own copy of the
+    word.  Otherwise each step goes to ``emit(action, detail,
+    counts_before, counts_after, strands, letters)``, where ``letters`` is
+    the live letter list, valid until the next step, and none is kept.
+    Returns the base word and the recorded steps."""
     _check_positive_knot(word)
-    return _steps(list(word.letters), word.strands)
-
-
-def _steps(letters: list[tuple[int, int]], n: int) -> Iterator[tuple]:
-    """Yield (action, detail, counts_before, counts_after, strands,
-    letters) per step of the reduction of a positive knot word, where
-    ``letters`` is the live letter list, valid until the next step."""
+    letters, n = list(word.letters), word.strands
     c = len(letters)
     a, b = (c + n - 1) // 2, (c - n + 1) // 2
     occupant, last, k = list(range(1, n + 1)), {}, 0
+    current, steps = word, []
     while len(letters) > n - 1:
         # letters before k cross distinct strand pairs, recorded in `last`,
         # and `occupant` holds the strands just before letter k
@@ -427,8 +453,19 @@ def _steps(letters: list[tuple[int, int]], n: int) -> Iterator[tuple]:
             n -= 1
             letters, occupant, last, k = kept, list(range(1, n + 1)), {}, 0
             action, after = "remove", (a - detail.m - 1, b - detail.m)
-        yield action, detail, (a, b), after, n, letters
+        if emit is None:
+            # both records built as ``codes._unchecked`` builds them, without
+            # a keyword call or the named tuple's own ``__new__``
+            current = object.__new__(BraidWord)
+            fields = current.__dict__
+            fields["strands"], fields["letters"] = n, tuple(letters)
+            steps.append(tuple.__new__(ReductionStep, (action, detail, (a, b), after, current)))
+        else:
+            emit(action, detail, (a, b), after, n, letters)
         a, b = after
+    if emit is not None:
+        current = _unchecked(BraidWord, strands=n, letters=tuple(letters))
+    return current, steps
 
 
 def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
@@ -437,14 +474,7 @@ def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
     the list of steps, each with its own copy of the word.  Raises
     ValueError, before any step, on a word that closes to a link or is not
     positive."""
-    current, steps = word, []
-    for action, detail, before, after, n, letters in _reduction(word):
-        # built as ``codes._unchecked`` builds it, without its keyword call
-        current = object.__new__(BraidWord)
-        fields = current.__dict__
-        fields["strands"], fields["letters"] = n, tuple(letters)
-        steps.append(ReductionStep(action, detail, before, after, current))
-    return current, steps
+    return _reduce(word)
 
 
 # ---------------------------------------------------------------------------

@@ -79,17 +79,17 @@ def cmd_braid(args) -> int:
         code = gauss_to_dt(gauss)
         print(json.dumps({"dt": list(code.entries)}) if args.json else format_dt(code))
         return 0
-    # the word is checked before the generator is returned, so a rejected
-    # word prints nothing; each step goes out as it comes, read off the
-    # live letter list, and no word is copied
-    steps = braid_mod._reduction(word)
-    strands = word.strands
+    # the word is checked before the JSON opener goes out, so a rejected
+    # word prints nothing; each step goes out as the reduction makes it,
+    # read off the live letter list, and no step's word is copied
+    braid_mod._check_positive_knot(word)
     out = sys.stdout
     if args.json:
         out.write('{"steps": [')
-    sep = ""
-    for action, detail, before, after, strands, letters in steps:
-        if args.json:
+        sep = ""
+
+        def emit(action, detail, before, after, strands, letters):
+            nonlocal sep
             step = {
                 "action": action,
                 "detail": str(detail),
@@ -99,8 +99,10 @@ def cmd_braid(args) -> int:
             }
             out.write(sep + json.dumps(step))
             sep = ", "
-        else:
+    else:
+        def emit(action, detail, before, after, strands, letters):
             print(f"{action} {detail}: counts {before} -> {after}")
+    strands = braid_mod._reduce(word, emit)[0].strands
     # the reduction stops at strands - 1 letters, where its closed form
     # (a, b) = ((c + n - 1)/2, (c - n + 1)/2) gives (strands - 1, 0)
     a, b = strands - 1, 0

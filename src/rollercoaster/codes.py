@@ -50,8 +50,10 @@ Jones reference table.  The same readers take only ASCII whitespace,
 checked values is valid by construction and is built with
 ``_unchecked``, which skips ``__post_init__``: the closure code that
 ``braid.closure_gauss`` returns, the words of ``braid.parse_braid`` and
-``braid.reduce_to_base`` (the latter built inline, one per step, as
-``_unchecked`` builds them), the results of ``dt_to_gauss``, ``mirror`` and
+``braid.reduce_to_base`` (the latter built inline by the reduction loop,
+one per step, as ``_unchecked`` builds them, and each step record and
+bigon with ``tuple.__new__``, past the named tuple's own ``__new__``),
+the results of ``dt_to_gauss``, ``mirror`` and
 ``warp.apply_roller_coaster`` (one over and one under passage per
 crossing), of ``gauss_to_dt`` once its framing check passes, the code
 ``warp.warp_from`` reads from its basepoint and its ``WarpResult``, the

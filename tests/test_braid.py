@@ -25,7 +25,7 @@ from rollercoaster import (
     reduce_to_base,
 )
 from rollercoaster import braid, codes, warp
-from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep, _closure_walk, _first_bigon, _permutation, _reduction
+from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep, _closure_walk, _first_bigon, _permutation, _reduce
 
 from oracles import (
     BRAID_TOKEN,
@@ -202,12 +202,15 @@ def first_innermost_bigon(word):
     return _first_bigon(word.letters, list(range(1, word.strands + 1)), {}, 0)
 
 
-def test_innermost_bigon_scan_stops_at_the_first(monkeypatch):
-    built = []
-    real_bigon = braid.Bigon
-    monkeypatch.setattr(braid, "Bigon", lambda *args: built.append(args) or real_bigon(*args))
-    assert first_innermost_bigon(parse_braid("s1^200")) == real_bigon(0, 1, (1, 2))
-    assert len(built) == 1
+def test_innermost_bigon_scan_stops_at_the_first():
+    word = parse_braid("s1^200")
+    occupant, last = [1, 2], {}
+    bigon = _first_bigon(word.letters, occupant, last, 0)
+    assert bigon == Bigon(0, 1, (1, 2)) and type(bigon) is Bigon
+    # the scan stopped at letter 1: one pair recorded, and the strands
+    # just after letter 1 back in place
+    assert last == {(1, 2): 0}
+    assert occupant == [1, 2]
 
 
 def test_innermost_bigon_scan_builds_pairs_only_up_to_the_bigon():
@@ -297,27 +300,38 @@ def test_step_records_are_named_tuples():
 
 
 def test_reduction_generator_checks_the_word_when_called():
-    # no step is asked for: the check runs before the generator is returned
+    emitted = []
     with pytest.raises(ValueError, match="^closure has 2 components$"):
-        _reduction(parse_braid("1 1"))
+        _reduce(parse_braid("1 1"), lambda *step: emitted.append(step))
     with pytest.raises(ValueError, match="^word is not positive$"):
-        _reduction(parse_braid("-1 -1 -1"))
+        _reduce(parse_braid("-1 -1 -1"), lambda *step: emitted.append(step))
+    assert emitted == []
 
 
 def test_reduction_generator_edits_one_letter_list():
-    lists = {id(letters) for *_, letters in _reduction(parse_braid("s1^201"))}
-    assert len(lists) == 1
+    # the sink sees one live list per strand count: smoothings edit it in
+    # place, and each removal hands out the one list the later steps edit
+    for text, strand_counts in (("s1^201", {2}), ("1 1 2 2 1 3 1 4 1 2 1 3 4 3 2 2 2 4 4 3", {5, 4, 3})):
+        lists = {}
+        _reduce(parse_braid(text), lambda *step: lists.setdefault(step[-2], set()).add(id(step[-1])))
+        assert lists.keys() == strand_counts
+        assert all(len(ids) == 1 for ids in lists.values())
 
 
-def test_reduce_to_base_rejects_a_link_before_any_step(monkeypatch):
-    built = []
-    real_step = braid.ReductionStep
-    monkeypatch.setattr(braid, "ReductionStep", lambda *args: built.append(args) or real_step(*args))
-    with pytest.raises(ValueError, match="^closure has 2 components$"):
-        reduce_to_base(parse_braid("1 1"))
-    assert built == []
-    # the counter is live: a knot word builds its steps through it
-    assert len(reduce_to_base(parse_braid("1 1 1"))[1]) == len(built) == 1
+def test_reduce_to_base_rejects_a_link_before_any_step():
+    # a link caught by the strand bound, and one caught by the walk; the
+    # loop ``reduce_to_base`` runs hands no step to a sink before raising
+    emitted = []
+    for text, message in (("1 3", "closure has at least 2 components"), ("1 1", "closure has 2 components")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reduce_to_base(parse_braid(text))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _reduce(parse_braid(text), lambda *step: emitted.append(step))
+    assert emitted == []
+    # the sink is live: a knot word hands it its one step
+    assert len(reduce_to_base(parse_braid("1 1 1"))[1]) == 1
+    _reduce(parse_braid("1 1 1"), lambda *step: emitted.append(step))
+    assert len(emitted) == 1
 
 
 def test_random_positive_braid_knot_is_deterministic():
@@ -386,12 +400,15 @@ def test_reduce_to_base_matches_resweep_oracle_on_seeded_words(n_max, c_max, see
 @settings(max_examples=200, deadline=None)
 def test_reduction_generator_matches_reduce_to_base(word):
     # each step's letter list is live, so it is copied before the next step
-    streamed = [
-        (action, detail, before, after, BraidWord(n, tuple(letters)))
-        for action, detail, before, after, n, letters in _reduction(word)
-    ]
-    _, steps = reduce_to_base(word)
+    streamed = []
+
+    def emit(action, detail, before, after, n, letters):
+        streamed.append((action, detail, before, after, BraidWord(n, tuple(letters))))
+
+    base, none_kept = _reduce(word, emit)
+    expected_base, steps = reduce_to_base(word)
     assert streamed == steps
+    assert (base, none_kept) == (expected_base, [])
 
 
 @given(positive_knot_words())
@@ -607,6 +624,7 @@ def test_a_word_sweeps_its_closure_once(monkeypatch):
     for name in ("_closure_walk", "_permutation"):
         monkeypatch.setattr(braid, name, counted(name))
     monkeypatch.setattr(GaussCode._below, "compute", counted("_below"))
+    readers = (ab_counts, closure_gauss, positive_unknotting, reduce_to_base, closure_components, pd_from_braid)
     # one benchmark item, then every other reader of the word's closure
     word = parse_braid(text)
     ab_counts(word)
@@ -615,15 +633,26 @@ def test_a_word_sweeps_its_closure_once(monkeypatch):
     gauss_to_dt(gauss)
     min_warp(gauss)
     reduce_to_base(word)
-    for function in (ab_counts, closure_gauss, positive_unknotting, reduce_to_base, closure_components, pd_from_braid):
+    # the closure walk, read first, stores the knot order from its own
+    # sweep, so the dense permutation sweep never runs
+    assert calls == {"_closure_walk": 1, "_permutation": 0, "_below": 1}
+    for function in readers:
         function(word)
-    assert calls == {"_closure_walk": 1, "_permutation": 1, "_below": 1}
+    assert calls == {"_closure_walk": 1, "_permutation": 0, "_below": 1}
     assert closure_gauss(word)[0] is closure_gauss(word)[0] is gauss
+    # a word first read for its order alone sweeps the permutation once,
+    # and its closure walk later reads the stored order
+    for first in (positive_unknotting, reduce_to_base):
+        word = parse_braid(text)
+        first(word)
+        for function in readers:
+            function(word)
+    assert calls == {"_closure_walk": 3, "_permutation": 2, "_below": 3}
     # the spies are live: another word sweeps its own closure, and a fresh
     # copy of the code builds its own below-set
     ab_counts(parse_braid("1 1 1"))
     min_warp(GaussCode(gauss.passages))
-    assert calls == {"_closure_walk": 2, "_permutation": 2, "_below": 3}
+    assert calls == {"_closure_walk": 4, "_permutation": 2, "_below": 5}
 
 
 def _outcome(function, word):
