@@ -35,23 +35,20 @@ n-letter word.  The step records are named tuples, the word a frozen
 ``codes._Record``; the loop and the bigon scan build them valid, as
 ``codes._unchecked`` builds records, without their constructors.
 
-A word's closure facts, its knot order, closure Gauss code and
-positivity, are computed once per word, on first use, and stored in the
-frozen word's instance dict by ``codes._fact``.  So ``ab_counts``,
-``closure_gauss``, ``positive_unknotting``, ``reduce_to_base`` and
-``embed.pd_from_braid`` sweep a word's closure once between them, and
-``closure_gauss`` returns the one stored ``GaussCode``, whose below-set
-``ab_counts`` and ``warp`` then share.  The facts are not fields:
-equality, hashing and repr ignore them.  The knot order passes the one
-knot gate, ``_knot_gate``: it checks the strand-count bound, walks the
-closure from position 1, and names a link's components by
-``closure_components``, the one component count.  A link's order raises,
-so a link stores nothing and raises on every call.  When the closure is
-read first, its walk sweeps the letters once for its passages and for
-the permutation the gate reads, and stores the order from that; the
-dense sweep ``_permutation`` runs only for a word whose first reader
-needs the order alone.  The reduction reads only the order and
-positivity, never the closure.
+A word's closure facts, its closure walk and positivity, are computed
+once per word, on first use, and stored in the frozen word's instance
+dict by ``codes._fact``.  The walk, ``_closure_walk``, is the one sweep of
+a word's letters: it checks the strand-count bound, sweeps once for the
+passages and the right-edge permutation, and gives the knot order from
+position 1, naming a link's components by ``closure_components``, the
+one component count.  One fact, ``BraidWord._walk``, stores the order
+with the closure Gauss code, so ``ab_counts``, ``closure_gauss``,
+``positive_unknotting``, ``reduce_to_base`` and ``embed.pd_from_braid``
+sweep a word's closure once between them, and ``closure_gauss`` returns
+the one stored ``GaussCode``, whose below-set ``ab_counts`` and ``warp``
+then share.  The facts are not fields: equality, hashing and repr ignore
+them.  A link's walk raises, so a link stores nothing and raises on
+every call.
 """
 
 from __future__ import annotations
@@ -92,18 +89,12 @@ class BraidWord(_Record):
         return all(s == 1 for _, s in self.letters)
 
     @_fact
-    def _order(self) -> tuple[int, ...]:
-        """The knot order of the closure, through the knot gate
-        (``_knot_gate``) over the dense sweep ``_permutation``; when the
-        closure is read first, its walk stores the order from its own
-        sweep instead.  Raises ValueError for a link."""
-        return _knot_gate(self, _permutation)
-
-    @_fact
-    def _closure(self) -> GaussCode:
-        """The Gauss code of the closure (``_closure_walk``)."""
+    def _walk(self) -> tuple[tuple[int, ...], GaussCode]:
+        """The knot order of the closure and its Gauss code, from the one
+        sweep ``_closure_walk``.  Raises ValueError for a link."""
+        order, passages = _closure_walk(self)
         # each letter is passed once from each position, one passage over
-        return _unchecked(GaussCode, passages=tuple(_closure_walk(self)))
+        return order, _unchecked(GaussCode, passages=tuple(passages))
 
     def __str__(self) -> str:
         return _format_letters(self.letters)
@@ -205,16 +196,6 @@ def parse_braid(text: str) -> BraidWord:
 # ---------------------------------------------------------------------------
 # closure combinatorics
 
-def _permutation(word: BraidWord) -> dict[int, int]:
-    """Left-edge position -> right-edge position of the same strand."""
-    # the knot gate's dense sweep, run past the strand bound; private, as
-    # the engine's helpers are, so the benchmark's tracer counts it in its caller
-    occupant = list(range(1, word.strands + 1))
-    for idx, _ in word.letters:
-        occupant[idx - 1], occupant[idx] = occupant[idx], occupant[idx - 1]
-    return _right_edge(occupant)
-
-
 def _right_edge(occupant: list[int]) -> dict[int, int]:
     """The permutation read off the strands at the right edge, with
     strands named by their left-edge position."""
@@ -250,59 +231,40 @@ def _knot_order(perm: dict[int, int]) -> list[int]:
     return order
 
 
-def _knot_gate(word: BraidWord, sweep: Callable[[BraidWord], dict[int, int]]) -> tuple[int, ...]:
-    """The knot order of the closure (``_knot_order``), the one knot gate.
-    Each letter changes the number of permutation cycles by one, so n
-    strands and c letters close into at least n - c components; that bound
-    is checked before ``sweep(word)`` does any per-strand work and returns
-    the closure permutation.  Raises ValueError for a link."""
-    if word.strands > len(word.letters) + 1:
-        raise ValueError(f"closure has at least {word.strands - len(word.letters)} components")
-    order = _knot_order(sweep(word))
-    if len(order) != word.strands:
-        raise ValueError(f"closure has {closure_components(word)} components")
-    return tuple(order)
-
-
 def _check_positive_knot(word: BraidWord) -> None:
-    """The gate of the entry points that need a positive knot word and
-    no passages: the knot order, then the positivity."""
-    word._order  # raises for a link
+    """The gate of the entry points that need a positive knot word: the
+    closure walk, then the positivity."""
+    word._walk  # raises for a link
     if not word._positive:
         raise ValueError("word is not positive")
 
 
-def _closure_walk(word: BraidWord) -> list[tuple[int, str]]:
-    """Passages of the closure traversal from the top-left corner, as
-    (1-based letter position, OVER/UNDER) pairs.  The strand entering a
-    letter at its upper position runs over exactly when the letter is
-    positive.  Raises ValueError, as the knot gate does, when the
-    closure is not a knot.  One sweep of the letters gives the passages
-    and, when the knot order is not stored yet, the permutation the gate
-    reads, so the order is stored from it."""
-    visits: list[list[tuple[int, str]]] = []
-
-    def sweep(word: BraidWord) -> dict[int, int]:
-        occupant = list(range(1, word.strands + 1))
-        visits.extend([] for _ in range(word.strands + 1))
-        for slot, (idx, sign) in enumerate(word.letters, start=1):
-            upper, lower = occupant[idx - 1], occupant[idx]
-            occupant[idx - 1], occupant[idx] = lower, upper
-            visits[upper].append((slot, OVER if sign > 0 else UNDER))
-            visits[lower].append((slot, UNDER if sign > 0 else OVER))
-        return _right_edge(occupant)
-
-    fields = word.__dict__
-    order = fields.get("_order")
-    if order is None:
-        # stored as ``codes._fact`` stores it: only once the gate passes
-        order = fields["_order"] = _knot_gate(word, sweep)
-    else:
-        sweep(word)
+def _closure_walk(word: BraidWord) -> tuple[tuple[int, ...], list[tuple[int, str]]]:
+    """The knot order of the closure (``_knot_order``) and the passages of
+    its traversal from the top-left corner, as (1-based letter position,
+    OVER/UNDER) pairs, from one sweep of the letters.  The strand entering
+    a letter at its upper position runs over exactly when the letter is
+    positive.  Each letter changes the number of permutation cycles by
+    one, so n strands and c letters close into at least n - c components;
+    that bound is checked before any per-strand work.  Raises ValueError
+    for a link, naming its components by ``closure_components``."""
+    n, letters = word.strands, word.letters
+    if n > len(letters) + 1:
+        raise ValueError(f"closure has at least {n - len(letters)} components")
+    occupant = list(range(1, n + 1))
+    visits: list[list[tuple[int, str]]] = [[] for _ in range(n + 1)]
+    for slot, (idx, sign) in enumerate(letters, start=1):
+        upper, lower = occupant[idx - 1], occupant[idx]
+        occupant[idx - 1], occupant[idx] = lower, upper
+        visits[upper].append((slot, OVER if sign > 0 else UNDER))
+        visits[lower].append((slot, UNDER if sign > 0 else OVER))
+    order = _knot_order(_right_edge(occupant))
+    if len(order) != n:
+        raise ValueError(f"closure has {closure_components(word)} components")
     walk: list[tuple[int, str]] = []
     for start in order:
         walk += visits[start]
-    return walk
+    return tuple(order), walk
 
 
 _TOP_LEFT = Basepoint(0, forward=True)
@@ -310,14 +272,14 @@ _TOP_LEFT = Basepoint(0, forward=True)
 
 def closure_gauss(word: BraidWord) -> tuple[GaussCode, Basepoint]:
     """Gauss sequence of the closure, traversed from the top-left corner."""
-    return word._closure, _TOP_LEFT
+    return word._walk[1], _TOP_LEFT
 
 
 def ab_counts(word: BraidWord) -> tuple[int, int]:
     """(a, b): the crossings the top-left traversal of the closure meets
     first from above and first from below: the below-set of the closure's
     Gauss code from edge 0 forward gives b."""
-    code = word._closure
+    code = word._walk[1]
     b = len(code._below)
     return (code.crossings - b, b)
 

@@ -25,7 +25,7 @@ from rollercoaster import (
     reduce_to_base,
 )
 from rollercoaster import braid, codes, warp
-from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep, _closure_walk, _first_bigon, _permutation, _reduce
+from rollercoaster.braid import MAX_BRAID_LETTERS, ReductionStep, _closure_walk, _first_bigon, _reduce
 
 from oracles import (
     BRAID_TOKEN,
@@ -156,7 +156,7 @@ def test_braid_word_turns_sequences_into_tuples():
 
 def test_permutation_and_components():
     word = parse_braid("1 1 1")
-    assert _permutation(word) == {1: 2, 2: 1}
+    assert _closure_walk(word)[0] == (1, 2)
     assert closure_components(word) == 1
     assert closure_components(parse_braid("1 1")) == 2
     assert closure_components(BraidWord(3, ())) == 3
@@ -414,7 +414,7 @@ def test_reduction_generator_matches_reduce_to_base(word):
 @given(positive_knot_words())
 @settings(max_examples=200)
 def test_closure_walk_matches_oracle(word):
-    assert _closure_walk(word) == roles_by_rounds(word)
+    assert _closure_walk(word)[1] == roles_by_rounds(word)
 
 
 def roles_by_rounds(word):
@@ -459,7 +459,7 @@ def test_closure_components_counts_the_cycles_of_the_whole_permutation(word):
 
 @given(signed_knot_words())
 def test_closure_walk_matches_oracle_on_signed_knot_words(word):
-    assert _closure_walk(word) == roles_by_rounds(word)
+    assert _closure_walk(word)[1] == roles_by_rounds(word)
 
 
 @given(signed_knot_words())
@@ -597,22 +597,22 @@ def test_reduce_to_base_recounts_nothing_and_revalidates_no_word(monkeypatch):
     monkeypatch.setattr(BraidWord, "__post_init__", counted_post_init)
     base, steps = reduce_to_base(word)
     assert (str(base), len(steps), steps[0].counts_before) == ("1", 100, (101, 100))
-    assert calls == {"ab_counts": 0, "_closure_walk": 0, "__post_init__": 0}
+    # the one walk is the word's gate; it counts nothing and builds no word
+    assert calls == {"ab_counts": 0, "_closure_walk": 1, "__post_init__": 0}
     # the counters are live: a recount and a checked word trip them
     braid.ab_counts(base)
     BraidWord(2, ((1, 1),))
-    assert calls == {"ab_counts": 1, "_closure_walk": 1, "__post_init__": 1}
+    assert calls == {"ab_counts": 1, "_closure_walk": 2, "__post_init__": 1}
 
 
 # the public readers of a word's closure facts: the knot order, the
 # passage walk and the positivity
-CLOSURE_READERS = (*KNOT_ENTRY_POINTS, closure_components, _permutation, BraidWord.is_positive)
+CLOSURE_READERS = (*KNOT_ENTRY_POINTS, closure_components, BraidWord.is_positive)
 
 
 def test_a_word_sweeps_its_closure_once(monkeypatch):
-    calls = {"_closure_walk": 0, "_permutation": 0, "_below": 0}
-    originals = {name: getattr(braid, name) for name in ("_closure_walk", "_permutation")}
-    originals["_below"] = GaussCode._below.compute
+    calls = {"_closure_walk": 0, "_below": 0}
+    originals = {"_closure_walk": braid._closure_walk, "_below": GaussCode._below.compute}
 
     def counted(name):
         def wrapper(*args):
@@ -621,8 +621,7 @@ def test_a_word_sweeps_its_closure_once(monkeypatch):
         return wrapper
 
     text = str(random_positive_braid_knot(6, 20, 5))
-    for name in ("_closure_walk", "_permutation"):
-        monkeypatch.setattr(braid, name, counted(name))
+    monkeypatch.setattr(braid, "_closure_walk", counted("_closure_walk"))
     monkeypatch.setattr(GaussCode._below, "compute", counted("_below"))
     readers = (ab_counts, closure_gauss, positive_unknotting, reduce_to_base, closure_components, pd_from_braid)
     # one benchmark item, then every other reader of the word's closure
@@ -633,26 +632,23 @@ def test_a_word_sweeps_its_closure_once(monkeypatch):
     gauss_to_dt(gauss)
     min_warp(gauss)
     reduce_to_base(word)
-    # the closure walk, read first, stores the knot order from its own
-    # sweep, so the dense permutation sweep never runs
-    assert calls == {"_closure_walk": 1, "_permutation": 0, "_below": 1}
+    assert calls == {"_closure_walk": 1, "_below": 1}
     for function in readers:
         function(word)
-    assert calls == {"_closure_walk": 1, "_permutation": 0, "_below": 1}
+    assert calls == {"_closure_walk": 1, "_below": 1}
     assert closure_gauss(word)[0] is closure_gauss(word)[0] is gauss
-    # a word first read for its order alone sweeps the permutation once,
-    # and its closure walk later reads the stored order
+    # a word first read by a reader of its order alone walks it once too
     for first in (positive_unknotting, reduce_to_base):
         word = parse_braid(text)
         first(word)
         for function in readers:
             function(word)
-    assert calls == {"_closure_walk": 3, "_permutation": 2, "_below": 3}
+    assert calls == {"_closure_walk": 3, "_below": 3}
     # the spies are live: another word sweeps its own closure, and a fresh
     # copy of the code builds its own below-set
     ab_counts(parse_braid("1 1 1"))
     min_warp(GaussCode(gauss.passages))
-    assert calls == {"_closure_walk": 4, "_permutation": 2, "_below": 5}
+    assert calls == {"_closure_walk": 4, "_below": 5}
 
 
 def _outcome(function, word):
@@ -678,8 +674,8 @@ def test_stored_closure_facts_change_no_result(word, first, second):
     fresh = BraidWord(word.strands, word.letters)
     assert (shared, hash(shared), repr(shared)) == (fresh, hash(fresh), repr(fresh))
     if closure_components(word) == 1:
-        assert list(vars(shared)["_closure"].passages) == roles_by_rounds(word)
+        assert list(vars(shared)["_walk"][1].passages) == roles_by_rounds(word)
     else:
-        # a link raises on every call and stores neither order nor closure
-        assert {"_order", "_closure"}.isdisjoint(vars(shared))
+        # a link raises on every call and stores no walk
+        assert "_walk" not in vars(shared)
         assert all(_outcome(f, shared)[0] == "error" for f in KNOT_ENTRY_POINTS)

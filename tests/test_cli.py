@@ -2,6 +2,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, **kwargs):
+    """``python -m rollercoaster *argv`` in a child interpreter that
+    imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "rollercoaster", *argv], capture_output=True, text=True, env=env, timeout=60, **kwargs
+    )
 
 
 def test_warp_dt(capsys):
@@ -114,10 +125,15 @@ def test_braid_link_closure_rejected(capsys):
         (["--word", "s100000000"], 100000000),
     ],
 )
-def test_braid_huge_strand_count_rejected_at_once(capsys, argv, components):
-    code, _, err = run(capsys, "braid", *argv, "counts")
-    assert code == 2
-    assert f"closure has at least {components} components" in err
+def test_braid_huge_strand_count_rejected_at_once(argv, components):
+    # in a child interpreter held to 1 GiB of address space, so a strand
+    # bound that no longer holds fails here within seconds, not by growing
+    # the test process by a list of every strand
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = run_child("braid", *argv, "counts", preexec_fn=limit)
+    assert (result.returncode, result.stderr) == (2, f"error: closure has at least {components} components\n")
 
 
 def test_braid_zero_power_still_names_its_strands(capsys):
@@ -652,10 +668,5 @@ def test_stdin_dt(capsys, monkeypatch):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "rollercoaster", "braid", "--word", "1 1 1", "counts"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    result = run_child("braid", "--word", "1 1 1", "counts")
     assert (result.returncode, result.stdout) == (0, "(2, 1)\n")

@@ -84,7 +84,7 @@ def test_the_six_oracle_independence_steps_are_read():
     patterns = oracle_step_patterns()
     assert len(patterns) >= 6
     for name in (
-        "_first_bigon", "_closure_walk", "_closure", "_below", "closure_components", "kauffman_bracket",
+        "_first_bigon", "_closure_walk", "_walk", "_below", "closure_components", "kauffman_bracket",
         "_least_reading", "_crossing", "count_faces", "_faces", "_unchecked", "_smoothing_arcs",
         "_PLAIN_LETTERS", "_reduce",
     ):
@@ -124,7 +124,7 @@ def test_forbidden_names_are_seen_through_every_form():
         "from rollercoaster import codes\ngetattr(codes, '_unchecked')",
         "from rollercoaster.embed import _crossing",
         "from rollercoaster import embed\nembed.count_faces",
-        "from rollercoaster import braid\nw = braid.parse_braid('1 1 1')\nw._closure._below",
+        "from rollercoaster import braid\nw = braid.parse_braid('1 1 1')\nw._walk[1]._below",
     ):
         assert _forbidden(ast.parse(source), patterns), source
     assert _forbidden(ast.parse("from rollercoaster.embed import _crossing_sign, realize"), patterns) == []
