@@ -156,20 +156,22 @@ def _crossing_order(diagram: PlanarDiagram):
     crossing opens each of its edges not yet met and adds 1 to the count
     at that edge's far end, read through the dart twins; the edges it
     closes join it to placed crossings only, so no unplaced count ever
-    falls.  A raised count is pushed anew on a heap keyed (-count, index),
-    so a crossing's newest entry comes off first and its older ones come
-    off once it is placed, to be skipped: the order takes O(c log c).
+    falls.  A raised count is pushed anew on a heap keyed by one int,
+    (4 - count) * c + index, so a crossing's newest entry comes off first
+    and its older ones come off once it is placed, to be skipped: the
+    order takes O(c log c).
     """
     crossings, twin = diagram.crossings, diagram._twin
-    count = [0] * len(crossings)
-    placed = bytearray(len(crossings))
-    heap = [(0, ci) for ci in range(len(crossings))]  # already a heap
+    c = len(crossings)
+    count = [0] * c
+    placed = bytearray(c)
+    heap = list(range(4 * c, 5 * c))  # count 0 at every crossing, already a heap
     open_slots: dict[int, int] = {}  # open edge id -> its slot, insertion-ordered
     free: list[int] = []  # slots given back at earlier steps
     size = 0
     order, frontiers, steps = [], [], []
     while heap:
-        ci = heapq.heappop(heap)[1]
+        ci = heapq.heappop(heap) % c
         if placed[ci]:
             continue
         placed[ci] = 1
@@ -186,7 +188,9 @@ def _crossing_order(diagram: PlanarDiagram):
                 opened.append(slot)
                 other = twin[dart] >> 2  # ci itself on a kink: a skipped entry
                 count[other] += 1
-                heapq.heappush(heap, (-count[other], other))
+                # at most 4 open edges end at a crossing, one per dart, so
+                # the key stays non-negative and % c gives the index back
+                heapq.heappush(heap, (4 - count[other]) * c + other)
             else:
                 closed.append(slot)
             at.append(slot)

@@ -7,7 +7,9 @@ own smoothing rule, and sum and multiply on their own coefficient dicts,
 not the contraction's table, the placement-order oracle takes a max over
 every remaining crossing at each step instead of keeping open-edge
 counts on a heap, the
-realizability oracle tries every chirality assignment, the embedding
+realizability oracle tries every chirality assignment, the colouring
+oracle tests every pair of crossings on its own interlacement bits
+where the engine reads one row sum per crossing, the embedding
 oracle tries the orientation choices in order until one traces c+2
 faces instead of colouring the interlacement graph and takes the
 mirror by flipping every choice when crossing 1 comes out negative
@@ -284,6 +286,44 @@ def search_realize(code: DTCode) -> PlanarDiagram:
     return PlanarDiagram(
         tuple(Crossing(rot, ov, s) for rot, ov, s in zip(found, overs, signs))
     )
+
+
+def orientation_bits_by_pairs(entries):
+    """Per crossing, the bit realize's colouring swaps the second passage
+    on, or None when the code is not planar, by testing every pair of
+    crossings (the engine's earlier loop): with crossing i's passages at
+    times 2i and ``abs(entries[i]) - 1``, u and v interlace when exactly
+    one of v's times lies strictly between u's; a non-interlaced pair,
+    or a crossing with itself, must share an even number of interlaced
+    crossings, and an interlaced pair's bits differ when that count is
+    even.  Each component is coloured from its lowest crossing with 0."""
+    c = len(entries)
+    times = [sorted((2 * i, abs(e) - 1)) for i, e in enumerate(entries)]
+    crossed = [
+        sum(1 << v for v, (lo, hi) in enumerate(times) if (a < lo < b) != (a < hi < b))
+        for a, b in times
+    ]
+    bits = [None] * c
+    for root in range(c):
+        if bits[root] is not None:
+            continue
+        bits[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in range(c):
+                odd = (crossed[u] & crossed[v]).bit_count() & 1
+                if not crossed[u] >> v & 1:
+                    if odd:
+                        return None
+                    continue
+                want = bits[u] ^ 1 ^ odd
+                if bits[v] is None:
+                    bits[v] = want
+                    stack.append(v)
+                elif bits[v] != want:
+                    return None
+    return bits
 
 
 def exhaustive_realizable(code: DTCode) -> bool:

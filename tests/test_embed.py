@@ -26,10 +26,13 @@ from rollercoaster import (
     writhe,
 )
 
-from rollercoaster import embed
+from rollercoaster import embed, search
 from rollercoaster.catalog import load_catalog
+from rollercoaster.codes import _dt_chords, _interlacement
 
-from oracles import canonical_dt, exhaustive_realizable, rotate, search_realize, trace_faces
+from oracles import (
+    canonical_dt, exhaustive_realizable, orientation_bits_by_pairs, rotate, search_realize, trace_faces,
+)
 
 TREFOIL = DTCode((4, 6, 2))
 
@@ -320,3 +323,70 @@ def test_a_disconnected_closure_code_realizes_as_the_mirror_trefoil():
     closure = jones(pd_from_braid(word))
     assert str(closure) == "t + t^3 - t^4"
     assert jones(realize(code)) == closure.mirror() != closure
+
+
+def engine_bits(entries):
+    partner = _dt_chords(entries)[0]
+    return embed._orientation_bits(partner, _interlacement(partner))
+
+
+def test_orientation_bits_match_the_pair_oracle_on_every_permutation_code_to_seven():
+    codes = [tuple(perm) for c in range(1, 8) for perm in itertools.permutations(range(2, 2 * c + 1, 2))]
+    assert len(codes) == 5913
+    planar = 0
+    for entries in codes:
+        bits = engine_bits(entries)
+        assert bits == orientation_bits_by_pairs(entries), entries
+        planar += bits is not None
+    assert 0 < planar < len(codes)
+
+
+def test_orientation_bits_match_the_pair_oracle_on_every_leaf_of_the_walk_to_ten(monkeypatch):
+    # the walk's leaf colouring sees every class it yields and the
+    # non-planar codes it drops
+    leaves = []
+    orientation_bits = search._orientation_bits
+
+    def recording(partner, masks):
+        bits = orientation_bits(partner, masks)
+        leaves.append((tuple(q + 1 for q in partner[::2]), bits))
+        return bits
+
+    monkeypatch.setattr(search, "_orientation_bits", recording)
+    classes = {code.entries for c in range(3, 11) for code in search.enumerate_alternating(c)}
+    assert classes == {entries for entries, bits in leaves if bits is not None}
+    assert len(leaves) > len(classes)
+    for entries, bits in leaves:
+        assert bits == orientation_bits_by_pairs(entries), entries
+
+
+def test_orientation_bits_match_the_pair_oracle_on_every_catalog_witness():
+    for entry in load_catalog():
+        bits = engine_bits(entry.dt.entries)
+        assert bits is not None and bits == orientation_bits_by_pairs(entry.dt.entries), entry.name
+
+
+def test_orientation_bits_match_the_pair_oracle_on_dense_torus_closures():
+    # every crossing of T(2,n) interlaces every other
+    for n in range(1, 202, 2):
+        entries = gauss_to_dt(closure_gauss(parse_braid(f"s1^{n}"))[0]).entries
+        bits = engine_bits(entries)
+        assert bits is not None and bits == orientation_bits_by_pairs(entries), n
+
+
+@st.composite
+def mid_size_dt(draw):
+    # a drawn pairing is rarely planar, so half the draws are the closure
+    # codes of seeded positive knot words
+    if draw(st.booleans()):
+        c = draw(st.integers(min_value=8, max_value=24))
+        return tuple(draw(st.permutations(range(2, 2 * c + 1, 2))))
+    word = random_positive_braid_knot(6, 24, draw(st.integers(min_value=0, max_value=10**6)))
+    assume(len(word.letters) >= 8)
+    return gauss_to_dt(closure_gauss(word)[0]).entries
+
+
+@given(mid_size_dt())
+@settings(max_examples=200, deadline=None)
+def test_orientation_bits_match_the_pair_oracle_on_drawn_codes(entries):
+    assert engine_bits(entries) == orientation_bits_by_pairs(entries)

@@ -86,7 +86,7 @@ def test_the_six_oracle_independence_steps_are_read():
     for name in (
         "_first_bigon", "_closure_walk", "_walk", "_below", "closure_components", "kauffman_bracket",
         "_least_reading", "_crossing", "count_faces", "_faces", "_unchecked", "_smoothing_arcs",
-        "_PLAIN_LETTERS", "_reduce",
+        "_PLAIN_LETTERS", "_reduce", "_orientation_bits", "_interlacement",
     ):
         assert any(re.search(p, name) for p in patterns), name
 
