@@ -35,20 +35,21 @@ n-letter word.  The step records are named tuples, the word a frozen
 ``codes._Record``; the loop and the bigon scan build them valid, as
 ``codes._unchecked`` builds records, without their constructors.
 
-A word's closure facts, its closure walk and positivity, are computed
-once per word, on first use, and stored in the frozen word's instance
-dict by ``codes._fact``.  The walk, ``_closure_walk``, is the one sweep of
-a word's letters: it checks the strand-count bound, sweeps once for the
-passages and the right-edge permutation, and gives the knot order from
-position 1, naming a link's components by ``closure_components``, the
-one component count.  One fact, ``BraidWord._walk``, stores the order
-with the closure Gauss code, so ``ab_counts``, ``closure_gauss``,
-``positive_unknotting``, ``reduce_to_base`` and ``embed.pd_from_braid``
-sweep a word's closure once between them, and ``closure_gauss`` returns
-the one stored ``GaussCode``, whose below-set ``ab_counts`` and ``warp``
-then share.  The facts are not fields: equality, hashing and repr ignore
-them.  A link's walk raises, so a link stores nothing and raises on
-every call.
+A word's closure facts, its closure Gauss code and positivity, are
+computed once per word, on first use, and stored in the frozen word's
+instance dict by ``codes._fact``.  The walk, ``_closure_walk``, is the
+one sweep of a word's letters: it checks the strand-count bound, sweeps
+once for each strand's passages and the strands at the right edge, reads
+the knot order from position 1 off that edge (``_knot_order``, which the
+strand removal reads too), and joins the passages in that order, naming
+a link's components by ``closure_components``, the one component count.
+One fact, ``BraidWord._walk``, stores the closure Gauss code alone, so
+``ab_counts``, ``closure_gauss``, ``positive_unknotting``,
+``reduce_to_base`` and ``embed.pd_from_braid`` sweep a word's closure
+once between them, and ``closure_gauss`` returns the one stored
+``GaussCode``, whose below-set ``ab_counts`` and ``warp`` then share.
+The facts are not fields: equality, hashing and repr ignore them.  A
+link's walk raises, so a link stores nothing and raises on every call.
 """
 
 from __future__ import annotations
@@ -89,12 +90,11 @@ class BraidWord(_Record):
         return all(s == 1 for _, s in self.letters)
 
     @_fact
-    def _walk(self) -> tuple[tuple[int, ...], GaussCode]:
-        """The knot order of the closure and its Gauss code, from the one
-        sweep ``_closure_walk``.  Raises ValueError for a link."""
-        order, passages = _closure_walk(self)
+    def _walk(self) -> GaussCode:
+        """The Gauss code of the closure, from the one sweep
+        ``_closure_walk``.  Raises ValueError for a link."""
         # each letter is passed once from each position, one passage over
-        return order, _unchecked(GaussCode, passages=tuple(passages))
+        return _unchecked(GaussCode, passages=tuple(_closure_walk(self)))
 
     def __str__(self) -> str:
         return _format_letters(self.letters)
@@ -196,12 +196,6 @@ def parse_braid(text: str) -> BraidWord:
 # ---------------------------------------------------------------------------
 # closure combinatorics
 
-def _right_edge(occupant: list[int]) -> dict[int, int]:
-    """The permutation read off the strands at the right edge, with
-    strands named by their left-edge position."""
-    return {start: pos for pos, start in enumerate(occupant, start=1)}
-
-
 def closure_components(word: BraidWord) -> int:
     """The number of closure components, the one count: the cycles of the
     closure permutation.  A word may have far more strands than letters,
@@ -222,12 +216,17 @@ def closure_components(word: BraidWord) -> int:
     return components
 
 
-def _knot_order(perm: dict[int, int]) -> list[int]:
-    """Strands in the order the closure traversal from position 1 meets
-    them, up to its return to position 1."""
+def _knot_order(occupant: list[int]) -> list[int]:
+    """Strands, named by their left-edge position, in the order the
+    closure traversal from position 1 meets them, up to its return to
+    position 1.  ``occupant`` holds the strand at each right-edge
+    position, top first.  The closure joins right-edge position p to the
+    strand that starts at p, so the strand met just before that one is
+    ``occupant[p - 1]``: the order is read backwards from position 1."""
     order = [1]
-    while perm[order[-1]] != 1:
-        order.append(perm[order[-1]])
+    while (before := occupant[order[-1] - 1]) != 1:
+        order.append(before)
+    order[1:] = reversed(order[1:])
     return order
 
 
@@ -239,10 +238,10 @@ def _check_positive_knot(word: BraidWord) -> None:
         raise ValueError("word is not positive")
 
 
-def _closure_walk(word: BraidWord) -> tuple[tuple[int, ...], list[tuple[int, str]]]:
-    """The knot order of the closure (``_knot_order``) and the passages of
-    its traversal from the top-left corner, as (1-based letter position,
-    OVER/UNDER) pairs, from one sweep of the letters.  The strand entering
+def _closure_walk(word: BraidWord) -> list[tuple[int, str]]:
+    """The passages of the closure's traversal from the top-left corner,
+    as (1-based letter position, OVER/UNDER) pairs, from one sweep of the
+    letters, strand by strand in the knot order.  The strand entering
     a letter at its upper position runs over exactly when the letter is
     positive.  Each letter changes the number of permutation cycles by
     one, so n strands and c letters close into at least n - c components;
@@ -258,13 +257,13 @@ def _closure_walk(word: BraidWord) -> tuple[tuple[int, ...], list[tuple[int, str
         occupant[idx - 1], occupant[idx] = lower, upper
         visits[upper].append((slot, OVER if sign > 0 else UNDER))
         visits[lower].append((slot, UNDER if sign > 0 else OVER))
-    order = _knot_order(_right_edge(occupant))
+    order = _knot_order(occupant)
     if len(order) != n:
         raise ValueError(f"closure has {closure_components(word)} components")
     walk: list[tuple[int, str]] = []
     for start in order:
         walk += visits[start]
-    return tuple(order), walk
+    return walk
 
 
 _TOP_LEFT = Basepoint(0, forward=True)
@@ -272,14 +271,14 @@ _TOP_LEFT = Basepoint(0, forward=True)
 
 def closure_gauss(word: BraidWord) -> tuple[GaussCode, Basepoint]:
     """Gauss sequence of the closure, traversed from the top-left corner."""
-    return word._walk[1], _TOP_LEFT
+    return word._walk, _TOP_LEFT
 
 
 def ab_counts(word: BraidWord) -> tuple[int, int]:
     """(a, b): the crossings the top-left traversal of the closure meets
     first from above and first from below: the below-set of the closure's
     Gauss code from edge 0 forward gives b."""
-    code = word._walk[1]
+    code = word._walk
     b = len(code._below)
     return (code.crossings - b, b)
 
@@ -325,16 +324,19 @@ def _first_bigon(
 # strand removal
 
 def _remove_strand(
-    letters: Sequence[tuple[int, int]], perm: dict[int, int], crossing_of: dict[tuple[int, int], int]
+    letters: Sequence[tuple[int, int]], order: list[int], crossing_of: dict[tuple[int, int], int]
 ) -> tuple[list[tuple[int, int]], RemovalCertificate]:
-    """The strand removal on a positive bigon-free word with closure
-    permutation ``perm``, where ``crossing_of`` maps each strand pair
-    (smaller first) to the one letter where it crosses.  Returns the
-    letters of the smaller word and the certificate."""
-    order = _knot_order(perm)
+    """The strand removal on a positive bigon-free word whose closure
+    meets its strands in the knot order ``order`` (``_knot_order``), where
+    ``crossing_of`` maps each strand pair (smaller first) to the one
+    letter where it crosses.  Strand ``order[t]`` ends at the right-edge
+    position where ``order[t + 1]`` starts, and the last at position 1;
+    it ascends when it ends above its start.  Returns the letters of the
+    smaller word and the certificate."""
+    ends = order[1:] + [1]
 
     # the last strand returns to position 1, so some strand ascends
-    first_up = next(t for t in range(1, len(perm)) if perm[order[t]] < order[t])
+    first_up = next(t for t in range(1, len(order)) if ends[t] < order[t])
     prev_start, cur_start = order[first_up - 1], order[first_up]
 
     resolved = crossing_of.get((min(prev_start, cur_start), max(prev_start, cur_start)))
@@ -411,7 +413,7 @@ def _reduce(word: BraidWord, emit: Callable[..., object] | None = None) -> tuple
             del letters[i : j + 1 : j - i]  # letters i and j, moving the tail once
             action, detail, after, k = "smooth", bigon, (a - 1, b - 1), i
         else:
-            kept, detail = _remove_strand(letters, _right_edge(occupant), last)
+            kept, detail = _remove_strand(letters, _knot_order(occupant), last)
             n -= 1
             letters, occupant, last, k = kept, list(range(1, n + 1)), {}, 0
             action, after = "remove", (a - detail.m - 1, b - detail.m)

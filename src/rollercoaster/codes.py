@@ -227,6 +227,8 @@ class Basepoint(_Record):
 
     def __post_init__(self):
         _check_int(self.edge, "basepoint edge must be an integer, got {!r}")
+        if type(self.forward) is not bool:
+            raise ValueError(f"basepoint direction must be a bool, got {self.forward!r}")
 
     def __str__(self) -> str:
         return f"edge {self.edge} {'forward' if self.forward else 'backward'}"

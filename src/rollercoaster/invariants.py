@@ -15,16 +15,16 @@ cost follows the number of matchings of the open edges rather than the
 2^c smoothings.  Crossings are placed greedily to keep that boundary
 short: next comes the crossing with the most open edges, the lowest
 index on ties, taken from a heap of per-crossing open-edge counts in
-O(c log c).  That placement is the one walk of the frontier: it records
-the open edges after each step, the widest of which is the one size
-limit, checked before any contraction, and hands each edge a small
-integer slot while it is open, at most the widest frontier plus four of
-them in all.  A state is a matching's partner list over those slots with
-its polynomial, keyed by the partners of the open slots, read with one
-``itemgetter`` in the order the walk recorded; gluing an arc is a few
-list reads and writes.  The weights A^(+-1) * delta^k are a table
-written out once, and sums and products run on plain coefficient dicts,
-so ``Laurent`` has neither.
+O(c log c).  That placement is the one walk of the frontier: it hands
+each edge a small integer slot while it is open, at most the widest
+frontier plus four of them in all, and records the slots of the open
+edges after each step, the longest of which is the one size limit,
+checked before any contraction.  A state is a matching's partner list
+over those slots with its polynomial, keyed by the partners of the open
+slots, read with one ``itemgetter`` in the order the walk recorded;
+gluing an arc is a few list reads and writes.  The weights
+A^(+-1) * delta^k are a table written out once, and sums and products
+run on plain coefficient dicts, so ``Laurent`` has neither.
 """
 
 from __future__ import annotations
@@ -135,12 +135,10 @@ def _smoothing_arcs(crossing, slots):
 
 
 def _crossing_order(diagram: PlanarDiagram):
-    """Greedy placement order, the frontier after each placement and the
-    slots of that frontier: next comes the crossing sharing the most edge
-    ids with the open ones (met once so far), the lowest index on ties;
-    ``frontiers[k]`` holds the ids open once ``order[k]`` is placed, in
-    the order they opened.  This is the one walk of the frontier; the
-    bracket keys its states on it.
+    """Greedy placement order and the slots of the frontier after each
+    placement: next comes the crossing sharing the most edge ids with the
+    open ones (met once so far), the lowest index on ties.  This is the
+    one walk of the frontier; the bracket keys its states on it.
 
     Each edge gets a small integer slot when it opens and gives it back
     once the crossing that closes it is placed, so a slot freed at a
@@ -150,7 +148,8 @@ def _crossing_order(diagram: PlanarDiagram):
     use at once, and that bounds ``size``, the number of slots handed
     out.  ``steps[k]`` holds the frontier slots at ``order[k]``'s four
     rotation slots, the frontier slots that open at that step, and the
-    frontier's slots in frontier order.
+    slots of the edges open once ``order[k]`` is placed, in the order
+    those edges opened.
 
     Each unplaced crossing keeps its count of open edge ids.  Placing a
     crossing opens each of its edges not yet met and adds 1 to the count
@@ -169,7 +168,7 @@ def _crossing_order(diagram: PlanarDiagram):
     open_slots: dict[int, int] = {}  # open edge id -> its slot, insertion-ordered
     free: list[int] = []  # slots given back at earlier steps
     size = 0
-    order, frontiers, steps = [], [], []
+    order, steps = [], []
     while heap:
         ci = heapq.heappop(heap) % c
         if placed[ci]:
@@ -195,9 +194,8 @@ def _crossing_order(diagram: PlanarDiagram):
                 closed.append(slot)
             at.append(slot)
         free += closed
-        frontiers.append(tuple(open_slots))
         steps.append((at, opened, tuple(open_slots.values())))
-    return order, frontiers, steps, size
+    return order, steps, size
 
 
 def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
@@ -210,18 +208,19 @@ def kauffman_bracket(diagram: PlanarDiagram) -> Laurent:
     its partial smoothings.  Every matching of a step has the same open
     slots, so a state is keyed by its partners, read with one
     ``itemgetter`` over the frontier's slots; lists of one key agree on
-    every open slot, and the first is kept.  Placing a crossing sets each slot that opens there
-    to itself, then glues its A-arcs (weight A) or B-arcs (weight A^-1)
-    into a copy of every list: an arc (u, v) closes a loop when u's
-    partner is v, and otherwise joins the partners of u and v.  The last
-    step leaves no open slot and counts one loop fewer:
+    every open slot, and the first is kept.  Placing a crossing sets each
+    slot that opens there to itself, then glues its A-arcs (weight A) or
+    B-arcs (weight A^-1) into a copy of every list: an arc (u, v) closes
+    a loop when u's partner is v, and otherwise joins the partners of u
+    and v.  The last step leaves no open slot and counts one loop fewer:
     A^(a-b) * delta^(loops-1).  The matchings grow with the frontier
-    width, so an order opening more than _MAX_FRONTIER edges at once is
-    rejected before any contraction.
+    width, the longest slot frontier of the walk, so an order opening
+    more than _MAX_FRONTIER edges at once is rejected before any
+    contraction.
     """
     c = diagram.size
-    order, frontiers, steps, size = _crossing_order(diagram)
-    width = max(map(len, frontiers), default=0)
+    order, steps, size = _crossing_order(diagram)
+    width = max((len(after) for _, _, after in steps), default=0)
     if width > _MAX_FRONTIER:
         raise BracketCapExceeded(f"frontier of {width} open edges exceeds the limit of {_MAX_FRONTIER}")
 

@@ -20,7 +20,9 @@ the permutation-walk oracle (the earlier enumeration) tries all c!
 codes and builds each one's relabellings in full instead of cutting
 prefixes, the all-readings oracle (the earlier leaf test) compares a
 chord array with each of its 4c readings instead of only those tied
-with it at entry 0, the braid count oracle builds the closure's validated Gauss
+with it at entry 0, the determinant oracle reads |V(-1)| off the Fox
+colouring matrix of a Gauss code by Bareiss elimination instead of
+off a diagram's bracket, the braid count oracle builds the closure's validated Gauss
 code from the round-by-round closure walk and the letter signs and reads its
 below-set with the based-traversal oracle instead of counting first
 visits on the closure walk, the orbit oracle partitions raw
@@ -228,6 +230,46 @@ def greedy_order_by_intersection(crossings) -> tuple[list[int], list[set[int]]]:
     return order, frontiers
 
 
+def fox_determinant(passages) -> int:
+    """The knot determinant |V(-1)| from a knot's Gauss code alone, as
+    (crossing id, "O"/"U") passages, by Fox colouring: no diagram, state
+    or polynomial.  An arc runs from one under-passage to the next, so a
+    passage lies on the arc numbered by the under-passages strictly before
+    it, mod c.  Each crossing gives the row 2 * over - in - out over the
+    arcs: its over-strand's arc, and the arcs its under-strand ends and
+    starts.  The determinant is |det| of the matrix with one row and one
+    column struck, taken by Bareiss's fraction-free elimination."""
+    c = len(passages) // 2
+    rows = {ident: [0] * c for ident, _ in passages}
+    unders = 0
+    for ident, role in passages:
+        row = rows[ident]
+        if role == "U":
+            row[unders % c] -= 1
+            unders += 1
+            row[unders % c] -= 1
+        else:
+            row[unders % c] += 2
+    minor = [row[1:] for row in list(rows.values())[1:]]
+    return abs(_bareiss_det(minor))
+
+
+def _bareiss_det(m) -> int:
+    """The determinant of a square integer matrix, every division exact."""
+    n, sign, pivot = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // pivot
+        pivot = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def _passage_slot(rot, t, n):
     """Inbound rotation slot of the passage at time t: the slot carrying
     its in-edge with its out-edge opposite."""
@@ -289,14 +331,15 @@ def search_realize(code: DTCode) -> PlanarDiagram:
 
 
 def orientation_bits_by_pairs(entries):
-    """Per crossing, the bit realize's colouring swaps the second passage
-    on, or None when the code is not planar, by testing every pair of
-    crossings (the engine's earlier loop): with crossing i's passages at
-    times 2i and ``abs(entries[i]) - 1``, u and v interlace when exactly
-    one of v's times lies strictly between u's; a non-interlaced pair,
-    or a crossing with itself, must share an even number of interlaced
-    crossings, and an interlaced pair's bits differ when that count is
-    even.  Each component is coloured from its lowest crossing with 0."""
+    """Per crossing, the bit the embedding's planarity colouring swaps the
+    second passage on, or None when the code is not planar, by testing
+    every pair of crossings (the engine's earlier loop): with crossing i's
+    passages at times 2i and ``abs(entries[i]) - 1``, u and v interlace
+    when exactly one of v's times lies strictly between u's; a
+    non-interlaced pair, or a crossing with itself, must share an even
+    number of interlaced crossings, and an interlaced pair's bits differ
+    when that count is even.  Each component is coloured from its lowest
+    crossing with 0."""
     c = len(entries)
     times = [sorted((2 * i, abs(e) - 1)) for i, e in enumerate(entries)]
     crossed = [

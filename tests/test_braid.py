@@ -1,6 +1,7 @@
 import re
 import sys
 import tracemalloc
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -150,13 +151,27 @@ def test_braid_word_refuses_non_integer_fields(strands, letters, message):
         BraidWord(strands, letters)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: BraidWord(0, ()), "braid needs at least one strand"),
+    (lambda: BraidWord(2, ((1, 2),)), "letter sign must be +1 or -1, got 2"),
+    (lambda: random_positive_braid_knot(1, 5, 0), "need n_max >= 2"),
+    (lambda: random_positive_braid_knot(4, 2, 0), "c_max=2 cannot close a knot on up to 4 strands"),
+])
+def test_braid_values_out_of_range_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_braid_word_turns_sequences_into_tuples():
     assert BraidWord(3, [[1, 1], [2, -1]]).letters == ((1, 1), (2, -1))
 
 
 def test_permutation_and_components():
     word = parse_braid("1 1 1")
-    assert _closure_walk(word)[0] == (1, 2)
+    # the right-edge strands of "1 1 1", then two 3-cycles read backwards
+    assert braid._knot_order([2, 1]) == [1, 2]
+    assert braid._knot_order([3, 1, 2]) == [1, 2, 3]
+    assert braid._knot_order([2, 3, 1]) == [1, 3, 2]
     assert closure_components(word) == 1
     assert closure_components(parse_braid("1 1")) == 2
     assert closure_components(BraidWord(3, ())) == 3
@@ -259,6 +274,23 @@ def test_remove_strand_identities_on_base_words():
     a2, b2 = ab_counts(smaller)
     assert (a2, b2) == (a - cert.m - 1, b - cert.m) == (1, 0)
     assert smaller.strands == word.strands - 1
+
+
+def test_remove_strand_matches_the_oracle_on_every_base_word_up_to_six_strands():
+    # the reduction stops at a base word and so never removes a strand
+    # from one; of these words only "1", "2 1", "3 2 1", ... have the last
+    # strand, the one that returns to position 1, as first ascending strand
+    last_ascends = 0
+    for n in range(2, 7):
+        for generators in permutations(range(1, n)):
+            word = BraidWord(n, tuple((g, 1) for g in generators))
+            occupant, crossing_of = list(range(1, n + 1)), {}
+            assert _first_bigon(word.letters, occupant, crossing_of, 0) is None
+            order = braid._knot_order(occupant)
+            kept, cert = braid._remove_strand(word.letters, order, crossing_of)
+            assert (BraidWord(n - 1, tuple(kept)), cert) == remove_first_ascending_strand(word), word
+            last_ascends += cert.strand == order[-1]
+    assert last_ascends == 5
 
 
 def test_reduce_to_base_reaches_n_minus_1():
@@ -414,7 +446,7 @@ def test_reduction_generator_matches_reduce_to_base(word):
 @given(positive_knot_words())
 @settings(max_examples=200)
 def test_closure_walk_matches_oracle(word):
-    assert _closure_walk(word)[1] == roles_by_rounds(word)
+    assert _closure_walk(word) == roles_by_rounds(word)
 
 
 def roles_by_rounds(word):
@@ -459,7 +491,7 @@ def test_closure_components_counts_the_cycles_of_the_whole_permutation(word):
 
 @given(signed_knot_words())
 def test_closure_walk_matches_oracle_on_signed_knot_words(word):
-    assert _closure_walk(word)[1] == roles_by_rounds(word)
+    assert _closure_walk(word) == roles_by_rounds(word)
 
 
 @given(signed_knot_words())
@@ -605,8 +637,8 @@ def test_reduce_to_base_recounts_nothing_and_revalidates_no_word(monkeypatch):
     assert calls == {"ab_counts": 1, "_closure_walk": 2, "__post_init__": 1}
 
 
-# the public readers of a word's closure facts: the knot order, the
-# passage walk and the positivity
+# the public readers of a word's closure facts: the closure Gauss code
+# and the positivity
 CLOSURE_READERS = (*KNOT_ENTRY_POINTS, closure_components, BraidWord.is_positive)
 
 
@@ -637,7 +669,7 @@ def test_a_word_sweeps_its_closure_once(monkeypatch):
         function(word)
     assert calls == {"_closure_walk": 1, "_below": 1}
     assert closure_gauss(word)[0] is closure_gauss(word)[0] is gauss
-    # a word first read by a reader of its order alone walks it once too
+    # a word first read through its gate alone walks it once too
     for first in (positive_unknotting, reduce_to_base):
         word = parse_braid(text)
         first(word)
@@ -674,7 +706,7 @@ def test_stored_closure_facts_change_no_result(word, first, second):
     fresh = BraidWord(word.strands, word.letters)
     assert (shared, hash(shared), repr(shared)) == (fresh, hash(fresh), repr(fresh))
     if closure_components(word) == 1:
-        assert list(vars(shared)["_walk"][1].passages) == roles_by_rounds(word)
+        assert list(vars(shared)["_walk"].passages) == roles_by_rounds(word)
     else:
         # a link raises on every call and stores no walk
         assert "_walk" not in vars(shared)

@@ -18,7 +18,7 @@ from rollercoaster import (
 from rollercoaster.catalog import CatalogError, Range, RCCrossing
 from rollercoaster.codes import format_dt, format_gauss
 from rollercoaster.embed import Crossing
-from rollercoaster.invariants import Laurent
+from rollercoaster.invariants import Laurent, parse_jones_refs
 from rollercoaster.search import conjecture_report, enumerate_alternating
 from rollercoaster.warp import warp_from
 
@@ -86,6 +86,32 @@ def test_dt_code_refuses_non_integer_entries(entries):
 ])
 def test_checked_constructors_refuse_non_integer_fields(build, message):
     # one rule, codes._check_int: refused with the value named, never converted
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("forward", ["False", None, 0, 1])
+def test_basepoint_refuses_a_direction_that_is_not_a_bool(forward):
+    # "False" would read forward and None backward, and neither would equal
+    # the bool basepoint it reads as
+    with pytest.raises(ValueError) as caught:
+        Basepoint(1, forward)
+    assert str(caught.value) == f"basepoint direction must be a bool, got {forward!r}"
+    code = parse_gauss("1 -2 3 -1 2 -3")
+    assert (warp_from(code, Basepoint(1)).degree, warp_from(code, Basepoint(1, False)).degree) == (2, 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RCCrossing(None, None), "rc-crossing needs a value or a bound"),
+    (lambda: warp_from(parse_gauss("1 -2 3 -1 2 -3"), Basepoint(6)), "basepoint edge 6 out of range for 6 passages"),
+    (lambda: warp_from(parse_gauss("1 -2 3 -1 2 -3"), Basepoint(-1)),
+     "basepoint edge -1 out of range for 6 passages"),
+    (lambda: Laurent({0: 1}).eval_at_unit(2), "only t = 1 and t = -1 are supported"),
+    (lambda: Laurent({1: 1}).eval_at_unit(1), "polynomial has fractional t-powers"),
+    (lambda: parse_jones_refs(["3_1"]), "line 1: expected 'name; exp:coeff ...; note'"),
+])
+def test_values_out_of_range_are_refused(build, message):
     with pytest.raises(ValueError) as caught:
         build()
     assert str(caught.value) == message

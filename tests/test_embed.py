@@ -8,6 +8,7 @@ from rollercoaster import (
     BraidWord,
     Crossing,
     DTCode,
+    GaussCode,
     NotRealizable,
     PlanarDiagram,
     closure_components,
@@ -101,6 +102,15 @@ def test_realize_rejects_nonplanar_code():
 
 def test_realize_empty_code():
     assert realize(DTCode(())).size == 0
+    assert extract_gauss(PlanarDiagram(())) == GaussCode(())
+
+
+def test_extract_gauss_refuses_a_diagram_not_labelled_from_zero():
+    shifted = PlanarDiagram(tuple(
+        Crossing(tuple(e + 1 for e in x.edges), x.over, x.sign) for x in realize(TREFOIL).crossings
+    ))
+    with pytest.raises(ValueError, match=r"^no traversal start: diagram edges are not labelled 0\.\.2c-1$"):
+        extract_gauss(shifted)
 
 
 def test_extract_gauss_starts_at_label_one():

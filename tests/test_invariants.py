@@ -14,6 +14,8 @@ from rollercoaster import (
     DTCode,
     Laurent,
     closure_components,
+    closure_gauss,
+    dt_to_gauss,
     jones,
     kauffman_bracket,
     load_jones_refs,
@@ -30,7 +32,7 @@ from rollercoaster.embed import Crossing, PlanarDiagram
 from rollercoaster.invariants import BracketCapExceeded
 from rollercoaster.search import enumerate_alternating
 
-from oracles import greedy_order_by_intersection, skein_bracket, state_sum_bracket
+from oracles import fox_determinant, greedy_order_by_intersection, skein_bracket, state_sum_bracket
 
 RIGHT_TREFOIL = Laurent({4: 1, 12: 1, 16: -1})  # t + t^3 - t^4
 
@@ -63,11 +65,14 @@ def test_laurent_eval_and_span():
     assert RIGHT_TREFOIL.eval_at_unit(1) == 1
     assert abs(RIGHT_TREFOIL.eval_at_unit(-1)) == 3
     assert RIGHT_TREFOIL.span() == Fraction(3)
+    assert Laurent({}).span() == 0
 
 
 def test_laurent_str_uses_quarter_powers():
     assert str(Laurent({4: 1})) == "t"
     assert "t^(1/4)" in str(Laurent({1: 1}))
+    assert str(Laurent({})) == "0"
+    assert str(Laurent({0: 3, 4: -2})) == "3 - 2*t"
 
 
 def test_bracket_of_positive_kink():
@@ -200,18 +205,19 @@ def test_contraction_is_unchanged_by_relabelling(diagram, data):
 
 
 def assert_order_matches_oracle(diagram):
-    """The order and each frontier, as a set, equal the oracle's; no
-    frontier repeats an id.  The walk's slots: an edge keeps the slot it
-    opens with until the crossing that closes it; the slots that open at a
-    step are exactly those of the edges that open there; no two edges open
-    during one step, the frontier before it or the edges it opens, share a
-    slot, so each frontier's slots are distinct and no slot is handed out
-    at the crossing that frees it; and no more slots are handed out than
-    the widest frontier plus four.  Returns the order and the widest
+    """The order equals the oracle's.  The walk's slots: an edge keeps the
+    slot it opens with until the crossing that closes it; the slots that
+    open at a step are exactly those of the edges that open there; no two
+    edges open during one step, the frontier before it or the edges it
+    opens, share a slot, so each frontier's slots are distinct and no slot
+    is handed out at the crossing that frees it; the edges open after each
+    step are the oracle's frontier, and the step's frontier slots are
+    theirs in the order they opened; and no more slots are handed out
+    than the widest frontier plus four.  Returns the order and the widest
     frontier."""
-    order, frontiers, steps, size = invariants._crossing_order(diagram)
-    assert (order, [set(f) for f in frontiers]) == greedy_order_by_intersection(diagram.crossings)
-    assert all(len(set(f)) == len(f) for f in frontiers)
+    order, steps, size = invariants._crossing_order(diagram)
+    oracle_order, frontiers = greedy_order_by_intersection(diagram.crossings)
+    assert order == oracle_order
     width = max(map(len, frontiers), default=0)
     assert len(steps) == len(order)
     slot_of: dict[int, int] = {}  # open edge id -> the slot it opened with
@@ -229,10 +235,10 @@ def assert_order_matches_oracle(diagram):
         assert sorted(opened) == sorted(new.values())
         assert len(set(new.values())) == len(new) and not live & set(new.values())
         slot_of.update(new)
-        for e in set(edges) - set(after):
+        for e in set(edges) - after:
             del slot_of[e]
-        assert tuple(after_slots) == tuple(slot_of[e] for e in after)
-        assert set(slot_of) == set(after)
+        assert set(slot_of) == after
+        assert tuple(after_slots) == tuple(slot_of.values())
     assert {s for at, _, _ in steps for s in at} <= set(range(size))
     assert size <= width + 4
     return order, width
@@ -355,3 +361,26 @@ def test_torus_knot_against_closed_form():
     # (3,4) torus knot: t^3 + t^5 - t^8
     poly = jones(pd_from_braid(parse_braid("1 2 1 2 1 2 1 2")))
     assert poly == Laurent({12: 1, 20: 1, 32: -1})
+
+
+# the determinant |V(-1)| by Fox colouring of the Gauss code: a second
+# route, through no diagram or bracket, to the value every Jones
+# polynomial the catalog trusts must give at t = -1
+
+def test_fox_determinant_matches_the_refs_and_the_engine_on_every_catalog_witness():
+    refs = load_jones_refs()
+    for entry in load_catalog():
+        det = fox_determinant(dt_to_gauss(entry.dt).passages)
+        assert det == abs(refs[entry.name].eval_at_unit(-1)), entry.name
+        assert det == abs(jones(realize(entry.dt)).eval_at_unit(-1)), entry.name
+
+
+def test_fox_determinant_matches_the_engine_on_every_alternating_class_up_to_nine():
+    for c in range(3, 10):
+        for code in enumerate_alternating(c):
+            assert fox_determinant(dt_to_gauss(code).passages) == abs(jones(realize(code)).eval_at_unit(-1)), code
+
+
+def test_fox_determinant_of_two_strand_torus_knots_is_their_crossing_count():
+    for n in range(1, 42, 2):
+        assert fox_determinant(closure_gauss(parse_braid(f"s1^{n}"))[0].passages) == n

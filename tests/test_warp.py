@@ -189,7 +189,7 @@ def test_stored_below_set_changes_no_result(shared, first, second):
         assert reader(subject) == reader(_copy(subject)) == oracle(subject), name
     assert vars(code)["_below"] == based_warp(code, Basepoint(0)).below
     if word is not None:
-        assert closure_gauss(word)[0] is code is vars(word)["_walk"][1]
+        assert closure_gauss(word)[0] is code is vars(word)["_walk"]
     fresh = GaussCode(code.passages)
     assert (code, hash(code), repr(code)) == (fresh, hash(fresh), repr(fresh))
     assert "_below" not in vars(fresh)
