@@ -31,9 +31,10 @@ positive knot closure before any step.  It edits a single letter list in
 place.  ``reduce_to_base`` records each step with its own copy of the
 word, O(n^2) on long words; ``braid reduce`` passes a sink that prints
 each step off the live list as it comes, so it holds O(n) memory on an
-n-letter word.  The step records are named tuples, the word a frozen
-``codes._Record``; the loop and the bigon scan build them valid, as
-``codes._unchecked`` builds records, without their constructors.
+n-letter word.  The step records, ``Bigon``, ``RemovalCertificate`` and
+``ReductionStep``, are ``collections.namedtuple`` classes, the word a
+frozen ``codes._Record``; the loop and the bigon scan build them valid,
+as ``codes._unchecked`` builds records, without their constructors.
 
 A word's closure facts, its closure Gauss code and positivity, are
 computed once per word, on first use, and stored in the frozen word's
@@ -55,8 +56,8 @@ link's walk raises, so a link stores nothing and raises on every call.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from typing import NamedTuple
 
 from .codes import Basepoint, GaussCode, OVER, UNDER, _INTEGER, _SPLIT, _Record, _check_int, _fact, _unchecked
 
@@ -104,24 +105,16 @@ def _format_letters(letters: Sequence[tuple[int, int]]) -> str:
     return " ".join(str(i * s) for i, s in letters) or "<empty>"
 
 
-class Bigon(NamedTuple):
-    """Two letter positions (0-based, i < j) where the same two strands
-    cross, with no pair of strands crossing twice strictly between."""
+Bigon = namedtuple("Bigon", "i j strands")
+Bigon.__doc__ = """Two letter positions ``i`` < ``j`` (0-based
+ints) where the same two strands cross, with no pair of strands crossing
+twice strictly between; ``strands`` is that pair, smaller first."""
 
-    i: int
-    j: int
-    strands: tuple[int, int]
-
-
-class RemovalCertificate(NamedTuple):
-    """Witness for one strand-removal step: the letter position of the
-    resolved crossing, the left-edge position of the removed strand, and
-    the number m of crossings the removed strand passed over (equally,
-    under)."""
-
-    crossing: int
-    strand: int
-    m: int
+RemovalCertificate = namedtuple("RemovalCertificate", "crossing strand m")
+RemovalCertificate.__doc__ = """Witness for one strand-removal step,
+three ints: the letter position ``crossing`` of the resolved crossing,
+the left-edge position ``strand`` of the removed strand, and the number
+``m`` of crossings the removed strand passed over (equally, under)."""
 
 
 MAX_BRAID_LETTERS = 100_000
@@ -372,12 +365,11 @@ def _remove_strand(
     return kept, RemovalCertificate(crossing=resolved, strand=cur_start, m=m)
 
 
-class ReductionStep(NamedTuple):
-    action: str
-    detail: Bigon | RemovalCertificate
-    counts_before: tuple[int, int]
-    counts_after: tuple[int, int]
-    word: BraidWord
+ReductionStep = namedtuple("ReductionStep", "action detail counts_before counts_after word")
+ReductionStep.__doc__ = """One reduction step: ``action`` is
+"smooth" or "remove", ``detail`` its ``Bigon`` or
+``RemovalCertificate``, ``counts_before`` and ``counts_after`` the counts
+(a, b) around it, and ``word`` the ``BraidWord`` it leaves."""
 
 
 def _reduce(word: BraidWord, emit: Callable[..., object] | None = None) -> tuple[BraidWord, list[ReductionStep]]:

@@ -66,6 +66,7 @@ the package's polynomials.  Re-checking cost a fifth of a braid item.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 
@@ -244,10 +245,12 @@ def _strip_comment(line: str) -> str:
 
 def _read_text(path, packaged: str | None = None) -> str:
     """The text of one input: stdin for ``-``, the file at ``path``, or
-    the packaged data file named ``packaged`` when ``path`` is None."""
+    the packaged data file named ``packaged`` when ``path`` is None.  The
+    packaged file is read through this module's loader, which a zip
+    import serves too; its bytes are not newline-translated, so its
+    readers go through ``_read_lines``."""
     if path is None:
-        from importlib import resources
-        return resources.files("rollercoaster.data").joinpath(packaged).read_text(encoding="utf-8")
+        return __loader__.get_data(os.path.join(os.path.dirname(__file__), "data", packaged)).decode("utf-8")
     if path == "-":
         return sys.stdin.read()
     with open(path, encoding="utf-8") as fh:

@@ -64,6 +64,7 @@ class Laurent:
 
     def eval_at_unit(self, u: int) -> int:
         """Value at t = u for u in {1, -1}; needs integer t-powers."""
+        _check_int(u, "t must be an integer, got {!r}")
         if u not in (1, -1):
             raise ValueError("only t = 1 and t = -1 are supported")
         total = 0

@@ -62,6 +62,8 @@ def warp_from(code: GaussCode, base: Basepoint) -> WarpResult:
 
 def warp_profile(code: GaussCode, forward: bool = True) -> list[int]:
     """Warping degree at every edge basepoint, one traversal direction."""
+    if type(forward) is not bool:
+        raise ValueError(f"basepoint direction must be a bool, got {forward!r}")
     # edge 0 first: the code's stored below-set there
     degree = len(code._below)
     profile = []

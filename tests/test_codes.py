@@ -20,7 +20,7 @@ from rollercoaster.codes import format_dt, format_gauss
 from rollercoaster.embed import Crossing
 from rollercoaster.invariants import Laurent, parse_jones_refs
 from rollercoaster.search import conjecture_report, enumerate_alternating
-from rollercoaster.warp import warp_from
+from rollercoaster.warp import warp_from, warp_profile
 
 from oracles import (
     DT_TOKEN,
@@ -93,12 +93,15 @@ def test_checked_constructors_refuse_non_integer_fields(build, message):
 
 @pytest.mark.parametrize("forward", ["False", None, 0, 1])
 def test_basepoint_refuses_a_direction_that_is_not_a_bool(forward):
-    # "False" would read forward and None backward, and neither would equal
-    # the bool basepoint it reads as
+    # "False" would read forward and None backward, in a basepoint or a
+    # profile, and neither basepoint would equal the bool one it reads as
     with pytest.raises(ValueError) as caught:
         Basepoint(1, forward)
     assert str(caught.value) == f"basepoint direction must be a bool, got {forward!r}"
     code = parse_gauss("1 -2 3 -1 2 -3")
+    with pytest.raises(ValueError) as caught:
+        warp_profile(code, forward)
+    assert str(caught.value) == f"basepoint direction must be a bool, got {forward!r}"
     assert (warp_from(code, Basepoint(1)).degree, warp_from(code, Basepoint(1, False)).degree) == (2, 1)
 
 
@@ -108,6 +111,9 @@ def test_basepoint_refuses_a_direction_that_is_not_a_bool(forward):
     (lambda: warp_from(parse_gauss("1 -2 3 -1 2 -3"), Basepoint(-1)),
      "basepoint edge -1 out of range for 6 passages"),
     (lambda: Laurent({0: 1}).eval_at_unit(2), "only t = 1 and t = -1 are supported"),
+    # refused, not compared: -1.0 == -1 and True == 1
+    (lambda: Laurent({4: 1}).eval_at_unit(-1.0), "t must be an integer, got -1.0"),
+    (lambda: Laurent({4: 1}).eval_at_unit(True), "t must be an integer, got True"),
     (lambda: Laurent({1: 1}).eval_at_unit(1), "polynomial has fractional t-powers"),
     (lambda: parse_jones_refs(["3_1"]), "line 1: expected 'name; exp:coeff ...; note'"),
 ])

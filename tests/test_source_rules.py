@@ -52,15 +52,17 @@ def _forbidden(tree, patterns):
 
 def _own_reads(tree, *, files_too):
     """Where a module reads input itself: ``sys.stdin`` in any form and,
-    with ``files_too``, a call to ``open`` (``io.open`` too) and
-    ``resources.files``, imported or reached as an attribute."""
+    with ``files_too``, a call to ``open`` (``io.open`` too) or to a
+    loader's ``get_data``, and ``resources.files``, imported or reached as
+    an attribute."""
     hits = {f"line {line}: stdin" for name, line in _names(tree) if name == "stdin"}
     if files_too:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "open":
-                    hits.add(f"line {node.lineno}: open")
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("open", "get_data"):
+                    hits.add(f"line {node.lineno}: {name}")
             elif isinstance(node, ast.Attribute) and node.attr == "files":
                 if isinstance(node.value, ast.Name) and node.value.id == "resources":
                     hits.add(f"line {node.lineno}: resources.files")
@@ -145,6 +147,7 @@ def test_own_reads_are_seen_through_every_form():
     for source in (
         "open(path)",
         "import io\nio.open(path)",
+        "__loader__.get_data(path)",
         "from importlib import resources\nresources.files('rollercoaster.data')",
         "from importlib.resources import files",
         "import sys\nsys.stdin.read()",
