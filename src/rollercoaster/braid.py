@@ -439,6 +439,8 @@ def reduce_to_base(word: BraidWord) -> tuple[BraidWord, list[ReductionStep]]:
 def random_positive_braid_knot(n_max: int, c_max: int, seed: int) -> BraidWord:
     """Deterministic positive braid word with knot closure, every
     generator used at least once, strands <= n_max, letters <= c_max."""
+    _check_int(n_max, "n_max must be an integer, got {!r}")
+    _check_int(c_max, "c_max must be an integer, got {!r}")
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     if c_max < n_max - 1:

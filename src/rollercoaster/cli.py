@@ -2,26 +2,16 @@
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage or
 parse errors and on files that cannot be read or written.  Every
-subcommand has a JSON mode with a stable schema.
+subcommand has a JSON mode with a stable schema.  Each handler imports
+the engine modules it runs when it runs, so a command loads no other.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
-
-from . import braid as braid_mod
-from .catalog import CatalogError, load_catalog, main_rows, summarize, verify_catalog
-from .codes import (
-    _read_lines, _read_text, _strip_comment, dt_to_gauss, format_dt, gauss_to_dt, mirror, parse_dt,
-    parse_gauss,
-)
-from .invariants import load_jones_refs
-from .search import _check_crossings, conjecture_report, enumerate_alternating
-from .warp import min_warp, warp_profile
 
 
 def _open_output(path: str | None, newline: str | None = None):
@@ -35,6 +25,9 @@ def _open_output(path: str | None, newline: str | None = None):
 
 
 def cmd_warp(args) -> int:
+    from .codes import _read_lines, _read_text, _strip_comment, dt_to_gauss, mirror, parse_dt, parse_gauss
+    from .warp import min_warp, warp_profile
+
     if args.dt is not None:
         gauss = dt_to_gauss(parse_dt(_read_text(args.dt) if args.dt == "-" else args.dt))
     else:
@@ -62,6 +55,9 @@ def cmd_warp(args) -> int:
 
 
 def cmd_braid(args) -> int:
+    from . import braid as braid_mod
+    from .codes import format_dt, gauss_to_dt
+
     # the library checks the knot closure, then positivity, before any
     # per-strand work; its ValueError exits 2
     word = braid_mod.parse_braid(args.word)
@@ -114,6 +110,9 @@ def cmd_braid(args) -> int:
 
 
 def cmd_verify_catalog(args) -> int:
+    from .catalog import CatalogError, load_catalog, main_rows, summarize, verify_catalog
+    from .invariants import load_jones_refs
+
     if args.catalog == args.refs == "-":
         raise ValueError("--catalog and --refs cannot both read stdin")
     try:
@@ -141,6 +140,9 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from .codes import format_dt
+    from .search import _check_crossings, conjecture_report
+
     _check_crossings(args.max, "--max")
     rows = conjecture_report(args.max)
     if args.json:
@@ -158,6 +160,11 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    import csv
+
+    from .codes import format_dt
+    from .search import _check_crossings, enumerate_alternating
+
     _check_crossings(args.crossings)  # before the CSV file is opened
     count = 0
     codes = []

@@ -156,6 +156,10 @@ def test_braid_word_refuses_non_integer_fields(strands, letters, message):
     (lambda: BraidWord(2, ((1, 2),)), "letter sign must be +1 or -1, got 2"),
     (lambda: random_positive_braid_knot(1, 5, 0), "need n_max >= 2"),
     (lambda: random_positive_braid_knot(4, 2, 0), "c_max=2 cannot close a knot on up to 4 strands"),
+    (lambda: random_positive_braid_knot(3.0, 10, 0), "n_max must be an integer, got 3.0"),
+    (lambda: random_positive_braid_knot(4, 5.5, 0), "c_max must be an integer, got 5.5"),
+    (lambda: random_positive_braid_knot(True, 10, 0), "n_max must be an integer, got True"),
+    (lambda: random_positive_braid_knot(1.0, 0.5, 0), "n_max must be an integer, got 1.0"),
 ])
 def test_braid_values_out_of_range_are_refused(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

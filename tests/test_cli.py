@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rollercoaster import DTCode, ab_counts, cli, closure_gauss, gauss_to_dt, parse_braid, reduce_to_base
+from rollercoaster import catalog, search
 from rollercoaster.braid import MAX_BRAID_LETTERS
 from rollercoaster.cli import main
 
@@ -501,7 +502,7 @@ def test_verify_catalog_reads_dash_from_stdin(capsys, monkeypatch, option, name)
 
 
 def test_verify_catalog_one_stdin_cannot_feed_both(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "load_catalog", _no_work)
+    monkeypatch.setattr(catalog, "load_catalog", _no_work)
     assert run(capsys, "verify-catalog", "--catalog", "-", "--refs", "-") == (
         2, "", "error: --catalog and --refs cannot both read stdin\n")
 
@@ -517,7 +518,7 @@ def _no_work(*args, **kwargs):
 
 
 def test_verify_catalog_bad_json_path_fails_before_work(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_catalog", _no_work)
+    monkeypatch.setattr(catalog, "verify_catalog", _no_work)
     code, out, err = run(capsys, "verify-catalog", "--json", "/nonexistent/x.json")
     assert code == 2
     assert out == ""
@@ -571,7 +572,7 @@ def test_enumerate_json(capsys):
 
 
 def test_enumerate_bad_csv_path_fails_before_work(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "enumerate_alternating", _no_work)
+    monkeypatch.setattr(search, "enumerate_alternating", _no_work)
     code, out, err = run(capsys, "enumerate", "--crossings", "3", "--csv", "/nonexistent/x.csv")
     assert code == 2
     assert out == ""
@@ -583,7 +584,7 @@ def test_enumerate_streams_rows_as_found(capsys, monkeypatch, tmp_path):
         yield DTCode((4, 6, 2))
         raise RuntimeError("interrupted")
 
-    monkeypatch.setattr(cli, "enumerate_alternating", first_then_fail)
+    monkeypatch.setattr(search, "enumerate_alternating", first_then_fail)
     out_csv = tmp_path / "codes.csv"
     with pytest.raises(RuntimeError):
         main(["enumerate", "--crossings", "3", "--csv", str(out_csv)])

@@ -1,8 +1,11 @@
 """What a short CLI run loads: the modules only one rarely used function
 needs, the code generators of ``dataclasses``, ``typing``, and the
-``importlib.resources`` machinery stay out of the import.  Measured by
-module set, not by time, in a fresh ``python -S`` so that no ``site``
-hook preloads anything, for a ``braid`` run and for ``verify-catalog``,
+``importlib.resources`` machinery stay out of the import, and so does
+every engine module the command does not run: a bare ``import
+rollercoaster`` loads none of them, ``braid`` only ``codes`` and
+``braid``, ``warp`` only ``codes`` and ``warp``.  Measured by module set,
+not by time, in a fresh ``python -S`` so that no ``site`` hook preloads
+anything, for a ``braid`` run, a ``warp`` run and ``verify-catalog``,
 which reads both packaged tables through the module's own loader.  The
 same loader serves them from a zip import, run the same way."""
 
@@ -31,10 +34,14 @@ import contextlib, io, json, sys
 tables = sys.argv[1] == "--tables"
 sys.path.insert(0, sys.argv[1 + tables])
 import rollercoaster
+imported = sorted(sys.modules)
 from rollercoaster import cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(sys.argv[2 + tables:])
-run = {"code": code, "out": out.getvalue(), "file": rollercoaster.__file__, "loaded": sorted(sys.modules)}
+run = {
+    "code": code, "out": out.getvalue(), "file": rollercoaster.__file__, "imported": imported,
+    "loaded": sorted(sys.modules),
+}
 if tables:
     from rollercoaster.catalog import load_catalog
     run["tables"] = [len(load_catalog()), len(rollercoaster.load_jones_refs())]
@@ -56,6 +63,31 @@ def test_a_braid_run_loads_no_single_use_module():
     assert (run["code"], run["out"]) == (0, "(2, 1)\n")
     assert pathlib.Path(run["file"]).resolve().is_relative_to(SRC)
     assert [name for name in NOT_LOADED if name in run["loaded"]] == []
+
+
+def _package(modules):
+    return [name for name in modules if name.split(".")[0] == "rollercoaster"]
+
+
+def test_a_bare_import_loads_no_engine_module():
+    run = _fresh_run(str(SRC), "braid", "--word", "1 1 1", "counts")
+    assert _package(run["imported"]) == ["rollercoaster"]
+
+
+def test_a_braid_run_loads_only_the_modules_it_runs():
+    run = _fresh_run(str(SRC), "braid", "--word", "1 1 1", "counts")
+    assert _package(run["loaded"]) == [
+        "rollercoaster", "rollercoaster.braid", "rollercoaster.cli", "rollercoaster.codes",
+    ]
+    assert "csv" not in run["loaded"]
+
+
+def test_a_warp_run_loads_only_the_modules_it_runs():
+    run = _fresh_run(str(SRC), "warp", "--dt", "[4, 6, 2]")
+    assert (run["code"], run["out"]) == (0, "min_warp: 1\nbasepoint: edge 0 forward\n")
+    assert _package(run["loaded"]) == [
+        "rollercoaster", "rollercoaster.cli", "rollercoaster.codes", "rollercoaster.warp",
+    ]
 
 
 def test_a_verify_catalog_run_loads_no_single_use_module():

@@ -1,6 +1,8 @@
 import importlib
 import pkgutil
 
+import pytest
+
 import rollercoaster
 from rollercoaster.braid import ReductionStep
 from rollercoaster.catalog import CatalogEntry, ClassCounts, RCCrossing, Range, RowReport
@@ -39,6 +41,7 @@ PUBLIC = [
     "parse_braid",
     "parse_dt",
     "parse_gauss",
+    "parse_jones_refs",
     "pd_from_braid",
     "positive_unknotting",
     "random_positive_braid_knot",
@@ -96,6 +99,17 @@ def test_public_surface_is_pinned():
     assert names == ["braid", "catalog", "cli", "codes", "embed", "invariants", "search", "warp"]
     for module in [rollercoaster] + [importlib.import_module(f"rollercoaster.{name}") for name in names]:
         assert [name for name in TEST_ONLY if hasattr(module, name)] == [], module.__name__
+
+
+def test_star_import_gives_every_public_name():
+    namespace = {}
+    exec("from rollercoaster import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == PUBLIC
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'rollercoaster' has no attribute 'no_such_name'$"):
+        rollercoaster.no_such_name
 
 
 def _fields(cls):
